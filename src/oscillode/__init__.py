@@ -7,6 +7,7 @@ shrinks as omega grows, in contrast to direct time stepping.
 """
 
 from .deriv_engine import (
+    FieldPoint,
     ForcingTerm,
     VectorField,
     constant_amplitude,
@@ -18,6 +19,7 @@ from .deriv_engine import (
 )
 from .errors import (
     MaxStepsExceeded,
+    NonFiniteRHS,
     OscillodeError,
     OutOfDomain,
     SingularResolvent,

@@ -9,6 +9,7 @@ the production path.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import UnsupportedOrder, ValidationFailed
 
 __all__ = [
+    "FieldPoint",
     "VectorField",
     "ForcingTerm",
     "fd_differential",
@@ -27,6 +29,21 @@ __all__ = [
 ]
 
 
+class FieldPoint:
+    """A base state ``y`` with the field's work that depends on y alone done.
+
+    Made by ``VectorField.at``; pass it to ``VectorField.apply`` in place of
+    ``y`` to take any number of differentials there.  ``differential(n,
+    directions)`` is the contraction at y.
+    """
+
+    __slots__ = ("y", "differential")
+
+    def __init__(self, y, differential):
+        self.y = y
+        self.differential = differential
+
+
 @dataclass
 class VectorField:
     """Autonomous vector field with user-supplied exact differentials.
@@ -34,19 +51,37 @@ class VectorField:
     ``differential(n, y, directions)`` must return the n-th derivative tensor
     contracted with the given direction vectors; ``max_order`` is the highest
     n for which that is implemented.
+
+    ``jet(y)`` is optional.  It does the work that depends on ``y`` alone
+    once and returns a callable ``(n, directions)`` that gives the same
+    result as ``differential(n, y, directions)``.  Without it, ``at(y)``
+    closes over y and calls ``differential``.
     """
 
     dimension: int
     evaluate: object
     differential: object
     max_order: int
+    jet: object = None
 
     def __call__(self, y):
         return np.asarray(self.evaluate(y), dtype=complex)
 
+    def at(self, y):
+        """The point y, for several ``apply`` calls that share its work."""
+        if self.jet is not None:
+            return FieldPoint(y, self.jet(y))
+        differential = self.differential
+        return FieldPoint(y, lambda n, directions: differential(n, y, directions))
+
     def apply(self, n, y, directions):
+        """f_n at ``y`` applied to the directions.
+
+        ``y`` is a state vector or a point returned by ``at``.
+        """
+        point = y if isinstance(y, FieldPoint) else None
         if n == 0:
-            return self(y)
+            return self(y if point is None else point.y)
         if n > self.max_order:
             raise UnsupportedOrder(
                 f"differential of order {n} requested but the field only "
@@ -54,7 +89,9 @@ class VectorField:
             )
         if len(directions) != n:
             raise ValueError(f"order {n} differential needs {n} directions")
-        return np.asarray(self.differential(n, y, list(directions)), dtype=complex)
+        if point is None:
+            point = self.at(y)
+        return np.asarray(point.differential(n, list(directions)), dtype=complex)
 
 
 @dataclass
@@ -142,12 +179,18 @@ def linear_field(matrix, max_order=6):
     a = np.asarray(matrix, dtype=complex)
     d = a.shape[0]
 
-    def diff(n, y, directions):
+    def differential_at(n, directions):
         if n == 1:
             return a @ np.asarray(directions[0], dtype=complex)
         return np.zeros(d, dtype=complex)
 
-    return VectorField(dimension=d, evaluate=lambda y: a @ y, differential=diff, max_order=max_order)
+    return VectorField(
+        dimension=d,
+        evaluate=lambda y: a @ y,
+        differential=lambda n, y, directions: differential_at(n, directions),
+        max_order=max_order,
+        jet=lambda y: differential_at,
+    )
 
 
 class _Poly:
@@ -157,16 +200,18 @@ class _Poly:
         self.dimension = dimension
         self.terms = dict(terms)
 
-    def directional_derivative(self, v):
+    @property
+    def degree(self):
+        return max((sum(expo) for expo in self.terms), default=0)
+
+    def partial(self, i):
+        """Derivative with respect to variable i."""
         out = {}
         for expo, coef in self.terms.items():
-            for i, e in enumerate(expo):
-                if e == 0:
-                    continue
-                new = list(expo)
-                new[i] -= 1
-                key = tuple(new)
-                out[key] = out.get(key, 0.0) + coef * e * v[i]
+            e = expo[i]
+            if e:
+                key = tuple(expo[:i]) + (e - 1,) + tuple(expo[i + 1 :])
+                out[key] = out.get(key, 0.0) + coef * e
         return _Poly(self.dimension, out)
 
     def __call__(self, y):
@@ -185,22 +230,59 @@ def polynomial_field(dimension, component_terms, max_order=6):
 
     ``component_terms[j]`` maps exponent tuples to coefficients for component
     j, e.g. ``{(0, 1): 1.0}`` for y_2 and ``{(2, 0): -0.5}`` for -0.5 y_1^2.
+
+    The partial derivatives of each order are derived symbolically once, on
+    first use.  A point evaluates those of an order once, as a tensor that
+    each differential of that order contracts with its directions.
     """
     polys = [_Poly(dimension, terms) for terms in component_terms]
+    degree = max((p.degree for p in polys), default=0)
+    # order n -> (derivative polynomials of every component, one list per
+    # sorted variable tuple; the list's row for each ordered variable tuple)
+    tables = {0: ([polys], np.zeros(1, dtype=int))}
+
+    def order_table(n):
+        if n not in tables:
+            lower, _ = order_table(n - 1)
+            variables = range(dimension)
+            lower_row = {
+                vs: k for k, vs in enumerate(itertools.combinations_with_replacement(variables, n - 1))
+            }
+            sorted_tuples = list(itertools.combinations_with_replacement(variables, n))
+            derivs = [[q.partial(vs[-1]) for q in lower[lower_row[vs[:-1]]]] for vs in sorted_tuples]
+            row = {vs: k for k, vs in enumerate(sorted_tuples)}
+            rows = np.array([row[tuple(sorted(vs))] for vs in itertools.product(variables, repeat=n)])
+            tables[n] = (derivs, rows)
+        return tables[n]
 
     def evaluate(y):
         return np.array([p(y) for p in polys], dtype=complex)
 
-    def diff(n, y, directions):
-        out = np.empty(dimension, dtype=complex)
-        for j, p in enumerate(polys):
-            q = p
-            for v in directions:
-                q = q.directional_derivative(np.asarray(v, dtype=complex))
-            out[j] = q(y)
-        return out
+    def jet(y):
+        tensors = {}  # order n -> values, shape (components, dimension**n)
 
-    return VectorField(dimension=dimension, evaluate=evaluate, differential=diff, max_order=max_order)
+        def differential_at(n, directions):
+            if n > degree:
+                return np.zeros(len(polys), dtype=complex)
+            tensor = tensors.get(n)
+            if tensor is None:
+                derivs, rows = order_table(n)
+                values = np.array([[q(y) for q in qs] for qs in derivs], dtype=complex)
+                tensor = tensors[n] = values.T[:, rows]
+            out = tensor
+            for v in directions:
+                out = out.reshape(-1, dimension) @ np.asarray(v, dtype=complex)
+            return out
+
+        return differential_at
+
+    return VectorField(
+        dimension=dimension,
+        evaluate=evaluate,
+        differential=lambda n, y, directions: jet(y)(n, directions),
+        max_order=max_order,
+        jet=jet,
+    )
 
 
 # -- amplitude constructors ---------------------------------------------------

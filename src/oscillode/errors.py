@@ -39,6 +39,19 @@ class StepUnderflow(OscillodeError):
     """The adaptive integrator could not make progress at the requested tolerance."""
 
 
+class NonFiniteRHS(StepUnderflow):
+    """A step's stages produced a NaN or infinite value.
+
+    Shrinking the step cannot cure a right-hand side that is not finite, so
+    the integrator stops at the first such step; ``t`` is where it started.
+    It subclasses StepUnderflow because that is what callers caught before.
+    """
+
+    def __init__(self, message, t=None):
+        super().__init__(message)
+        self.t = t
+
+
 class MaxStepsExceeded(OscillodeError):
     """The adaptive integrator exhausted its step budget."""
 

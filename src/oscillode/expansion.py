@@ -54,6 +54,12 @@ class Problem:
         if self.y0.shape != (vector_field.dimension,):
             raise ValueError("initial state dimension mismatch")
         for pos, forcing in enumerate(self.forcings, start=1):
+            shape = np.shape(forcing.derivative(0, 0.0))
+            if shape != (vector_field.dimension,):
+                raise ValueError(
+                    f"forcing {pos} amplitude has shape {shape} at t=0; the field "
+                    f"needs ({vector_field.dimension},)"
+                )
             if forcing.kappa.index != pos:
                 raise ValueError(
                     f"forcing at position {pos} carries base-frequency index "
@@ -134,8 +140,8 @@ class _NodeRef:
     def diff(self):
         return [_NodeRef(self.coef, self.key, self.order + 1)]
 
-    def evaluate(self, expansion, t):
-        return self.coef * expansion._value(self.key, t, self.order)
+    def evaluate(self, expansion, t, point):
+        return self.coef * expansion._value(self.key, t, self.order, point)
 
 
 class _FTerm:
@@ -155,10 +161,10 @@ class _FTerm:
                 out.append(_FTerm(self.coef, self.n, self.args[:i] + [darg] + self.args[i + 1 :]))
         return out
 
-    def evaluate(self, expansion, t):
-        base = expansion._value((0, ()), t, 0)
-        dirs = [arg.evaluate(expansion, t) for arg in self.args]
-        return self.coef * expansion.problem.field.apply(self.n, base, dirs)
+    def evaluate(self, expansion, t, point):
+        """``point`` is the field at the base trajectory's value at t."""
+        dirs = [arg.evaluate(expansion, t, point) for arg in self.args]
+        return self.coef * expansion.problem.field.apply(self.n, point, dirs)
 
 
 class Expansion:
@@ -187,18 +193,23 @@ class Expansion:
         for node in self.nodes.values():
             node._expr_cache.clear()
 
-    def _value(self, key, t, order):
+    def _value(self, key, t, order, point=None):
+        """Value of a node's order-th derivative at t.
+
+        ``point``, when given, is the field at the base trajectory's value
+        at the same t; every term evaluated under this call shares it.
+        """
         memo_key = (key, t, order)
         with self._lock:
             hit = self._memo.get(memo_key)
         if hit is not None:
             return hit
-        value = self._compute(key, t, order)
+        value = self._compute(key, t, order, point)
         with self._lock:
             self._memo[memo_key] = value
         return value
 
-    def _compute(self, key, t, order):
+    def _compute(self, key, t, order, point):
         node = self.nodes[key]
         if node.kind == "forcing":
             forcing = self.problem.forcings[node.forcing_index - 1]
@@ -211,15 +222,14 @@ class Expansion:
                         "run solve_nonoscillatory_chain first"
                     )
                 return sample(node.solution, t)
-            exprs = self._exprs(node, order)
-            return self._eval_exprs(exprs, t)
-        exprs = self._exprs(node, order)
-        return self._eval_exprs(exprs, t)
+        return self._eval_exprs(self._exprs(node, order), t, point)
 
-    def _eval_exprs(self, exprs, t):
+    def _eval_exprs(self, exprs, t, point):
+        if point is None and any(type(expr) is _FTerm for expr in exprs):
+            point = self.problem.field.at(self._value((0, ()), t, 0))
         total = np.zeros(self.problem.dimension, dtype=complex)
         for expr in exprs:
-            total = total + expr.evaluate(self, t)
+            total = total + expr.evaluate(self, t, point)
         return total
 
     def _exprs(self, node, order):
@@ -469,33 +479,53 @@ def solve_nonoscillatory_chain(
                 )
             )
         except Exception as err:
-            raise type(err)(
-                f"while solving node (r={r}, m=0): {err}"
-            ) from err
+            err.add_note(f"while solving node (r={r}, m=0)")
+            raise
         node.initial_value = ic
     expansion.solved_t_end = float(t_end)
     return expansion
 
 
 def _node_rhs(expansion, node):
+    """Right-hand side of a zero-frequency node's ODE.
+
+    Each term is planned once as (weight, order, operand slots).  A slot
+    indexes the node's distinct lower-level operands; slot -1 is the node's
+    own unknown.  A call makes one field point at the base trajectory, which
+    every term and every lower-level value computed for the call shares.
+    """
     fld = expansion.problem.field
+    dimension = expansion.problem.dimension
+    value = expansion._value
     r = node.r
-    terms = node.terms
+    operand_keys = [
+        key
+        for key in dict.fromkeys(
+            (lev, lab.canonical_tuple) for term in node.terms for lev, lab in term.operands
+        )
+        if key != (r, ())
+    ]
+    slot = {key: i for i, key in enumerate(operand_keys)}
+    plan = [
+        (
+            complex(term.weight),
+            term.n,
+            [slot.get((lev, lab.canonical_tuple), -1) for lev, lab in term.operands],
+        )
+        for term in node.terms
+    ]
+    needs_point = any(n for _, n, _ in plan)
 
     def rhs(t, y):
-        total = np.zeros(expansion.problem.dimension, dtype=complex)
-        base = y if r == 0 else expansion._value((0, ()), t, 0)
-        for term in terms:
-            if term.n == 0:
-                total = total + complex(term.weight) * fld(y)
+        total = np.zeros(dimension, dtype=complex)
+        point = fld.at(y if r == 0 else value((0, ()), t, 0)) if needs_point else None
+        operands = [value(key, t, 0, point) for key in operand_keys]
+        operands.append(y)
+        for weight, n, slots in plan:
+            if n == 0:
+                total = total + weight * fld(y)
                 continue
-            dirs = []
-            for lev, lab in term.operands:
-                if lev == r and lab.is_zero:
-                    dirs.append(y)
-                else:
-                    dirs.append(expansion._value((lev, lab.canonical_tuple), t, 0))
-            total = total + complex(term.weight) * fld.apply(term.n, base, dirs)
+            total = total + weight * fld.apply(n, point, [operands[i] for i in slots])
         return total
 
     return rhs

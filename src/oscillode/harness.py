@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import tempfile
 import time
 import tracemalloc
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +43,10 @@ __all__ = [
 
 # local tolerance tightening so the reference's global error honors its label
 REFERENCE_SAFETY = 50.0
+# bumped whenever what a cached reference holds or how it is computed changes
+_CACHE_FORMAT = "reference-v2"
+# field probes: fixed offsets from y0, scaled by 1 + |y0|
+_PROBE_OFFSETS = (0.0, 0.25, -0.5)
 
 
 def _resolve(problem) -> RegisteredProblem:
@@ -84,10 +91,73 @@ def _oscillatory_rhs(problem, omega):
     return rhs
 
 
-def _cache_path(cache_dir, problem_name, omega, tol_abs, tol_rel, t_end, grid_n):
-    tag = f"{problem_name}|{omega:.17g}|{tol_abs:.3g}|{tol_rel:.3g}|{t_end:.17g}|{grid_n}"
-    digest = hashlib.sha256(tag.encode()).hexdigest()[:16]
-    return Path(cache_dir) / f"ref_{problem_name}_{digest}.npz"
+def _cache_path(cache_dir, registered, omega, tol_abs, tol_rel, grid):
+    """Cache file of one reference, named by a hash of everything it depends on.
+
+    The key covers the basis, the base frequencies, ``y0``, the grid (and so
+    ``t_end``), omega, the tolerances and ``REFERENCE_SAFETY``.  The field and
+    the amplitudes are functions, so they enter through their values: the
+    field at ``y0`` and at fixed states around it, each amplitude at fixed
+    times across the grid.
+    """
+    problem = registered.problem
+    basis = problem.basis
+    h = hashlib.sha256()
+
+    def add(*parts):
+        h.update(repr(parts).encode())
+
+    add(_CACHE_FORMAT, float(omega), float(tol_abs), float(tol_rel), REFERENCE_SAFETY)
+    add(basis.mode, basis.basis_reals, basis.tolerance)
+    for kappa in problem.kappas:
+        add(kappa.index, tuple(map(str, kappa.coords or ())), float(kappa.value))
+    y0 = np.asarray(problem.y0, dtype=complex)
+    h.update(y0.tobytes())
+    h.update(np.ascontiguousarray(grid, dtype=float).tobytes())
+    ramp = np.arange(1.0, y0.size + 1.0)
+    for offset in _PROBE_OFFSETS:
+        state = y0 + offset * (1.0 + np.abs(y0)) * ramp
+        h.update(problem.field(state).tobytes())
+    for t in grid[:: max(1, (grid.size - 1) // 4)]:
+        for forcing in problem.forcings:
+            h.update(np.asarray(forcing.amplitude(float(t)), dtype=complex).tobytes())
+    return Path(cache_dir) / f"ref_{registered.name}_{h.hexdigest()[:16]}.npz"
+
+
+def _read_cached(path, grid):
+    """Cached values for ``grid``, or None on a miss or an unreadable file."""
+    # imported here: importing logging grows every process by about 0.5 MB,
+    # and only cache users log
+    import logging
+
+    logger = logging.getLogger("oscillode")
+    if not path.exists():
+        logger.debug("reference cache miss: %s", path.name)
+        return None
+    try:
+        with np.load(path) as data:
+            cached_grid, values = data["grid"], data["values"]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as err:
+        logger.warning("reference cache file %s is unreadable (%s); recomputing", path, err)
+        return None
+    if not np.array_equal(cached_grid, grid):
+        logger.warning("reference cache file %s holds another grid; recomputing", path)
+        return None
+    logger.debug("reference cache hit: %s", path.name)
+    return values
+
+
+def _write_cached(path, grid, values):
+    """Write through a temporary file, so a reader never sees half a file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez_compressed(fh, grid=grid, values=values)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def reference_values(
@@ -117,13 +187,10 @@ def reference_values(
     provenance = f"rk(abs={tol_abs:g},rel={tol_rel:g})"
     path = None
     if cache_dir is not None:
-        path = _cache_path(
-            cache_dir, registered.name, omega, tol_abs, tol_rel, float(grid[-1]), grid.size
-        )
-        if path.exists():
-            with np.load(path) as data:
-                if np.array_equal(data["grid"], grid):
-                    return data["values"], provenance
+        path = _cache_path(cache_dir, registered, omega, tol_abs, tol_rel, grid)
+        cached = _read_cached(path, grid)
+        if cached is not None:
+            return cached, provenance
 
     solution = integrate(
         IvpSpec(
@@ -138,8 +205,7 @@ def reference_values(
     )
     values = np.array([sample(solution, float(t)) for t in grid])
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(path, grid=grid, values=values)
+        _write_cached(path, grid, values)
     return values, provenance
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxStepsExceeded, OutOfDomain, StepUnderflow
+from .errors import MaxStepsExceeded, NonFiniteRHS, OutOfDomain, StepUnderflow
 
 __all__ = ["IvpSpec", "DenseSolution", "integrate", "sample"]
 
@@ -104,7 +104,8 @@ def integrate(spec: IvpSpec) -> DenseSolution:
 
     The per-step error estimate is kept below ``abs_tol + rel_tol * |y|``
     componentwise; the step controller uses safety factor 0.9, exponent 1/5
-    and growth clamped to [0.2, 5].
+    and growth clamped to [0.2, 5].  A NaN or infinite stage value raises
+    NonFiniteRHS at the step where it appears.
     """
     rhs = spec.rhs
     y = np.asarray(spec.y0, dtype=complex).copy()
@@ -150,6 +151,10 @@ def integrate(spec: IvpSpec) -> DenseSolution:
         y5 = y + h * (_B5 @ k)
         y4 = y + h * (_B4 @ k)
         err = _error_norm(y5 - y4, y, y5, spec.abs_tol, spec.rel_tol)
+        if not math.isfinite(err):
+            raise NonFiniteRHS(
+                f"non-finite right-hand side in the step from t={t:.6g} (h={h:.3e})", t=t
+            )
 
         if err <= 1.0:
             if spec.dense_refine:

@@ -45,6 +45,10 @@ SQRT2 = math.sqrt(2.0)
 # bilinear y3 * (quadratic in y1) piece.
 
 
+# binomial coefficients C(n, k) for n <= 4, k <= 2
+_BINOMIAL = ((1,), (1, 1), (1, 2, 1), (1, 3, 3), (1, 4, 6))
+
+
 def _reciprocal_derivs(x, e):
     """Derivatives through order 4 of 1 / ((1 + e) + 3 e x^2)."""
     den = (1.0 + e) + 3.0 * e * x * x
@@ -58,40 +62,44 @@ def _reciprocal_derivs(x, e):
     return (g0, g1, g2, g3, g4)
 
 
-def _window_recip_derivs(x, e):
-    """Derivatives through order 4 of (1 + 3 x^2) / ((1 + e) + 3 e x^2)."""
-    g = _reciprocal_derivs(x, e)
+def _window_recip_derivs(x, g):
+    """Derivatives through order 4 of (1 + 3 x^2) g(x), given g's derivatives."""
     w = (1.0 + 3.0 * x * x, 6.0 * x, 6.0, 0.0, 0.0)
     out = []
     for n in range(5):
         val = 0.0
         for k in range(min(n, 2) + 1):
-            val = val + math.comb(n, k) * w[k] * g[n - k]
+            val = val + _BINOMIAL[n][k] * w[k] * g[n - k]
         out.append(val)
     return tuple(out)
 
 
-def _linear_times_scalar_diff(n, lin_value, lin_dots, scalar_derivs, var_comps):
-    """n-th differential of L(y) * phi(y_var) with L linear.
+def _direction_products(comps):
+    """Product of all the components, and for each i of all but the i-th.
 
-    ``lin_dots[i]`` is the gradient of L contracted with direction i and
-    ``var_comps[i]`` the direction's component in the phi variable.
+    Each product runs left to right from 1.0.
     """
     prod_all = 1.0
-    for v in var_comps:
+    for v in comps:
         prod_all = prod_all * v
-    total = lin_value * scalar_derivs[n] * prod_all
-    for i in range(n):
+    rests = []
+    for i in range(len(comps)):
         rest = 1.0
-        for j, v in enumerate(var_comps):
+        for j, v in enumerate(comps):
             if j != i:
                 rest = rest * v
-        total = total + lin_dots[i] * scalar_derivs[n - 1] * rest
-    return total
+        rests.append(rest)
+    return prod_all, rests
 
 
 def memristor_field(a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
-    """The five-state memristor circuit field with differentials to order 4."""
+    """The five-state memristor circuit field with differentials to order 4.
+
+    With g = 1 / ((1 + e) + 3 e y2^2) and h = (1 + 3 y2^2) g, the rows are
+    y3, (y4 - y3) g, a y3 phi(y1) - a (y3 - y4) h, (y3 - y4) h + y5 and
+    -b y4 - c y5, where phi(y1) = d - (1 + 3 y1^2).  A point holds the
+    derivatives of g, h and phi at its y2 and y1.
+    """
 
     def evaluate(y):
         y1, y2, y3, y4, y5 = y
@@ -108,32 +116,49 @@ def memristor_field(a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
             dtype=complex,
         )
 
-    def differential(n, y, directions):
+    def jet(y):
         y1, y2, y3, y4, _ = y
         g = _reciprocal_derivs(y2, e)
-        h = _window_recip_derivs(y2, e)
+        h = _window_recip_derivs(y2, g)
         phi = (d - (1.0 + 3.0 * y1 * y1), -6.0 * y1, -6.0, 0.0, 0.0)
+        # plain complex scalars: same products and sums, less overhead
+        g, h, phi = ([complex(x) for x in derivs] for derivs in (g, h, phi))
+        y3, y4 = complex(y3), complex(y4)
 
-        v1 = [dirn[0] for dirn in directions]
-        v2 = [dirn[1] for dirn in directions]
-        dots_43 = [dirn[3] - dirn[2] for dirn in directions]  # grad of y4 - y3
-        dots_34 = [dirn[2] - dirn[3] for dirn in directions]  # grad of y3 - y4
-        dots_3 = [dirn[2] for dirn in directions]
+        def differential_at(n, directions):
+            # Rows 2, 3 and 4 are sums of L(y) s(y_k) with L linear.  Their
+            # n-th differential is L(y) s^(n) prod_i v_ik plus, for each i,
+            # (grad L . v_i) s^(n-1) prod_(j != i) v_jk.
+            comps = [np.asarray(dirn, dtype=complex).tolist() for dirn in directions]
+            prod1, rests1 = _direction_products([v[0] for v in comps])
+            prod2, rests2 = _direction_products([v[1] for v in comps])
+            row2 = (y4 - y3) * g[n] * prod2
+            window = (y3 - y4) * h[n] * prod2  # the (y3 - y4) h part of rows 3 and 4
+            cubic = y3 * phi[n] * prod1
+            for v, rest1, rest2 in zip(comps, rests1, rests2):
+                row2 = row2 + (v[3] - v[2]) * g[n - 1] * rest2
+                window = window + (v[2] - v[3]) * h[n - 1] * rest2
+                cubic = cubic + v[2] * phi[n - 1] * rest1
+            row3 = a * cubic - a * window
+            row4 = window
+            row1 = 0.0
+            row5 = 0.0
+            if n == 1:
+                (v,) = comps
+                row1 = v[2]
+                row4 = row4 + v[4]
+                row5 = -b * v[3] - c * v[4]
+            return np.array([row1, row2, row3, row4, row5], dtype=complex)
 
-        row2 = _linear_times_scalar_diff(n, y4 - y3, dots_43, g, v2)
-        row3 = a * _linear_times_scalar_diff(n, y3, dots_3, phi, v1) - a * (
-            _linear_times_scalar_diff(n, y3 - y4, dots_34, h, v2)
-        )
-        row4 = _linear_times_scalar_diff(n, y3 - y4, dots_34, h, v2)
-        row1 = 0.0
-        row5 = 0.0
-        if n == 1:
-            row1 = directions[0][2]
-            row4 = row4 + directions[0][4]
-            row5 = -b * directions[0][3] - c * directions[0][4]
-        return np.array([row1, row2, row3, row4, row5], dtype=complex)
+        return differential_at
 
-    return VectorField(dimension=5, evaluate=evaluate, differential=differential, max_order=4)
+    return VectorField(
+        dimension=5,
+        evaluate=evaluate,
+        differential=lambda n, y, directions: jet(y)(n, directions),
+        max_order=4,
+        jet=jet,
+    )
 
 
 # -- built-in problems -------------------------------------------------------------

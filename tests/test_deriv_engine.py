@@ -1,4 +1,6 @@
-"""Differentials: fd oracle, validation, multilinearity, memristor field."""
+"""Differentials: fd oracle, validation, multilinearity, memristor field, points."""
+
+import math
 
 import numpy as np
 import pytest
@@ -150,3 +152,143 @@ def test_polynomial_field_matches_fd():
     y = rng.normal(size=2) + 0j
     dirs = [rng.normal(size=2) + 0j for _ in range(4)]
     assert np.allclose(fld.apply(4, y, dirs), 0.0)
+
+
+# -- per-point jets -------------------------------------------------------------
+
+
+def _complex_samples(rng, dim, n_dirs):
+    y = rng.normal(scale=0.7, size=dim) + 1j * rng.normal(scale=0.3, size=dim)
+    dirs = [rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(n_dirs)]
+    return y, dirs
+
+
+def _linear_times_scalar_diff(n, lin_value, lin_dots, scalar_derivs, var_comps):
+    """n-th differential of L(y) * phi(y_var) with L linear, one product at a time."""
+    prod_all = 1.0
+    for v in var_comps:
+        prod_all = prod_all * v
+    total = lin_value * scalar_derivs[n] * prod_all
+    for i in range(n):
+        rest = 1.0
+        for j, v in enumerate(var_comps):
+            if j != i:
+                rest = rest * v
+        total = total + lin_dots[i] * scalar_derivs[n - 1] * rest
+    return total
+
+
+def _memristor_reference(n, y, directions, a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
+    """The memristor differential computed afresh for one call, row by row."""
+    from oscillode.problems import _reciprocal_derivs
+
+    y1, y2, y3, y4, _ = y
+    g = _reciprocal_derivs(y2, e)
+    w = (1.0 + 3.0 * y2 * y2, 6.0 * y2, 6.0, 0.0, 0.0)
+    h = []
+    for m in range(5):
+        val = 0.0
+        for k in range(min(m, 2) + 1):
+            val = val + math.comb(m, k) * w[k] * g[m - k]
+        h.append(val)
+    phi = (d - (1.0 + 3.0 * y1 * y1), -6.0 * y1, -6.0, 0.0, 0.0)
+    v1 = [dirn[0] for dirn in directions]
+    v2 = [dirn[1] for dirn in directions]
+    dots_43 = [dirn[3] - dirn[2] for dirn in directions]
+    dots_34 = [dirn[2] - dirn[3] for dirn in directions]
+    dots_3 = [dirn[2] for dirn in directions]
+    row2 = _linear_times_scalar_diff(n, y4 - y3, dots_43, g, v2)
+    row3 = a * _linear_times_scalar_diff(n, y3, dots_3, phi, v1) - a * (
+        _linear_times_scalar_diff(n, y3 - y4, dots_34, h, v2)
+    )
+    row4 = _linear_times_scalar_diff(n, y3 - y4, dots_34, h, v2)
+    row1 = row5 = 0.0
+    if n == 1:
+        row1 = directions[0][2]
+        row4 = row4 + directions[0][4]
+        row5 = -b * directions[0][3] - c * directions[0][4]
+    return np.array([row1, row2, row3, row4, row5], dtype=complex)
+
+
+def _polynomial_reference(component_terms, n, y, directions):
+    """Repeated directional derivatives of each component, then its value at y."""
+    out = []
+    for terms in component_terms:
+        poly = dict(terms)
+        for v in directions:
+            nxt = {}
+            for expo, coef in poly.items():
+                for i, e in enumerate(expo):
+                    if e:
+                        key = expo[:i] + (e - 1,) + expo[i + 1 :]
+                        nxt[key] = nxt.get(key, 0.0) + coef * e * v[i]
+            poly = nxt
+        out.append(sum(coef * np.prod([yi**e for yi, e in zip(y, expo)])
+                       for expo, coef in poly.items()) + 0j)
+    return np.array(out, dtype=complex)
+
+
+def test_memristor_point_is_bit_identical():
+    fld = memristor_field()
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        y, dirs = _complex_samples(rng, 5, fld.max_order)
+        point = fld.at(y)
+        for n in range(1, fld.max_order + 1):
+            expected = _memristor_reference(n, y, dirs[:n])
+            assert np.array_equal(fld.apply(n, point, dirs[:n]), expected)
+            assert np.array_equal(fld.differential(n, y, dirs[:n]), expected)
+        assert np.array_equal(fld.apply(0, point, []), fld(y))
+
+
+def test_linear_and_polynomial_points_match_references():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    lin = linear_field(a, max_order=4)
+    terms = [
+        {(0, 1): 1.0, (3, 0): -0.2, (1, 2): 0.3 - 0.1j},
+        {(1, 0): -1.0, (0, 1): -0.1, (2, 0): 0.15, (2, 2): 0.05},
+    ]
+    poly = polynomial_field(2, terms, max_order=6)
+    for _ in range(4):
+        y, dirs = _complex_samples(rng, 3, 4)
+        point = lin.at(y)
+        for n in range(1, 5):
+            expected = a @ dirs[0] if n == 1 else np.zeros(3, dtype=complex)
+            assert np.array_equal(lin.apply(n, point, dirs[:n]), expected)
+
+        y, dirs = _complex_samples(rng, 2, 6)
+        point = poly.at(y)
+        for n in range(1, 7):
+            got = poly.apply(n, point, dirs[:n])
+            expected = _polynomial_reference(terms, n, y, dirs[:n])
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert float(np.max(np.abs(got - expected))) <= 1e-14 * scale
+            assert np.array_equal(poly.apply(n, y, dirs[:n]), got)
+
+
+def test_user_field_without_jet_works_through_points():
+    calls = []
+
+    def differential(n, y, directions):
+        calls.append(n)
+        return np.array([directions[0][1] if n == 1 else 0.0, -3.0 * y[0] ** 2 * np.prod(
+            [v[0] for v in directions]) if n <= 3 else 0.0], dtype=complex)
+
+    fld = VectorField(
+        dimension=2,
+        evaluate=lambda y: np.array([y[1], -(y[0] ** 3)]),
+        differential=differential,
+        max_order=4,
+    )
+    rng = np.random.default_rng(13)
+    y, dirs = _complex_samples(rng, 2, 2)
+    point = fld.at(y)
+    assert point.y is y
+    assert np.array_equal(fld.apply(2, point, dirs), differential(2, y, dirs))
+    assert np.array_equal(fld.apply(1, point, dirs[:1]), fld.apply(1, y, dirs[:1]))
+    assert np.array_equal(fld.apply(0, point, []), fld(y))
+    with pytest.raises(UnsupportedOrder):
+        fld.apply(5, point, dirs * 3)
+    with pytest.raises(ValueError):
+        fld.apply(2, point, dirs[:1])

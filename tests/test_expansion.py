@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oscillode.deriv_engine import (
+    VectorField,
     constant_amplitude,
     linear_field,
     polynomial_amplitude,
@@ -497,3 +498,52 @@ def test_dump_expansion_mentions_key_structure():
     assert "1/2 f2[p(1,1), p(1,1)]" in text
     assert "prefactor: 1/(i*(2))" in text
     assert "ic value:" in text
+
+
+class _NeedsCode(Exception):
+    """An error type whose constructor takes more than a message."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+def test_chain_error_keeps_original_exception():
+    reg = get_problem("worked_example")
+    base = reg.problem.field
+
+    def evaluate(y):
+        raise _NeedsCode("field blew up", code=7)
+
+    fld = VectorField(base.dimension, evaluate, base.differential, base.max_order)
+    problem = Problem(fld, reg.problem.forcings, reg.problem.y0, reg.problem.basis)
+    ex = build_expansion(problem, order=1)
+    with pytest.raises(_NeedsCode) as info:
+        solve_nonoscillatory_chain(ex, t_end=1.0)
+    assert info.value.code == 7
+    assert str(info.value) == "field blew up"
+    assert info.value.__notes__ == ["while solving node (r=0, m=0)"]
+
+
+def test_problem_rejects_amplitude_dimension_mismatch():
+    basis = FrequencyBasis([1.0], names=("1",))
+    kappa = BaseFrequency(1, basis, coords=(1,))
+    field = linear_field(np.eye(2))
+    with pytest.raises(ValueError, match="forcing 1 amplitude has shape"):
+        Problem(field, [constant_amplitude(kappa, [1.0, 0.0, 0.0])], y0=[0.0, 0.0], basis=basis)
+    with pytest.raises(ValueError, match="forcing 1 amplitude has shape"):
+        Problem(field, [polynomial_amplitude(kappa, [[1.0], [2.0]])], y0=[0.0, 0.0], basis=basis)
+
+
+def test_user_field_without_jet_gives_the_same_expansion():
+    reg = get_problem("worked_example")
+    base = reg.problem.field
+    plain = VectorField(base.dimension, base.evaluate, base.differential, base.max_order)
+    assert plain.jet is None
+    values = []
+    for fld in (base, plain):
+        problem = Problem(fld, reg.problem.forcings, reg.problem.y0, reg.problem.basis)
+        ex = build_expansion(problem, order=2)
+        solve_nonoscillatory_chain(ex, t_end=1.0)
+        values.append([ex.evaluate_truncated(t, 300.0, 2) for t in (0.0, 0.37, 1.0)])
+    assert np.array_equal(values[0], values[1])

@@ -106,6 +106,50 @@ def test_reference_cache_roundtrip(tmp_path):
     assert len(list(tmp_path.glob("ref_*.npz"))) == 2
 
 
+def _config_problem(tmp_path, y0):
+    cfg = {
+        "dimension": 2,
+        "basis": [1.0, math.sqrt(2.0)],
+        "kappa": [["1", "0"], ["0", "1"]],
+        "y0": y0,
+        "t_end": 1.0,
+        "field": "cubic_demo",
+    }
+    path = tmp_path / f"p{len(list(tmp_path.glob('p*.json')))}.json"
+    path.write_text(json.dumps(cfg))
+    return load_problem_config(path)
+
+
+def test_reference_cache_key_covers_problem_content(tmp_path):
+    # both configs get the default name; only y0 tells them apart
+    first = _config_problem(tmp_path, [0.1, 0.2])
+    second = _config_problem(tmp_path, [0.4, -0.3])
+    assert first.name == second.name == "config_problem"
+    grid = np.linspace(0.0, 1.0, 17)
+    cache = tmp_path / "cache"
+    v1, _ = reference_values(first, 80.0, grid, 1e-7, 1e-7, cache_dir=cache)
+    v2, _ = reference_values(second, 80.0, grid, 1e-7, 1e-7, cache_dir=cache)
+    fresh, _ = reference_values(second, 80.0, grid, 1e-7, 1e-7)
+    assert len(list(cache.glob("ref_*.npz"))) == 2
+    assert np.array_equal(v2, fresh)
+    assert not np.allclose(v1, v2)
+
+
+def test_reference_cache_unreadable_file_is_a_miss(tmp_path, caplog):
+    reg = get_problem("worked_example")
+    grid = np.linspace(0.0, 0.5, 9)
+    v1, _ = reference_values(reg, 80.0, grid, 1e-7, 1e-7, cache_dir=tmp_path)
+    (path,) = tmp_path.glob("ref_*.npz")
+    path.write_bytes(b"not an npz file")
+    with caplog.at_level("WARNING", logger="oscillode"):
+        v2, _ = reference_values(reg, 80.0, grid, 1e-7, 1e-7, cache_dir=tmp_path)
+    assert np.array_equal(v1, v2)
+    assert "unreadable" in caplog.text
+    assert list(tmp_path.iterdir()) == [path]
+    with np.load(path) as data:
+        assert np.array_equal(data["values"], v1)
+
+
 def test_reference_hierarchy_guard():
     worst = check_reference_consistency("linear_example", omega=500.0, grid_n=65)
     assert worst < 1e-8

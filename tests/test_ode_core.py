@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oscillode.errors import MaxStepsExceeded, OutOfDomain, StepUnderflow
+from oscillode.errors import MaxStepsExceeded, NonFiniteRHS, OutOfDomain, StepUnderflow
 from oscillode.ode_core import IvpSpec, integrate, sample
 
 
@@ -111,6 +111,26 @@ def test_step_underflow_at_bad_region():
         integrate(
             IvpSpec(rhs=rhs, y0=[1.0], t_end=1.0, abs_tol=1e-10, rel_tol=1e-10)
         )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rhs_raises_at_its_step(bad):
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if t > 0.3:
+            return np.full_like(y, bad)
+        return -y
+
+    with pytest.raises(NonFiniteRHS, match=r"step from t=0\.") as info:
+        integrate(IvpSpec(rhs=rhs, y0=[1.0], t_end=1.0, abs_tol=1e-10, rel_tol=1e-10))
+    # the first step with a stage past t = 0.3 is the one reported; no step
+    # shrinking follows, so its five stages are the last calls
+    first_bad = next(i for i, t in enumerate(calls) if t > 0.3)
+    assert len(calls) - first_bad <= 5
+    assert 0.0 < info.value.t <= 0.3
 
 
 def test_invalid_spec():
