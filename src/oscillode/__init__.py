@@ -32,10 +32,7 @@ from .expansion import (
     Expansion,
     Problem,
     build_expansion,
-    coefficient_derivative,
-    coefficient_value,
     dump_expansion,
-    evaluate_truncated,
     solve_nonoscillatory_chain,
 )
 from .freq_algebra import (

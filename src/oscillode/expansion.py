@@ -17,7 +17,6 @@ even when equal frequencies appear at different levels.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import OutOfDomain, UnsupportedOrder
 from .freq_algebra import build_index_chain, format_label
-from .ode_core import IvpSpec, integrate, sample
+from .ode_core import DenseSolution, IvpSpec, integrate, sample
 
 __all__ = [
     "Problem",
@@ -34,9 +33,6 @@ __all__ = [
     "Expansion",
     "build_expansion",
     "solve_nonoscillatory_chain",
-    "coefficient_value",
-    "coefficient_derivative",
-    "evaluate_truncated",
     "dump_expansion",
 ]
 
@@ -140,8 +136,8 @@ class _NodeRef:
     def diff(self):
         return [_NodeRef(self.coef, self.key, self.order + 1)]
 
-    def evaluate(self, expansion, t, point):
-        return self.coef * expansion._value(self.key, t, self.order, point)
+    def evaluate(self, expansion, values, t, point):
+        return self.coef * expansion._value(values, self.key, t, self.order, point)
 
 
 class _FTerm:
@@ -161,9 +157,9 @@ class _FTerm:
                 out.append(_FTerm(self.coef, self.n, self.args[:i] + [darg] + self.args[i + 1 :]))
         return out
 
-    def evaluate(self, expansion, t, point):
+    def evaluate(self, expansion, values, t, point):
         """``point`` is the field at the base trajectory's value at t."""
-        dirs = [arg.evaluate(expansion, t, point) for arg in self.args]
+        dirs = [arg.evaluate(expansion, values, t, point) for arg in self.args]
         return self.coef * expansion.problem.field.apply(self.n, point, dirs)
 
 
@@ -176,8 +172,8 @@ class Expansion:
         self.index_sets = index_sets  # levels 0..order+1
         self.nodes = nodes
         self.solved_t_end = None
+        # evaluation memo: t -> {(node key, order): value}
         self._memo = {}
-        self._lock = threading.Lock()
 
     def node(self, r, label_tuple):
         return self.nodes[(r, tuple(label_tuple))]
@@ -188,28 +184,27 @@ class Expansion:
     # -- internal evaluation ---------------------------------------------------
 
     def _clear_cache(self):
-        with self._lock:
-            self._memo.clear()
+        self._memo.clear()
         for node in self.nodes.values():
             node._expr_cache.clear()
 
-    def _value(self, key, t, order, point=None):
+    def _value(self, values, key, t, order, point=None):
         """Value of a node's order-th derivative at t.
 
-        ``point``, when given, is the field at the base trajectory's value
-        at the same t; every term evaluated under this call shares it.
+        ``values`` maps (node key, order) to the values already known at
+        this t; the result is added to it.  ``point``, when given, is the
+        field at the base trajectory's value at the same t; every term
+        evaluated under this call shares it.
         """
-        memo_key = (key, t, order)
-        with self._lock:
-            hit = self._memo.get(memo_key)
+        memo_key = (key, order)
+        hit = values.get(memo_key)
         if hit is not None:
             return hit
-        value = self._compute(key, t, order, point)
-        with self._lock:
-            self._memo[memo_key] = value
+        value = self._compute(values, key, t, order, point)
+        values[memo_key] = value
         return value
 
-    def _compute(self, key, t, order, point):
+    def _compute(self, values, key, t, order, point):
         node = self.nodes[key]
         if node.kind == "forcing":
             forcing = self.problem.forcings[node.forcing_index - 1]
@@ -222,14 +217,14 @@ class Expansion:
                         "run solve_nonoscillatory_chain first"
                     )
                 return sample(node.solution, t)
-        return self._eval_exprs(self._exprs(node, order), t, point)
+        return self._eval_exprs(values, self._exprs(node, order), t, point)
 
-    def _eval_exprs(self, exprs, t, point):
+    def _eval_exprs(self, values, exprs, t, point):
         if point is None and any(type(expr) is _FTerm for expr in exprs):
-            point = self.problem.field.at(self._value((0, ()), t, 0))
+            point = self.problem.field.at(self._value(values, (0, ()), t, 0))
         total = np.zeros(self.problem.dimension, dtype=complex)
         for expr in exprs:
-            total = total + expr.evaluate(self, t, point)
+            total = total + expr.evaluate(self, values, t, point)
         return total
 
     def _exprs(self, node, order):
@@ -265,21 +260,24 @@ class Expansion:
     # -- public evaluation -------------------------------------------------------
 
     def coefficient_value(self, r, label, t):
-        return self._value((r, _as_tuple(label)), float(t), 0).copy()
+        return self.coefficient_derivative(r, label, t, order=0)
 
     def coefficient_derivative(self, r, label, t, order=1):
-        return self._value((r, _as_tuple(label)), float(t), int(order)).copy()
+        t = float(t)
+        values = self._memo.setdefault(t, {})
+        return self._value(values, (r, _as_tuple(label)), t, int(order)).copy()
 
     def evaluate_truncated(self, t, omega, s):
         """Partial sum through level s at time t and parameter omega."""
         if s > self.order:
             raise ValueError(f"s={s} exceeds built order {self.order}")
         t = float(t)
-        y = self._value((0, ()), t, 0).copy()
+        values = self._memo.setdefault(t, {})
+        y = self._value(values, (0, ()), t, 0).copy()
         for r in range(1, s + 1):
             acc = np.zeros(self.problem.dimension, dtype=complex)
             for label in self.labels_at(r):
-                value = self._value((r, label.canonical_tuple), t, 0)
+                value = self._value(values, (r, label.canonical_tuple), t, 0)
                 acc = acc + value * np.exp(1j * label.float_value * omega * t)
             y = y + acc / float(omega) ** r
         return y
@@ -442,108 +440,141 @@ def solve_nonoscillatory_chain(
     max_steps=10_000_000,
     max_step=None,
 ):
-    """Solve the zero-frequency ODE nodes in level order on [0, t_end].
+    """Solve the zero-frequency ODE nodes of every level on [0, t_end].
 
     Each level's initial condition is the negated sum of that level's
-    oscillatory coefficients at the origin, so all terms cancel there.
-    The step cap keeps the dense-output interpolant's derivative accurate,
-    not just its values; by default accepted steps stay below t_end / 512.
+    oscillatory coefficients at the origin, so all terms cancel there.  All
+    levels are one system on the stacked state [p_00, p_10, ..., p_R0], so
+    one step sequence, with error control over the whole state, serves
+    every level.  The step cap keeps the dense-output interpolant's
+    derivative accurate, not just its values; by default accepted steps
+    stay below t_end / 512.
     """
-    problem = expansion.problem
     expansion._clear_cache()
     if max_step is None:
         max_step = float(t_end) / 512.0
-    for r in range(0, expansion.order + 1):
-        node = expansion.nodes[(r, ())]
-        if r == 0:
-            ic = problem.y0.astype(complex)
-        else:
-            ic = np.zeros(problem.dimension, dtype=complex)
-            for label in expansion.labels_at(r):
-                if label.is_zero:
-                    continue
-                ic -= expansion._value((r, label.canonical_tuple), 0.0, 0)
-        rhs = _node_rhs(expansion, node)
-        try:
-            node.solution = integrate(
-                IvpSpec(
-                    rhs=rhs,
-                    y0=ic,
-                    t_end=float(t_end),
-                    abs_tol=abs_tol,
-                    rel_tol=rel_tol,
-                    knots=knots,
-                    dense_refine=dense_refine,
-                    max_steps=max_steps,
-                    max_step=max_step,
-                )
+    system = _ChainSystem(expansion)
+    try:
+        ics = system.initial_values()
+        solution = integrate(
+            IvpSpec(
+                rhs=system,
+                y0=np.concatenate(ics),
+                t_end=float(t_end),
+                abs_tol=abs_tol,
+                rel_tol=rel_tol,
+                knots=knots,
+                dense_refine=dense_refine,
+                max_steps=max_steps,
+                max_step=max_step,
             )
-        except Exception as err:
-            err.add_note(f"while solving node (r={r}, m=0)")
-            raise
+        )
+    except Exception as err:
+        if system.level is None:
+            err.add_note(f"while solving nodes (r=0..{expansion.order}, m=0)")
+        else:
+            err.add_note(f"while solving node (r={system.level}, m=0)")
+        raise
+    for r, (ic, part) in enumerate(zip(ics, system.parts)):
+        node = expansion.nodes[(r, ())]
+        node.solution = DenseSolution(
+            ts=solution.ts,
+            ys=solution.ys[:, part],
+            fs=solution.fs[:, part],
+            n_steps=solution.n_steps,
+            n_rhs_evals=solution.n_rhs_evals,
+        )
         node.initial_value = ic
     expansion.solved_t_end = float(t_end)
     return expansion
 
 
-def _node_rhs(expansion, node):
-    """Right-hand side of a zero-frequency node's ODE.
+class _ChainSystem:
+    """The zero-frequency nodes of all levels as one ODE on the stacked state.
 
-    Each term is planned once as (weight, order, operand slots).  A slot
-    indexes the node's distinct lower-level operands; slot -1 is the node's
-    own unknown.  A call makes one field point at the base trajectory, which
-    every term and every lower-level value computed for the call shares.
+    A level-r equation reads only lower levels and its own unknown, so a
+    call evaluates levels in increasing order, with one field point and one
+    dict of the values known at its time; lower levels are exact stage
+    values.  Terms are planned as (weight, order, operand slots), slot -1
+    being the level's own unknown.  ``level`` is the level being worked on,
+    or None outside a call, so an error can name it.
     """
-    fld = expansion.problem.field
-    dimension = expansion.problem.dimension
-    value = expansion._value
-    r = node.r
-    operand_keys = [
-        key
-        for key in dict.fromkeys(
-            (lev, lab.canonical_tuple) for term in node.terms for lev, lab in term.operands
-        )
-        if key != (r, ())
-    ]
-    slot = {key: i for i, key in enumerate(operand_keys)}
-    plan = [
-        (
-            complex(term.weight),
-            term.n,
-            [slot.get((lev, lab.canonical_tuple), -1) for lev, lab in term.operands],
-        )
-        for term in node.terms
-    ]
-    needs_point = any(n for _, n, _ in plan)
 
-    def rhs(t, y):
-        total = np.zeros(dimension, dtype=complex)
-        point = fld.at(y if r == 0 else value((0, ()), t, 0)) if needs_point else None
-        operands = [value(key, t, 0, point) for key in operand_keys]
-        operands.append(y)
-        for weight, n, slots in plan:
-            if n == 0:
-                total = total + weight * fld(y)
-                continue
-            total = total + weight * fld.apply(n, point, [operands[i] for i in slots])
-        return total
+    def __init__(self, expansion):
+        self.expansion = expansion
+        self.field = expansion.problem.field
+        self.dimension = d = expansion.problem.dimension
+        levels = range(expansion.order + 1)
+        self.parts = [slice(r * d, (r + 1) * d) for r in levels]
+        self.state_keys = [((r, ()), 0) for r in levels]
+        self.derivative_keys = [((r, ()), 1) for r in levels]
+        self.plans = [self._plan(expansion.nodes[(r, ())]) for r in levels]
+        self.needs_point = any(n for _, plan in self.plans for _, n, _ in plan)
+        self.level = None
 
-    return rhs
+    @staticmethod
+    def _plan(node):
+        own = (node.r, ())
+        operand_keys = [
+            key
+            for key in dict.fromkeys(
+                (lev, lab.canonical_tuple) for term in node.terms for lev, lab in term.operands
+            )
+            if key != own
+        ]
+        slot = {key: i for i, key in enumerate(operand_keys)}
+        plan = [
+            (
+                complex(term.weight),
+                term.n,
+                [slot.get((lev, lab.canonical_tuple), -1) for lev, lab in term.operands],
+            )
+            for term in node.terms
+        ]
+        return operand_keys, plan
 
+    def initial_values(self):
+        """Each level's value at t = 0, computed from the levels below it."""
+        expansion = self.expansion
+        values = {}
+        ics = []
+        for r, key in enumerate(self.state_keys):
+            self.level = r
+            if r == 0:
+                ic = expansion.problem.y0.astype(complex)
+            else:
+                ic = np.zeros(self.dimension, dtype=complex)
+                for label in expansion.labels_at(r):
+                    if label.is_zero:
+                        continue
+                    ic -= expansion._value(values, (r, label.canonical_tuple), 0.0, 0)
+            values[key] = ic
+            ics.append(ic)
+        self.level = None
+        return ics
 
-# -- functional front ends ---------------------------------------------------------
-
-
-def coefficient_value(expansion, r, label, t):
-    return expansion.coefficient_value(r, label, t)
-
-
-def coefficient_derivative(expansion, r, label, t, order=1):
-    return expansion.coefficient_derivative(r, label, t, order)
-
-
-def evaluate_truncated(expansion, t, omega, s):
-    return expansion.evaluate_truncated(t, omega, s)
+    def __call__(self, t, y):
+        fld = self.field
+        value = self.expansion._value
+        states = [y[part] for part in self.parts]
+        values = dict(zip(self.state_keys, states))
+        self.level = 0
+        point = fld.at(states[0]) if self.needs_point else None
+        out = np.empty_like(y)
+        for r, (operand_keys, plan) in enumerate(self.plans):
+            self.level = r
+            operands = [value(values, key, t, 0, point) for key in operand_keys]
+            operands.append(states[r])
+            total = np.zeros(self.dimension, dtype=complex)
+            for weight, n, slots in plan:
+                if n == 0:
+                    total = total + weight * fld(states[r])
+                    continue
+                total = total + weight * fld.apply(n, point, [operands[i] for i in slots])
+            values[self.derivative_keys[r]] = total
+            out[self.parts[r]] = total
+        self.level = None
+        return out
 
 
 # -- report -------------------------------------------------------------------------

@@ -337,6 +337,21 @@ def run_slope_study(
     return report, slopes, verdicts
 
 
+def _seconds(call):
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def _peak_kb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1024.0
+    finally:
+        tracemalloc.stop()
+
+
 def compare_cost(
     problem,
     omegas,
@@ -352,65 +367,49 @@ def compare_cost(
 
     The expansion is built and solved once and reused for every omega, which
     is the expected usage pattern; the reference must rerun per omega.
+    Times come from an untraced pass.  ``peak_kb`` comes from a second pass
+    of the same steps under ``tracemalloc``, which slows Python code several
+    times over; that pass recomputes every reference instead of reading it
+    from ``cache_dir``, so its peak is the integration's.
     """
     registered = _resolve(problem)
     omegas = tuple(float(w) for w in omegas)
     order = order if order is not None else max(registered.default_order, s)
     t_end = float(t_end if t_end is not None else registered.t_end)
     grid = np.linspace(0.0, t_end, int(grid_n))
-    report = CostReport(problem=registered.name, s=s)
 
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    expansion = _build_solved(registered, order, t_end, grid, 1e-12, 1e-12)
-    build_seconds = time.perf_counter() - t0
-    _, build_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    report.build_count += 1
-    report.rows.append(
-        {
-            "method": "expansion_build",
-            "omega": float("nan"),
-            "seconds": build_seconds,
-            "peak_kb": build_peak / 1024.0,
-            "points": 0,
-        }
-    )
+    def run(measure, cache):
+        """(method, omega, measurement, points) rows, each step under ``measure``."""
+        solved = []
 
-    for omega in omegas:
-        tracemalloc.start()
-        t0 = time.perf_counter()
-        for t in grid:
-            expansion.evaluate_truncated(float(t), omega, s)
-        seconds = time.perf_counter() - t0
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        def build():
+            solved.append(_build_solved(registered, order, t_end, grid, 1e-12, 1e-12))
+
+        def evaluate(omega):
+            for t in grid:
+                solved[0].evaluate_truncated(float(t), omega, s)
+
+        def reference(omega):
+            reference_values(registered, omega, grid, tol_abs, tol_rel, cache, method="rk")
+
+        rows = [("expansion_build", float("nan"), measure(build), 0)]
+        for omega in omegas:
+            rows.append(("expansion_eval", omega, measure(lambda: evaluate(omega)), grid.size))
+        for omega in omegas:
+            rows.append(("rk_reference", omega, measure(lambda: reference(omega)), grid.size))
+        return rows
+
+    timed = run(_seconds, cache_dir)
+    traced = run(_peak_kb, None)
+    report = CostReport(problem=registered.name, s=s, build_count=1)
+    for (method, omega, seconds, points), (_, _, peak_kb, _) in zip(timed, traced):
         report.rows.append(
             {
-                "method": "expansion_eval",
+                "method": method,
                 "omega": omega,
                 "seconds": seconds,
-                "peak_kb": peak / 1024.0,
-                "points": grid.size,
-            }
-        )
-
-    for omega in omegas:
-        tracemalloc.start()
-        t0 = time.perf_counter()
-        reference_values(
-            registered, omega, grid, tol_abs, tol_rel, cache_dir=cache_dir, method="rk"
-        )
-        seconds = time.perf_counter() - t0
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        report.rows.append(
-            {
-                "method": "rk_reference",
-                "omega": omega,
-                "seconds": seconds,
-                "peak_kb": peak / 1024.0,
-                "points": grid.size,
+                "peak_kb": peak_kb,
+                "points": points,
             }
         )
     return report

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oscillode.deriv_engine import (
+    ForcingTerm,
     VectorField,
     constant_amplitude,
     linear_field,
@@ -547,3 +548,46 @@ def test_user_field_without_jet_gives_the_same_expansion():
         solve_nonoscillatory_chain(ex, t_end=1.0)
         values.append([ex.evaluate_truncated(t, 300.0, 2) for t in (0.0, 0.37, 1.0)])
     assert np.array_equal(values[0], values[1])
+
+
+# -- the coupled chain solve ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make_problem, order",
+    [(lambda: get_problem("memristor").problem, 3), (two_frequency_problem, 3)],
+    ids=["memristor", "two_frequency"],
+)
+def test_chain_levels_share_one_step_sequence_and_match_their_derivatives(make_problem, order):
+    ex = build_expansion(make_problem(), order=order)
+    solve_nonoscillatory_chain(ex, t_end=1.0)
+    solutions = [ex.nodes[(r, ())].solution for r in range(order + 1)]
+    # one integration for every level, and nothing cached by the solve
+    assert all(sol.ts is solutions[0].ts for sol in solutions)
+    assert ex._memo == {}
+    # every stored derivative is the level's right-hand side at that node
+    for r, sol in enumerate(solutions):
+        want = np.array([ex.coefficient_derivative(r, (), t) for t in sol.ts])
+        scale = max(float(np.max(np.abs(want))), 1e-300)
+        assert float(np.max(np.abs(sol.fs - want))) <= 1e-10 * scale
+
+
+def test_chain_error_names_the_level_that_raised():
+    reg = get_problem("memristor")
+    first = reg.problem.forcings[0]
+
+    def amplitude_derivative(j, t):
+        if t > 0.5:
+            raise _NeedsCode("amplitude undefined past t=0.5", code=3)
+        return first.amplitude_derivative(j, t)
+
+    forcings = [
+        ForcingTerm(first.kappa, first.amplitude, amplitude_derivative, first.max_derivative_order),
+        *reg.problem.forcings[1:],
+    ]
+    problem = Problem(reg.problem.field, forcings, reg.problem.y0, reg.problem.basis)
+    ex = build_expansion(problem, order=2)
+    with pytest.raises(_NeedsCode) as info:
+        solve_nonoscillatory_chain(ex, t_end=1.0)
+    assert info.value.code == 3
+    assert info.value.__notes__ == ["while solving node (r=2, m=0)"]

@@ -2,14 +2,17 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oscillode import harness
 from oscillode.cli import main as cli_main
 from oscillode.harness import (
     check_reference_consistency,
+    compare_cost,
     error_report_csv,
     fit_slopes,
     reference_values,
@@ -258,6 +261,23 @@ def test_cli_bench_csv(tmp_path):
     assert methods.count("expansion_build") == 1
     assert methods.count("expansion_eval") == 2
     assert methods.count("rk_reference") == 2
+
+
+def test_compare_cost_times_outside_tracemalloc(monkeypatch):
+    clock = harness.time.perf_counter
+    tracing_at_clock = []
+
+    def recording_clock():
+        tracing_at_clock.append(tracemalloc.is_tracing())
+        return clock()
+
+    monkeypatch.setattr(harness.time, "perf_counter", recording_clock)
+    report = compare_cost("linear_example", (40.0,), 1, grid_n=5, t_end=0.5, order=1)
+    assert tracing_at_clock and not any(tracing_at_clock)
+    assert [row["method"] for row in report.rows] == [
+        "expansion_build", "expansion_eval", "rk_reference"
+    ]
+    assert all(row["peak_kb"] > 0.0 for row in report.rows)
 
 
 def test_cli_problems_lists_builtins(capsys):
