@@ -46,7 +46,6 @@ from .freq_algebra import (
     format_index_table,
     ordered_partitions,
     rho,
-    sigma_value,
 )
 from .harness import (
     compare_cost,

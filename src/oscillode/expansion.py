@@ -7,10 +7,11 @@ which lower-level coefficients and their time derivatives appear divided by
 the label frequency; zero-frequency coefficients solve non-oscillatory ODEs
 whose initial conditions make all terms at the origin cancel level by level.
 
-Term assembly enumerates every ordered split of a level into lower levels and
-every choice of operand labels, each carrying weight 1/n!, then merges terms
-that agree as multisets of (level, label) pairs.  The classical multiplicity
-counts arise implicitly from the merge, which keeps the bookkeeping correct
+Term assembly visits each multiset of (level, label) operands whose levels sum
+to the level once (``freq_algebra.operand_multisets``), with weight
+1/prod(m_i!), where m_i counts the repeats of one (level, label) pair.  That is
+the total weight 1/n! of the multiset's n!/prod(m_i!) orderings, so the
+classical multiplicity counts are built in, and the bookkeeping stays correct
 even when equal frequencies appear at different levels.
 """
 
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OutOfDomain, UnsupportedOrder
-from .freq_algebra import build_index_chain, format_label
+from .freq_algebra import build_index_chain, format_label, level_partitions, operand_multisets
 from .ode_core import DenseSolution, IvpSpec, integrate, sample
 
 __all__ = [
@@ -263,14 +264,19 @@ class Expansion:
         return self.coefficient_derivative(r, label, t, order=0)
 
     def coefficient_derivative(self, r, label, t, order=1):
+        if order < 0:
+            raise ValueError(f"derivative order={order} must be nonnegative")
         t = float(t)
         values = self._memo.setdefault(t, {})
         return self._value(values, (r, _as_tuple(label)), t, int(order)).copy()
 
     def evaluate_truncated(self, t, omega, s):
         """Partial sum through level s at time t and parameter omega."""
-        if s > self.order:
-            raise ValueError(f"s={s} exceeds built order {self.order}")
+        if not 0 <= s <= self.order:
+            raise ValueError(f"s={s} is outside 0..{self.order}, the built order")
+        omega = float(omega)
+        if not (math.isfinite(omega) and omega > 0):
+            raise ValueError(f"omega={omega!r} must be finite and positive")
         t = float(t)
         values = self._memo.setdefault(t, {})
         y = self._value(values, (0, ()), t, 0).copy()
@@ -279,7 +285,7 @@ class Expansion:
             for label in self.labels_at(r):
                 value = self._value(values, (r, label.canonical_tuple), t, 0)
                 acc = acc + value * np.exp(1j * label.float_value * omega * t)
-            y = y + acc / float(omega) ** r
+            y = y + acc / omega**r
         return y
 
 
@@ -290,16 +296,6 @@ def _as_tuple(label):
 
 
 # -- construction ---------------------------------------------------------------
-
-
-def _compositions(total, parts):
-    """Ordered tuples of positive integers of given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _check_orders(problem, order):
@@ -323,8 +319,8 @@ def build_expansion(problem, order=4, delta_min=None):
 
     Level-0 is the unforced ODE from the original initial state; level-1
     oscillatory coefficients are amplitudes over (i kappa); higher levels
-    follow the recursions, with term lists produced by exhaustive enumeration
-    and merging as described in the module docstring.
+    follow the recursions, with one term per operand multiset, weighted as
+    described in the module docstring.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -351,7 +347,7 @@ def build_expansion(problem, order=4, delta_min=None):
             )
 
     for r in range(1, order + 1):
-        groups = _level_terms(chain, r, basis)
+        groups = _level_terms(chain, r, basis, kappas)
         upper = chain[r + 1]
         current_tuples = {lab.canonical_tuple for lab in chain[r].labels}
 
@@ -374,57 +370,30 @@ def build_expansion(problem, order=4, delta_min=None):
     return Expansion(problem, order, chain[: order + 2], nodes)
 
 
-def _level_terms(chain, r, basis):
-    """Merged terms of the level-r equation, grouped by frequency label.
+def _level_terms(chain, r, basis, kappas):
+    """Terms of the level-r equation, grouped by frequency label.
 
-    Enumerates ordered level splits and operand choices with weight 1/n!,
-    merging contributions that agree as multisets of (level, label) pairs.
-    Every group frequency must already be present in the next index set.
+    One term per operand multiset (``operand_multisets``), with weight
+    1/prod(m_i!).  A multiset's frequency, looked up in the next index set
+    once per distinct count vector, names its group; every group frequency
+    must already be present there.
     """
-    merged = {}
-    for n in range(1, r + 1):
-        base_weight = Fraction(1, math.factorial(n))
-        for levels in _compositions(r, n):
-            pools = [chain[lev].labels for lev in levels]
-            for combo in _product(pools):
-                ops = tuple(sorted(
-                    ((lev, lab) for lev, lab in zip(levels, combo)),
-                    key=lambda ol: (ol[0], ol[1].canonical_tuple),
-                ))
-                key = (n, tuple((lev, lab.canonical_tuple) for lev, lab in ops))
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [base_weight, ops]
-                else:
-                    entry[0] += base_weight
-
-    upper = chain[r + 1]
+    resolve = chain[r + 1].finder(basis, kappas)
     groups = {}
-    for (n, _), (weight, ops) in merged.items():
-        sigma = basis.zero_sigma()
-        for _, lab in ops:
-            sigma = basis.sigma_add(sigma, lab.sigma)
-        target = upper.find(sigma, basis)
+    for operands, counts, weight in operand_multisets(chain[r], level_partitions(r)):
+        sigma, target = resolve(counts)
         if target is None:
             raise AssertionError(
                 f"level-{r} term frequency {basis.sigma_string(sigma)} missing from "
                 "the next index set"
             )
+        operands = tuple(sorted(operands, key=lambda ol: (ol[0], ol[1].canonical_tuple)))
         groups.setdefault(target.canonical_tuple, []).append(
-            Term(weight=weight, n=n, operands=ops)
+            Term(weight=weight, n=len(operands), operands=operands)
         )
     for terms in groups.values():
         terms.sort(key=lambda tm: (tm.n, tuple((lev, lab.canonical_tuple) for lev, lab in tm.operands)))
     return groups
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest
 
 
 # -- solving ----------------------------------------------------------------------

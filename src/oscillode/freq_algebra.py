@@ -29,10 +29,11 @@ __all__ = [
     "Partition",
     "MultiplicityRecord",
     "ordered_partitions",
+    "level_partitions",
+    "operand_multisets",
     "canonicalize",
     "extend_index_set",
     "rho",
-    "sigma_value",
     "build_index_chain",
     "default_delta_min",
     "format_label",
@@ -204,23 +205,31 @@ def format_label(tup):
 
 
 def _counts_from_tuple(tup, m_count):
-    counts = [0] * m_count
+    """Count vector of a tuple of indices over ``{0..M}``; index 0 counts nowhere."""
+    counts = [0] * (m_count + 1)
     for m in tup:
-        counts[m - 1] += 1
-    return tuple(counts)
+        counts[m] += 1
+    return tuple(counts[1:])
 
 
-def _label_from_counts(counts, basis, kappas):
+def _sigma_from_counts(counts, basis, kappas):
+    """Frequency of the multiset with ``counts[m-1]`` copies of base frequency ``m``."""
     sigma = basis.zero_sigma()
     for c, kappa in zip(counts, kappas):
         if c:
             sigma = basis.sigma_add(sigma, basis.sigma_scale(kappa.sigma, c))
+    return sigma
+
+
+def _tuple_from_counts(counts):
+    return tuple(m for m, c in enumerate(counts, start=1) for _ in range(c))
+
+
+def _label_from_counts(counts, basis, kappas):
+    sigma = _sigma_from_counts(counts, basis, kappas)
     if basis.sigma_is_zero(sigma):
         return _zero_label(basis, len(kappas))
-    tup = tuple(
-        m for m, c in enumerate(counts, start=1) for _ in range(c)
-    )
-    return FrequencyLabel(tuple(counts), sigma, basis.sigma_float(sigma), tup)
+    return FrequencyLabel(tuple(counts), sigma, basis.sigma_float(sigma), _tuple_from_counts(counts))
 
 
 def _zero_label(basis, m_count):
@@ -244,11 +253,6 @@ def canonicalize(indices, basis, kappas):
     return _label_from_counts(counts, basis, kappas)
 
 
-def sigma_value(label):
-    """Float projection of a label's exact frequency."""
-    return label.float_value
-
-
 @dataclass(frozen=True)
 class Partition:
     """Nondecreasing parts summing to a level, with permutation multiplicity."""
@@ -257,12 +261,16 @@ class Partition:
     theta: int
 
 
-def _multiset_permutations_count(tup):
-    n = len(tup)
-    count = math.factorial(n)
+def _repeat_factorials(tup):
+    """Product of ``m!`` over the runs of ``m`` equal entries of a sorted tuple."""
+    out = 1
     for _, group in itertools.groupby(tup):
-        count //= math.factorial(len(list(group)))
-    return count
+        out *= math.factorial(len(list(group)))
+    return out
+
+
+def _multiset_permutations_count(tup):
+    return math.factorial(len(tup)) // _repeat_factorials(tup)
 
 
 def ordered_partitions(n, r):
@@ -272,20 +280,47 @@ def ordered_partitions(n, r):
     """
     if n < 1 or n > r:
         raise ValueError(f"need 1 <= n <= r, got n={n}, r={r}")
+    return [
+        Partition(parts, _multiset_permutations_count(parts))
+        for parts in itertools.combinations_with_replacement(range(1, r - n + 2), n)
+        if sum(parts) == r
+    ]
 
-    out = []
 
-    def rec(prefix, remaining, slots, minimum):
-        if slots == 1:
-            if remaining >= minimum:
-                tup = prefix + (remaining,)
-                out.append(Partition(tup, _multiset_permutations_count(tup)))
-            return
-        for part in range(minimum, remaining - slots + 2):
-            rec(prefix + (part,), remaining - part, slots - 1, part)
+def level_partitions(r):
+    """Partitions of ``r`` into any number of parts, by number of parts."""
+    return [p for n in range(1, r + 1) for p in ordered_partitions(n, r)]
 
-    rec((), r, n, 1)
-    return out
+
+def operand_multisets(index_set, partitions):
+    """Each multiset of ``(level, label)`` operands over ``partitions``, once.
+
+    A run of ``k`` equal parts ``l`` draws ``k`` level-``l`` labels of
+    ``index_set`` with replacement, in label order; runs combine as a
+    product.  Yields ``(operands, counts, weight)``: the operands, the sum of
+    their count vectors, and ``1/prod(m_i!)`` with ``m_i`` the repeats of
+    one pair, which is the total ``1/n!`` of the multiset's orderings.
+    """
+    runs = {}
+
+    def run(level, k):
+        if (level, k) not in runs:
+            pool = index_set.labels_at_level(level)
+            runs[(level, k)] = [
+                (
+                    tuple((level, pool[i]) for i in picks),
+                    tuple(map(sum, zip(*(pool[i].counts for i in picks)))),
+                    _repeat_factorials(picks),
+                )
+                for picks in itertools.combinations_with_replacement(range(len(pool)), k)
+            ]
+        return runs[(level, k)]
+
+    for part in partitions:
+        pieces = [run(level, len(list(group))) for level, group in itertools.groupby(part.parts)]
+        for combo in itertools.product(*pieces):
+            operands, counts, denominators = zip(*combo)
+            yield sum(operands, ()), tuple(map(sum, zip(*counts))), Fraction(1, math.prod(denominators))
 
 
 @dataclass(frozen=True)
@@ -300,10 +335,7 @@ class MultiplicityRecord:
 def rho(target, source_tuple, basis, kappas):
     """Number of ordered rearrangements of ``source_tuple`` whose frequency sum
     equals the target's frequency (index 0 contributes zero)."""
-    sigma = basis.zero_sigma()
-    for m in source_tuple:
-        if m != 0:
-            sigma = basis.sigma_add(sigma, kappas[m - 1].sigma)
+    sigma = _sigma_from_counts(_counts_from_tuple(source_tuple, len(kappas)), basis, kappas)
     if not basis.sigma_equal(sigma, target.sigma):
         return 0
     return _multiset_permutations_count(tuple(sorted(source_tuple)))
@@ -341,11 +373,24 @@ class IndexSet:
             raise ValueError(f"level {k} not in 1..{self.r}")
         return self.labels[: self.prefix_sizes[k - 1]]
 
-    def find(self, sigma, basis):
-        for label in self.labels:
-            if basis.sigma_equal(label.sigma, sigma):
-                return label
-        return None
+    def finder(self, basis, kappas):
+        """Function ``counts -> (sigma, label)``: a count vector's frequency,
+        summed once per vector, and this set's label with it or None (a dict
+        lookup in exact mode, a tolerance scan in float mode)."""
+        if basis.mode == "exact":
+            find = {label.sigma: label for label in self.labels}.get
+        else:
+            def find(sigma):
+                return next((lab for lab in self.labels if basis.sigma_equal(lab.sigma, sigma)), None)
+        known = {}
+
+        def resolve(counts):
+            if counts not in known:
+                sigma = _sigma_from_counts(counts, basis, kappas)
+                known[counts] = (sigma, find(sigma))
+            return known[counts]
+
+        return resolve
 
     def __repr__(self):
         return f"IndexSet(r={self.r}, {[format_label(l.canonical_tuple) for l in self.labels]})"
@@ -376,9 +421,10 @@ def first_index_set(basis, kappas):
 def extend_index_set(index_set, partitions, basis, kappas, delta_min=None):
     """Build the next index set from level-``r`` combinations of lower labels.
 
-    Every frequency arising as a sum of operand frequencies over the given
-    partitions is either matched to an existing label or appended as a new
-    one (shortest representative tuple, lexicographic within a length).
+    Every operand multiset over the given partitions (``operand_multisets``)
+    is reduced to the sum of its count vectors; the frequency of each
+    distinct sum is either matched to an existing label or appended as a
+    new one (shortest representative tuple, lexicographic within a length).
     A new nonzero frequency smaller in magnitude than ``delta_min`` aborts
     with a diagnostic naming the offending combination.
     """
@@ -387,40 +433,21 @@ def extend_index_set(index_set, partitions, basis, kappas, delta_min=None):
     if delta_min is None:
         delta_min = default_delta_min(kappas)
     m_count = len(kappas)
+    resolve = index_set.finder(basis, kappas)
+    new = {}  # sigma -> shortest tuple, in order of first appearance
+    for counts in dict.fromkeys(c for _, c, _ in operand_multisets(index_set, partitions)):
+        sigma, label = resolve(counts)
+        if label is not None:
+            continue
+        if basis.mode == "float":
+            sigma = next((s for s in new if basis.sigma_equal(s, sigma)), sigma)
+        tup = _tuple_from_counts(counts)
+        prev = new.get(sigma)
+        if prev is None or (len(tup), tup) < (len(prev), prev):
+            new[sigma] = tup
 
-    exact = basis.mode == "exact"
-    new_by_sigma = {} if exact else []
-
-    def record_candidate(sigma, counts):
-        if index_set.find(sigma, basis) is not None:
-            return
-        tup = tuple(m for m, c in enumerate(counts, start=1) for _ in range(c))
-        if exact:
-            prev = new_by_sigma.get(sigma)
-            if prev is None or (len(tup), tup) < (len(prev), prev):
-                new_by_sigma[sigma] = tup
-        else:
-            for i, (s, prev) in enumerate(new_by_sigma):
-                if basis.sigma_equal(s, sigma):
-                    if (len(tup), tup) < (len(prev), prev):
-                        new_by_sigma[i] = (s, tup)
-                    return
-            new_by_sigma.append((sigma, tup))
-
-    for part in partitions:
-        pools = [index_set.labels_at_level(l) for l in part.parts]
-        for combo in itertools.product(*pools):
-            sigma = basis.zero_sigma()
-            counts = [0] * m_count
-            for op in combo:
-                sigma = basis.sigma_add(sigma, op.sigma)
-                for j, c in enumerate(op.counts):
-                    counts[j] += c
-            record_candidate(sigma, tuple(counts))
-
-    items = new_by_sigma.items() if exact else list(new_by_sigma)
     new_labels = []
-    for sigma, tup in items:
+    for sigma, tup in new.items():
         fv = basis.sigma_float(sigma)
         if abs(fv) < delta_min:
             raise SmallDenominatorError(
@@ -443,8 +470,7 @@ def build_index_chain(basis, kappas, r_max, delta_min=None):
     if r_max >= 1:
         chain.append(first_index_set(basis, kappas))
     for r in range(1, r_max):
-        partitions = [p for n in range(1, r + 1) for p in ordered_partitions(n, r)]
-        chain.append(extend_index_set(chain[-1], partitions, basis, kappas, delta_min))
+        chain.append(extend_index_set(chain[-1], level_partitions(r), basis, kappas, delta_min))
     return chain
 
 
@@ -456,17 +482,23 @@ def index_table_records(index_set, basis, kappas):
 
     Multiplicities are taken over all sorted source tuples of length ``r - 1``
     over ``{0..M}``, which is the natural source length for a level-``r`` set.
+    Each source's frequency is summed and looked up once; a label's records
+    are the sources with its frequency, in source order.
     """
     m_count = len(kappas)
     src_len = max(index_set.r - 1, 0)
+    resolve = index_set.finder(basis, kappas)
+    sources = {}
+    for src in itertools.combinations_with_replacement(range(m_count + 1), src_len) if src_len else ():
+        _, label = resolve(_counts_from_tuple(src, m_count))
+        if label is not None:
+            sources.setdefault(label.canonical_tuple, []).append(src)
     rows = []
     for label in index_set.labels:
-        records = []
-        if src_len:
-            for src in itertools.combinations_with_replacement(range(m_count + 1), src_len):
-                count = rho(label, src, basis, kappas)
-                if count:
-                    records.append(MultiplicityRecord(label, src, count))
+        records = [
+            MultiplicityRecord(label, src, _multiset_permutations_count(src))
+            for src in sources.get(label.canonical_tuple, ())
+        ]
         rows.append((label, basis.sigma_string(label.sigma), label.float_value, records))
     return rows
 

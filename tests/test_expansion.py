@@ -1,5 +1,6 @@
 """Expansion engine: node structure, recursions, derivatives, evaluation."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -330,6 +331,55 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def _ordered_level_terms(chain, r, basis):
+    """Level-r terms by the ordered enumeration: every ordered level split and
+    operand choice with weight 1/n!, merged by sorted operands and grouped by
+    the label of the next index set with the same frequency."""
+    label_of = {lab.sigma: lab.canonical_tuple for lab in chain[r + 1].labels}
+    groups = {}
+    for n in range(1, r + 1):
+        for levels in _compositions(r, n):
+            for combo in itertools.product(*(chain[lev].labels for lev in levels)):
+                sigma = basis.zero_sigma()
+                for lab in combo:
+                    sigma = basis.sigma_add(sigma, lab.sigma)
+                key = (n, tuple(sorted((lev, lab.canonical_tuple) for lev, lab in zip(levels, combo))))
+                terms = groups.setdefault(label_of[sigma], {})
+                terms[key] = terms.get(key, 0) + Fraction(1, math.factorial(n))
+    return groups
+
+
+@pytest.mark.parametrize("name, order", [("memristor", 4), ("worked_example", 5)])
+def test_term_weights_match_ordered_enumeration(name, order):
+    """Each multiset term carries exactly the merged weight of its orderings."""
+    problem = get_problem(name).problem
+    ex = build_expansion(problem, order=order)
+    for r in range(1, order + 1):
+        oracle = _ordered_level_terms(ex.index_sets, r, problem.basis)
+        assert term_signature(ex.node(r, ())) == oracle.get((), {})
+        if r + 1 > order:
+            continue
+        for lab in ex.labels_at(r + 1):
+            if not lab.is_zero:
+                assert term_signature(ex.node(r + 1, lab.canonical_tuple)) == oracle.get(
+                    lab.canonical_tuple, {}
+                )
+
+
+# SHA-256 of dump_expansion for worked_example, built and not solved
+WORKED_DUMP_SHA256 = {
+    5: "5d25ee7353f4d367fa43f6e4ed4a45239355f00582fcf69d4ddc56539917b062",
+    6: "a03fa8bb8762b4c1b92ed744fc4c8819648dc0d16ef73eb4da9089d186f1e016",
+    7: "43b1f06fc17caa8078148fe9eda20aead65da8c9960138da3150f78f77915622",
+}
+
+
+@pytest.mark.parametrize("order", sorted(WORKED_DUMP_SHA256))
+def test_worked_example_dump_is_unchanged(order):
+    ex = build_expansion(get_problem("worked_example").problem, order=order)
+    assert hashlib.sha256(dump_expansion(ex).encode()).hexdigest() == WORKED_DUMP_SHA256[order]
+
+
 def test_assembled_rhs_matches_raw_enumeration():
     """Merged term lists reproduce the raw ordered sum with weights 1/n!."""
     problem = two_frequency_problem()
@@ -474,6 +524,23 @@ def test_out_of_domain_after_solve():
     solve_nonoscillatory_chain(ex, t_end=1.0)
     with pytest.raises(OutOfDomain):
         ex.evaluate_truncated(1.5, 100.0, 1)
+
+
+def test_evaluate_truncated_rejects_negative_level(memristor_solved):
+    with pytest.raises(ValueError, match="s=-1"):
+        memristor_solved.evaluate_truncated(1.0, 300.0, -1)
+
+
+@pytest.mark.parametrize("omega", [0.0, -300.0, math.inf, math.nan])
+def test_evaluate_truncated_rejects_bad_omega(memristor_solved, omega):
+    with pytest.raises(ValueError, match=f"omega={omega!r}"):
+        memristor_solved.evaluate_truncated(1.0, omega, 1)
+
+
+@pytest.mark.parametrize("r, label", [(1, (1,)), (2, (1,))], ids=["forcing", "algebraic"])
+def test_coefficient_derivative_rejects_negative_order(memristor_solved, r, label):
+    with pytest.raises(ValueError, match="order=-1"):
+        memristor_solved.coefficient_derivative(r, label, 1.0, order=-1)
 
 
 def test_duplicate_frequencies_rejected():

@@ -20,7 +20,6 @@ from oscillode.freq_algebra import (
     index_table_records,
     ordered_partitions,
     rho,
-    sigma_value,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -270,6 +269,19 @@ def test_float_mode_dedup_and_tolerance():
     assert (1, 2) not in tuples
 
 
+def test_float_mode_gives_the_exact_labels():
+    """The float path (tolerance scan) reproduces the exact index chain."""
+    exact = build_index_chain(worked_basis(), worked_kappas(), 6)
+    basis = FrequencyBasis(mode="float", tolerance=1e-9)
+    kappas = [
+        BaseFrequency(m, basis, value=v) for m, v in enumerate((1.0, SQRT2, -1.0 - SQRT2), start=1)
+    ]
+    floated = build_index_chain(basis, kappas, 6)
+    assert [[lab.canonical_tuple for lab in s] for s in floated] == [
+        [lab.canonical_tuple for lab in s] for s in exact
+    ]
+
+
 # -- multiplicities -----------------------------------------------------------
 
 
@@ -363,9 +375,9 @@ def test_sigma_value_examples():
     kappas = worked_kappas(basis)
     u4 = build_index_chain(basis, kappas, 4)[4]
     by_tuple = {lab.canonical_tuple: lab for lab in u4}
-    assert sigma_value(by_tuple[(3,)]) == pytest.approx(-1.0 - SQRT2, abs=1e-12)
-    assert sigma_value(by_tuple[()]) == 0.0
-    assert sigma_value(by_tuple[(3, 3, 3)]) == pytest.approx(-3.0 - 3.0 * SQRT2, abs=1e-12)
+    assert by_tuple[(3,)].float_value == pytest.approx(-1.0 - SQRT2, abs=1e-12)
+    assert by_tuple[()].float_value == 0.0
+    assert by_tuple[(3, 3, 3)].float_value == pytest.approx(-3.0 - 3.0 * SQRT2, abs=1e-12)
 
 
 def test_format_label():
