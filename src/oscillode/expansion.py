@@ -13,6 +13,18 @@ to the level once (``freq_algebra.operand_multisets``), with weight
 the total weight 1/n! of the multiset's n!/prod(m_i!) orderings, so the
 classical multiplicity counts are built in, and the bookkeeping stays correct
 even when equal frequencies appear at different levels.
+
+Evaluation reads each node's derivatives as lists of term tuples.  A tuple
+(coef, n, args) stands for coef * f_n[args] at the base trajectory, and each
+entry of args is a (node key, order) pair naming a derivative of a
+coefficient.  One rule turns the list of order j into that of order j+1:
+(f_n[a_1..a_n])' = f_(n+1)[p_00', a_1..a_n] + sum_i f_n[.., a_i', ..].  An
+algebraic node also subtracts the matching derivative of the node one level
+down, over (i sigma).  Lists are summed in a frame: the values known at one
+time t, keyed by the same (node key, order) pairs, and the field's point at
+the base state there, made when a term first needs it.  A chain right-hand
+side seeds its frame with the stage states; an evaluation call's frame holds
+the values memoized for its t.
 """
 
 from __future__ import annotations
@@ -88,10 +100,6 @@ class Term:
     n: int
     operands: tuple  # sorted tuple of (level, FrequencyLabel)
 
-    @property
-    def levels(self):
-        return tuple(lev for lev, _ in self.operands)
-
     def describe(self):
         if self.n == 0:
             return f"{self.weight} f[p(0,0)]"
@@ -117,51 +125,27 @@ class CoefficientNode:
     has_lower_derivative: bool = False
     solution: object = None
     initial_value: object = None
-    _expr_cache: dict = dataclass_field(default_factory=dict)
+    # derivative order -> (coef, n, args) terms, built on first use
+    _term_lists: dict = dataclass_field(default_factory=dict)
 
     @property
     def key(self):
         return (self.r, self.label.canonical_tuple)
 
 
-class _NodeRef:
-    """coef times the order-th time derivative of a coefficient node."""
+class _Frame:
+    """The values known at one time t, keyed by (node key, order) pairs.
 
-    __slots__ = ("coef", "key", "order")
+    ``point`` is the field at the base trajectory's value at t, made on
+    first use.  A frame lives for one call; only its values are memoized.
+    """
 
-    def __init__(self, coef, key, order):
-        self.coef = coef
-        self.key = key
-        self.order = order
+    __slots__ = ("t", "values", "point")
 
-    def diff(self):
-        return [_NodeRef(self.coef, self.key, self.order + 1)]
-
-    def evaluate(self, expansion, values, t, point):
-        return self.coef * expansion._value(values, self.key, t, self.order, point)
-
-
-class _FTerm:
-    """coef times f_n at the base trajectory applied to direction expressions."""
-
-    __slots__ = ("coef", "n", "args")
-
-    def __init__(self, coef, n, args):
-        self.coef = coef
-        self.n = n
-        self.args = args
-
-    def diff(self):
-        out = [_FTerm(self.coef, self.n + 1, [_NodeRef(1.0, (0, ()), 1)] + self.args)]
-        for i, arg in enumerate(self.args):
-            for darg in arg.diff():
-                out.append(_FTerm(self.coef, self.n, self.args[:i] + [darg] + self.args[i + 1 :]))
-        return out
-
-    def evaluate(self, expansion, values, t, point):
-        """``point`` is the field at the base trajectory's value at t."""
-        dirs = [arg.evaluate(expansion, values, t, point) for arg in self.args]
-        return self.coef * expansion.problem.field.apply(self.n, point, dirs)
+    def __init__(self, t, values):
+        self.t = t
+        self.values = values
+        self.point = None
 
 
 class Expansion:
@@ -172,7 +156,10 @@ class Expansion:
         self.order = order
         self.index_sets = index_sets  # levels 0..order+1
         self.nodes = nodes
-        self.solved_t_end = None
+        # every (node key, order) pair made once: term arguments and memo keys
+        self._args = {}
+        self._base = self._arg((0, ()), 0)
+        self._base_rate = self._arg((0, ()), 1)
         # evaluation memo: t -> {(node key, order): value}
         self._memo = {}
 
@@ -184,79 +171,75 @@ class Expansion:
 
     # -- internal evaluation ---------------------------------------------------
 
-    def _clear_cache(self):
-        self._memo.clear()
-        for node in self.nodes.values():
-            node._expr_cache.clear()
+    def _arg(self, key, order):
+        arg = (key, order)
+        return self._args.setdefault(arg, arg)
 
-    def _value(self, values, key, t, order, point=None):
-        """Value of a node's order-th derivative at t.
-
-        ``values`` maps (node key, order) to the values already known at
-        this t; the result is added to it.  ``point``, when given, is the
-        field at the base trajectory's value at the same t; every term
-        evaluated under this call shares it.
-        """
-        memo_key = (key, order)
-        hit = values.get(memo_key)
-        if hit is not None:
-            return hit
-        value = self._compute(values, key, t, order, point)
-        values[memo_key] = value
+    def _value(self, frame, arg):
+        """Value at the frame's time of ``arg``, a (node key, order) pair."""
+        value = frame.values.get(arg)
+        if value is None:
+            value = frame.values[arg] = self._compute(frame, *arg)
         return value
 
-    def _compute(self, values, key, t, order, point):
+    def _compute(self, frame, key, order):
         node = self.nodes[key]
         if node.kind == "forcing":
             forcing = self.problem.forcings[node.forcing_index - 1]
-            return forcing.derivative(order, t) / (1j * forcing.kappa.value)
-        if node.kind == "ode":
-            if order == 0:
-                if node.solution is None:
-                    raise OutOfDomain(
-                        f"node (r={node.r}, m={format_label(key[1])}) has no solution; "
-                        "run solve_nonoscillatory_chain first"
-                    )
-                return sample(node.solution, t)
-        return self._eval_exprs(values, self._exprs(node, order), t, point)
-
-    def _eval_exprs(self, values, exprs, t, point):
-        if point is None and any(type(expr) is _FTerm for expr in exprs):
-            point = self.problem.field.at(self._value(values, (0, ()), t, 0))
+            return forcing.derivative(order, frame.t) / (1j * forcing.kappa.value)
+        if node.kind == "ode" and order == 0:
+            if node.solution is None:
+                raise OutOfDomain(
+                    f"node (r={node.r}, m={format_label(key[1])}) has no solution; "
+                    "run solve_nonoscillatory_chain first"
+                )
+            return sample(node.solution, frame.t)
         total = np.zeros(self.problem.dimension, dtype=complex)
-        for expr in exprs:
-            total = total + expr.evaluate(self, values, t, point)
+        if node.has_lower_derivative:
+            pref = 1.0 / (1j * node.label.float_value)
+            total = total + (-pref) * self._value(frame, self._arg((node.r - 1, key[1]), order + 1))
+        return self._sum(frame, self._terms(node, order), total)
+
+    def _sum(self, frame, terms, total):
+        """total plus coef * f_n[args] summed over the terms at the frame's time."""
+        field = self.problem.field
+        if terms and frame.point is None:
+            frame.point = field.at(self._value(frame, self._base))
+        for coef, n, args in terms:
+            dirs = [self._value(frame, arg) for arg in args]
+            total = total + coef * field.apply(n, frame.point, dirs)
         return total
 
-    def _exprs(self, node, order):
-        cache = node._expr_cache
-        if order in cache:
-            return cache[order]
-        if node.kind == "ode":
-            # derivative of order j is the (j-1)-th derivative of the RHS
-            base_order = 1
-            base = [
-                _FTerm(complex(term.weight), term.n, self._term_args(term))
+    def _terms(self, node, order):
+        """Terms of a node's order-th derivative; an ode node's start at order 1."""
+        lists = node._term_lists
+        if not lists:
+            ode = node.kind == "ode"
+            pref = 1.0 if ode else 1.0 / (1j * node.label.float_value)
+            lists[int(ode)] = [
+                (
+                    pref * complex(term.weight),
+                    term.n,
+                    tuple(self._arg((lev, lab.canonical_tuple), 0) for lev, lab in term.operands),
+                )
                 for term in node.terms
             ]
-        else:
-            base_order = 0
-            pref = 1.0 / (1j * node.label.float_value)
-            base = [
-                _FTerm(pref * complex(term.weight), term.n, self._term_args(term))
-                for term in node.terms
-            ]
-            if node.has_lower_derivative:
-                base.insert(0, _NodeRef(-pref, (node.r - 1, node.label.canonical_tuple), 1))
-        cache[base_order] = base
-        exprs = cache[max(k for k in cache if k <= order)]
-        for j in range(max(k for k in cache if k <= order), order):
-            exprs = [d for expr in exprs for d in expr.diff()]
-            cache[j + 1] = exprs
-        return cache[order]
+        for j in range(max(k for k in lists if k <= order), order):
+            lists[j + 1] = self._derivative(lists[j])
+        return lists[order]
 
-    def _term_args(self, term):
-        return [_NodeRef(1.0, (lev, lab.canonical_tuple), 0) for lev, lab in term.operands]
+    def _derivative(self, terms):
+        """The time derivative of a term list.
+
+        (coef * f_n[a_1..a_n])' is coef * f_(n+1)[p_00', a_1..a_n] plus, for
+        each i, coef * f_n[.., a_i', ..]; p_00' is the base trajectory's rate.
+        """
+        out = []
+        for coef, n, args in terms:
+            out.append((coef, n + 1, (self._base_rate,) + args))
+            for i, (key, order) in enumerate(args):
+                out.append((coef, n, args[:i] + (self._arg(key, order + 1),) + args[i + 1 :]))
+        return out
 
     # -- public evaluation -------------------------------------------------------
 
@@ -266,9 +249,20 @@ class Expansion:
     def coefficient_derivative(self, r, label, t, order=1):
         if order < 0:
             raise ValueError(f"derivative order={order} must be nonnegative")
+        key = (r, _as_tuple(label))
+        if key not in self.nodes:
+            if not 0 <= r <= self.order:
+                raise ValueError(f"r={r} is outside 0..{self.order}, the built order")
+            present = sorted(tup for lev, tup in self.nodes if lev == r)
+            raise ValueError(
+                f"label {format_label(key[1])} is not in level {r}'s index set; its labels "
+                f"are {', '.join(format_label(tup) for tup in present)}"
+            )
         t = float(t)
-        values = self._memo.setdefault(t, {})
-        return self._value(values, (r, _as_tuple(label)), t, int(order)).copy()
+        frame = _Frame(t, self._memo.get(t, {}))
+        value = self._value(frame, self._arg(key, int(order))).copy()
+        self._memo[t] = frame.values
+        return value
 
     def evaluate_truncated(self, t, omega, s):
         """Partial sum through level s at time t and parameter omega."""
@@ -278,14 +272,15 @@ class Expansion:
         if not (math.isfinite(omega) and omega > 0):
             raise ValueError(f"omega={omega!r} must be finite and positive")
         t = float(t)
-        values = self._memo.setdefault(t, {})
-        y = self._value(values, (0, ()), t, 0).copy()
+        frame = _Frame(t, self._memo.get(t, {}))
+        y = self._value(frame, self._base).copy()
         for r in range(1, s + 1):
             acc = np.zeros(self.problem.dimension, dtype=complex)
             for label in self.labels_at(r):
-                value = self._value(values, (r, label.canonical_tuple), t, 0)
+                value = self._value(frame, self._arg((r, label.canonical_tuple), 0))
                 acc = acc + value * np.exp(1j * label.float_value * omega * t)
             y = y + acc / omega**r
+        self._memo[t] = frame.values
         return y
 
 
@@ -419,7 +414,7 @@ def solve_nonoscillatory_chain(
     derivative accurate, not just its values; by default accepted steps
     stay below t_end / 512.
     """
-    expansion._clear_cache()
+    expansion._memo.clear()
     if max_step is None:
         max_step = float(t_end) / 512.0
     system = _ChainSystem(expansion)
@@ -454,7 +449,6 @@ def solve_nonoscillatory_chain(
             n_rhs_evals=solution.n_rhs_evals,
         )
         node.initial_value = ic
-    expansion.solved_t_end = float(t_end)
     return expansion
 
 
@@ -462,50 +456,30 @@ class _ChainSystem:
     """The zero-frequency nodes of all levels as one ODE on the stacked state.
 
     A level-r equation reads only lower levels and its own unknown, so a
-    call evaluates levels in increasing order, with one field point and one
-    dict of the values known at its time; lower levels are exact stage
-    values.  Terms are planned as (weight, order, operand slots), slot -1
-    being the level's own unknown.  ``level`` is the level being worked on,
-    or None outside a call, so an error can name it.
+    call seeds one frame with every level's slice of the state (lower levels
+    enter as exact stage values) and sums the levels' order-1 term lists in
+    increasing order, adding each level's derivative to the frame for the
+    levels above.  ``level`` is the level being worked on, or None outside a
+    call, so an error can name it.
     """
 
     def __init__(self, expansion):
         self.expansion = expansion
-        self.field = expansion.problem.field
         self.dimension = d = expansion.problem.dimension
         levels = range(expansion.order + 1)
         self.parts = [slice(r * d, (r + 1) * d) for r in levels]
-        self.state_keys = [((r, ()), 0) for r in levels]
-        self.derivative_keys = [((r, ()), 1) for r in levels]
-        self.plans = [self._plan(expansion.nodes[(r, ())]) for r in levels]
-        self.needs_point = any(n for _, plan in self.plans for _, n, _ in plan)
+        self.state_keys = [expansion._arg((r, ()), 0) for r in levels]
+        # each level's (derivative key, right-hand-side terms)
+        self.rhs = [
+            (expansion._arg((r, ()), 1), expansion._terms(expansion.nodes[(r, ())], 1))
+            for r in levels
+        ]
         self.level = None
-
-    @staticmethod
-    def _plan(node):
-        own = (node.r, ())
-        operand_keys = [
-            key
-            for key in dict.fromkeys(
-                (lev, lab.canonical_tuple) for term in node.terms for lev, lab in term.operands
-            )
-            if key != own
-        ]
-        slot = {key: i for i, key in enumerate(operand_keys)}
-        plan = [
-            (
-                complex(term.weight),
-                term.n,
-                [slot.get((lev, lab.canonical_tuple), -1) for lev, lab in term.operands],
-            )
-            for term in node.terms
-        ]
-        return operand_keys, plan
 
     def initial_values(self):
         """Each level's value at t = 0, computed from the levels below it."""
         expansion = self.expansion
-        values = {}
+        frame = _Frame(0.0, {})
         ics = []
         for r, key in enumerate(self.state_keys):
             self.level = r
@@ -514,33 +488,21 @@ class _ChainSystem:
             else:
                 ic = np.zeros(self.dimension, dtype=complex)
                 for label in expansion.labels_at(r):
-                    if label.is_zero:
-                        continue
-                    ic -= expansion._value(values, (r, label.canonical_tuple), 0.0, 0)
-            values[key] = ic
+                    if not label.is_zero:
+                        ic -= expansion._value(frame, expansion._arg((r, label.canonical_tuple), 0))
+            frame.values[key] = ic
             ics.append(ic)
         self.level = None
         return ics
 
     def __call__(self, t, y):
-        fld = self.field
-        value = self.expansion._value
-        states = [y[part] for part in self.parts]
-        values = dict(zip(self.state_keys, states))
-        self.level = 0
-        point = fld.at(states[0]) if self.needs_point else None
+        sum_terms = self.expansion._sum
+        frame = _Frame(t, {key: y[part] for key, part in zip(self.state_keys, self.parts)})
         out = np.empty_like(y)
-        for r, (operand_keys, plan) in enumerate(self.plans):
+        for r, (key, terms) in enumerate(self.rhs):
             self.level = r
-            operands = [value(values, key, t, 0, point) for key in operand_keys]
-            operands.append(states[r])
-            total = np.zeros(self.dimension, dtype=complex)
-            for weight, n, slots in plan:
-                if n == 0:
-                    total = total + weight * fld(states[r])
-                    continue
-                total = total + weight * fld.apply(n, point, [operands[i] for i in slots])
-            values[self.derivative_keys[r]] = total
+            total = sum_terms(frame, terms, np.zeros(self.dimension, dtype=complex))
+            frame.values[key] = total
             out[self.parts[r]] = total
         self.level = None
         return out
