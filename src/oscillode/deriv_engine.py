@@ -10,6 +10,7 @@ the production path.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,18 +301,28 @@ def constant_amplitude(kappa, vector):
 
 
 def polynomial_amplitude(kappa, coefficients):
-    """Amplitude a(t) = sum_j coefficients[j] t^j with exact derivatives."""
+    """Amplitude a(t) = sum_j coefficients[j] t^j with exact derivatives.
+
+    The j-th derivative's coefficients ``coefficients[p] * p!/(p-j)!`` are
+    computed once per order j and summed by Horner's rule.
+    """
     coeffs = np.asarray(coefficients, dtype=complex)
     if coeffs.ndim != 2:
         raise ValueError("coefficients must have shape (degree + 1, dimension)")
+    degree = coeffs.shape[0] - 1
+    rows = [
+        coeffs[j:] * np.array([math.perm(p, j) for p in range(j, degree + 1)], float)[:, None]
+        for j in range(degree + 1)
+    ]
+    zero = np.zeros(coeffs.shape[1], dtype=complex)
 
     def derivative(j, t):
-        out = np.zeros(coeffs.shape[1], dtype=complex)
-        for p in range(j, coeffs.shape[0]):
-            fac = 1.0
-            for q in range(p, p - j, -1):
-                fac *= q
-            out += coeffs[p] * fac * t ** (p - j)
+        if j > degree:
+            return zero
+        row = rows[j]
+        out = row[-1]
+        for c in row[-2::-1]:
+            out = out * t + c
         return out
 
     return ForcingTerm(

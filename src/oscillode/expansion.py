@@ -410,13 +410,10 @@ def solve_nonoscillatory_chain(
     oscillatory coefficients at the origin, so all terms cancel there.  All
     levels are one system on the stacked state [p_00, p_10, ..., p_R0], so
     one step sequence, with error control over the whole state, serves
-    every level.  The step cap keeps the dense-output interpolant's
-    derivative accurate, not just its values; by default accepted steps
-    stay below t_end / 512.
+    every level.  Steps are uncapped unless ``max_step`` is given: evaluation
+    takes derivatives from the term lists, never from the interpolant.
     """
     expansion._memo.clear()
-    if max_step is None:
-        max_step = float(t_end) / 512.0
     system = _ChainSystem(expansion)
     try:
         ics = system.initial_values()
@@ -445,6 +442,7 @@ def solve_nonoscillatory_chain(
             ts=solution.ts,
             ys=solution.ys[:, part],
             fs=solution.fs[:, part],
+            ys_mid=None if solution.ys_mid is None else solution.ys_mid[:, part],
             n_steps=solution.n_steps,
             n_rhs_evals=solution.n_rhs_evals,
         )

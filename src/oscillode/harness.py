@@ -16,7 +16,6 @@ import math
 import os
 import tempfile
 import time
-import tracemalloc
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -175,7 +174,7 @@ def reference_values(
     else integrates the full oscillatory system with grid points forced as
     step endpoints, at a local tolerance ``REFERENCE_SAFETY`` times tighter
     than requested so the global error honors the requested accuracy.
-    ``method="rk"`` forces the integrator (used by cost comparisons).
+    ``method="rk"`` forces the integrator, also for a linear problem.
     """
     registered = _resolve(registered)
     grid = np.asarray(grid, dtype=float)
@@ -192,6 +191,14 @@ def reference_values(
         if cached is not None:
             return cached, provenance
 
+    values, _ = _rk_reference(registered, omega, grid, tol_abs, tol_rel)
+    if path is not None:
+        _write_cached(path, grid, values)
+    return values, provenance
+
+
+def _rk_reference(registered, omega, grid, tol_abs, tol_rel):
+    """Integrated reference values on the grid, and the dense solution behind them."""
     solution = integrate(
         IvpSpec(
             rhs=_oscillatory_rhs(registered.problem, omega),
@@ -203,10 +210,7 @@ def reference_values(
             dense_refine=False,
         )
     )
-    values = np.array([sample(solution, float(t)) for t in grid])
-    if path is not None:
-        _write_cached(path, grid, values)
-    return values, provenance
+    return np.array([sample(solution, float(t)) for t in grid]), solution
 
 
 def _build_solved(registered, order, t_end, grid, chain_abs, chain_rel, delta_min=None):
@@ -337,19 +341,15 @@ def run_slope_study(
     return report, slopes, verdicts
 
 
-def _seconds(call):
+def _timed(call):
+    """(seconds, result) of ``call()``."""
     start = time.perf_counter()
-    call()
-    return time.perf_counter() - start
+    result = call()
+    return time.perf_counter() - start, result
 
 
-def _peak_kb(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 1024.0
-    finally:
-        tracemalloc.stop()
+def _kb(*arrays):
+    return sum(a.nbytes for a in arrays if a is not None) / 1024.0
 
 
 def compare_cost(
@@ -366,11 +366,12 @@ def compare_cost(
     """Wall time of expansion build+eval versus the adaptive reference.
 
     The expansion is built and solved once and reused for every omega, which
-    is the expected usage pattern; the reference must rerun per omega.
-    Times come from an untraced pass.  ``peak_kb`` comes from a second pass
-    of the same steps under ``tracemalloc``, which slows Python code several
-    times over; that pass recomputes every reference instead of reading it
-    from ``cache_dir``, so its peak is the integration's.
+    is the expected usage pattern; the reference must rerun per omega, so it
+    is always integrated (a cache hit would time a file read) and then
+    written to ``cache_dir``.  ``peak_kb`` is the size of the arrays a step
+    holds when it ends, read off the arrays in the same pass: the build's
+    chain dense output, an evaluation's grid values, and a reference's dense
+    output plus its grid values.
     """
     registered = _resolve(problem)
     omegas = tuple(float(w) for w in omegas)
@@ -378,31 +379,28 @@ def compare_cost(
     t_end = float(t_end if t_end is not None else registered.t_end)
     grid = np.linspace(0.0, t_end, int(grid_n))
 
-    def run(measure, cache):
-        """(method, omega, measurement, points) rows, each step under ``measure``."""
-        solved = []
-
-        def build():
-            solved.append(_build_solved(registered, order, t_end, grid, 1e-12, 1e-12))
-
-        def evaluate(omega):
-            for t in grid:
-                solved[0].evaluate_truncated(float(t), omega, s)
-
-        def reference(omega):
-            reference_values(registered, omega, grid, tol_abs, tol_rel, cache, method="rk")
-
-        rows = [("expansion_build", float("nan"), measure(build), 0)]
-        for omega in omegas:
-            rows.append(("expansion_eval", omega, measure(lambda: evaluate(omega)), grid.size))
-        for omega in omegas:
-            rows.append(("rk_reference", omega, measure(lambda: reference(omega)), grid.size))
-        return rows
-
-    timed = run(_seconds, cache_dir)
-    traced = run(_peak_kb, None)
+    build_s, expansion = _timed(
+        lambda: _build_solved(registered, order, t_end, grid, 1e-12, 1e-12)
+    )
+    chain = [expansion.nodes[(r, ())].solution for r in range(order + 1)]
+    chain_kb = _kb(chain[0].ts, *(a for sol in chain for a in (sol.ys, sol.fs, sol.ys_mid)))
+    rows = [("expansion_build", float("nan"), build_s, chain_kb, 0)]
+    for omega in omegas:
+        seconds, values = _timed(
+            lambda: np.array([expansion.evaluate_truncated(float(t), omega, s) for t in grid])
+        )
+        rows.append(("expansion_eval", omega, seconds, _kb(values), grid.size))
+    for omega in omegas:
+        seconds, (values, solution) = _timed(
+            lambda: _rk_reference(registered, omega, grid, tol_abs, tol_rel)
+        )
+        if cache_dir is not None:
+            path = _cache_path(cache_dir, registered, omega, tol_abs, tol_rel, grid)
+            _write_cached(path, grid, values)
+        kb = _kb(solution.ts, solution.ys, solution.fs, values)
+        rows.append(("rk_reference", omega, seconds, kb, grid.size))
     report = CostReport(problem=registered.name, s=s, build_count=1)
-    for (method, omega, seconds, points), (_, _, peak_kb, _) in zip(timed, traced):
+    for method, omega, seconds, peak_kb, points in rows:
         report.rows.append(
             {
                 "method": method,

@@ -24,6 +24,7 @@ from oscillode.expansion import (
     solve_nonoscillatory_chain,
 )
 from oscillode.freq_algebra import BaseFrequency, FrequencyBasis
+from oscillode.linear_closed_form import exact_linear_solution
 from oscillode.problems import get_problem
 
 SQRT2 = math.sqrt(2.0)
@@ -658,3 +659,50 @@ def test_chain_error_names_the_level_that_raised():
         solve_nonoscillatory_chain(ex, t_end=1.0)
     assert info.value.code == 3
     assert info.value.__notes__ == ["while solving node (r=2, m=0)"]
+
+
+@pytest.fixture(scope="module")
+def linear_chain():
+    reg = get_problem("linear_example")
+    ex = build_expansion(reg.problem, order=4)
+    solve_nonoscillatory_chain(ex, t_end=5.0)
+    return reg, ex
+
+
+def test_chain_makes_one_call_per_stage_and_accepted_step(linear_chain):
+    _, ex = linear_chain
+    sol = ex.nodes[(0, ())].solution
+    accepted = len(sol.ts) - 1
+    # five stages per attempted step, one at each accepted step's end, and
+    # the midpoint values come free from those
+    assert sol.n_rhs_evals == 1 + 5 * sol.n_steps + accepted
+    for r in range(ex.order + 1):
+        level = ex.nodes[(r, ())].solution
+        assert level.ys_mid.shape == level.ys[1:].shape
+
+
+def test_linear_off_knot_error_against_closed_form(linear_chain):
+    reg, ex = linear_chain
+    omega, s = 1000.0, 4
+    exact = exact_linear_solution(reg.linear, omega)
+    points = np.random.default_rng(20240601).uniform(0.0, 5.0, 1024)
+    worst = max(
+        float(np.max(np.abs(ex.evaluate_truncated(float(t), omega, s) - exact(float(t)))))
+        for t in points
+    )
+    assert worst <= 5e-12
+
+
+def test_polynomial_amplitude_matches_its_power_sum():
+    coeffs = np.array([[0.3, -1.0j], [2.0, 0.5], [-0.7j, 1.5], [0.25, -2.0]])
+    amp = polynomial_amplitude(None, coeffs)
+    for j in range(6):
+        for t in (0.0, 0.37, 2.5, -1.2):
+            want = sum(
+                coeffs[p] * math.perm(p, j) * t ** (p - j) for p in range(j, coeffs.shape[0])
+            ) + np.zeros(2, dtype=complex)
+            got = amp.derivative(j, t)
+            assert got.shape == (2,)
+            assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+            if t == 0.0:
+                assert np.array_equal(got, want)
