@@ -24,7 +24,8 @@ down, over (i sigma).  Lists are summed in a frame: the values known at one
 time t, keyed by the same (node key, order) pairs, and the field's point at
 the base state there, made when a term first needs it.  A chain right-hand
 side seeds its frame with the stage states; an evaluation call's frame holds
-the values memoized for its t.
+the values memoized for its t, and takes every level's zero-frequency value
+from one sample of the stacked chain solution.
 """
 
 from __future__ import annotations
@@ -151,6 +152,9 @@ class _Frame:
 class Expansion:
     """Node table plus index sets; evaluable once the ODE chain is solved."""
 
+    # the stacked chain's DenseSolution, set by solve_nonoscillatory_chain
+    chain_solution = None
+
     def __init__(self, problem, order, index_sets, nodes):
         self.problem = problem
         self.order = order
@@ -188,12 +192,18 @@ class Expansion:
             forcing = self.problem.forcings[node.forcing_index - 1]
             return forcing.derivative(order, frame.t) / (1j * forcing.kappa.value)
         if node.kind == "ode" and order == 0:
-            if node.solution is None:
+            if self.chain_solution is None:
                 raise OutOfDomain(
                     f"node (r={node.r}, m={format_label(key[1])}) has no solution; "
                     "run solve_nonoscillatory_chain first"
                 )
-            return sample(node.solution, frame.t)
+            # one sample of the stacked state gives every level's value; the
+            # slices are copied, which the memo holds in less memory than
+            # views that keep the stacked sample alive
+            y = sample(self.chain_solution, frame.t)
+            for arg, part in _chain_layout(self):
+                frame.values[arg] = y[part].copy()
+            return frame.values[(key, 0)]
         total = np.zeros(self.problem.dimension, dtype=complex)
         if node.has_lower_derivative:
             pref = 1.0 / (1j * node.label.float_value)
@@ -249,6 +259,7 @@ class Expansion:
     def coefficient_derivative(self, r, label, t, order=1):
         if order < 0:
             raise ValueError(f"derivative order={order} must be nonnegative")
+        t = _finite_time(t)
         key = (r, _as_tuple(label))
         if key not in self.nodes:
             if not 0 <= r <= self.order:
@@ -258,7 +269,6 @@ class Expansion:
                 f"label {format_label(key[1])} is not in level {r}'s index set; its labels "
                 f"are {', '.join(format_label(tup) for tup in present)}"
             )
-        t = float(t)
         frame = _Frame(t, self._memo.get(t, {}))
         value = self._value(frame, self._arg(key, int(order))).copy()
         self._memo[t] = frame.values
@@ -271,7 +281,7 @@ class Expansion:
         omega = float(omega)
         if not (math.isfinite(omega) and omega > 0):
             raise ValueError(f"omega={omega!r} must be finite and positive")
-        t = float(t)
+        t = _finite_time(t)
         frame = _Frame(t, self._memo.get(t, {}))
         y = self._value(frame, self._base).copy()
         for r in range(1, s + 1):
@@ -282,6 +292,15 @@ class Expansion:
             y = y + acc / omega**r
         self._memo[t] = frame.values
         return y
+
+
+def _finite_time(t):
+    """``t`` as a float; a NaN or infinite time would key a memo entry that
+    no later call can match."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t={t!r} must be finite")
+    return t
 
 
 def _as_tuple(label):
@@ -436,18 +455,29 @@ def solve_nonoscillatory_chain(
         else:
             err.add_note(f"while solving node (r={system.level}, m=0)")
         raise
+    expansion.chain_solution = solution
     for r, (ic, part) in enumerate(zip(ics, system.parts)):
         node = expansion.nodes[(r, ())]
         node.solution = DenseSolution(
             ts=solution.ts,
             ys=solution.ys[:, part],
             fs=solution.fs[:, part],
-            ys_mid=None if solution.ys_mid is None else solution.ys_mid[:, part],
+            dense=None if solution.dense is None else solution.dense[:, :, part],
             n_steps=solution.n_steps,
             n_rhs_evals=solution.n_rhs_evals,
         )
         node.initial_value = ic
     return expansion
+
+
+def _chain_layout(expansion):
+    """Each zero-frequency level's value key and its slice of the stacked
+    chain state [p_00, p_10, ..., p_R0]."""
+    d = expansion.problem.dimension
+    return [
+        (expansion._arg((r, ()), 0), slice(r * d, (r + 1) * d))
+        for r in range(expansion.order + 1)
+    ]
 
 
 class _ChainSystem:
@@ -463,14 +493,12 @@ class _ChainSystem:
 
     def __init__(self, expansion):
         self.expansion = expansion
-        self.dimension = d = expansion.problem.dimension
-        levels = range(expansion.order + 1)
-        self.parts = [slice(r * d, (r + 1) * d) for r in levels]
-        self.state_keys = [expansion._arg((r, ()), 0) for r in levels]
+        self.dimension = expansion.problem.dimension
+        self.state_keys, self.parts = zip(*_chain_layout(expansion))
         # each level's (derivative key, right-hand-side terms)
         self.rhs = [
             (expansion._arg((r, ()), 1), expansion._terms(expansion.nodes[(r, ())], 1))
-            for r in levels
+            for r in range(expansion.order + 1)
         ]
         self.level = None
 

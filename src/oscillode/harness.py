@@ -349,7 +349,7 @@ def _timed(call):
 
 
 def _kb(*arrays):
-    return sum(a.nbytes for a in arrays if a is not None) / 1024.0
+    return sum(a.nbytes for a in arrays) / 1024.0
 
 
 def compare_cost(
@@ -382,8 +382,8 @@ def compare_cost(
     build_s, expansion = _timed(
         lambda: _build_solved(registered, order, t_end, grid, 1e-12, 1e-12)
     )
-    chain = [expansion.nodes[(r, ())].solution for r in range(order + 1)]
-    chain_kb = _kb(chain[0].ts, *(a for sol in chain for a in (sol.ys, sol.fs, sol.ys_mid)))
+    chain = expansion.chain_solution
+    chain_kb = _kb(chain.ts, chain.ys, chain.fs, chain.dense)
     rows = [("expansion_build", float("nan"), build_s, chain_kb, 0)]
     for omega in omegas:
         seconds, values = _timed(

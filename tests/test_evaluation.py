@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from oscillode import expansion as expansion_module
 from oscillode.deriv_engine import VectorField, constant_amplitude, polynomial_field
 from oscillode.errors import OutOfDomain, SmallDenominatorError
 from oscillode.expansion import Problem, build_expansion, solve_nonoscillatory_chain
 from oscillode.freq_algebra import BaseFrequency, FrequencyBasis
+from oscillode.ode_core import sample
 from oscillode.problems import get_problem
 
 SQRT2 = math.sqrt(2.0)
@@ -71,6 +73,56 @@ def test_a_call_that_raises_leaves_no_memo_entry():
     assert ex._memo == {}
     ex.evaluate_truncated(0.5, 100.0, 2)
     assert list(ex._memo) == [0.5]
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_a_non_finite_time_is_rejected_before_the_memo(t):
+    ex = solved_worked_example(order=2)
+    with pytest.raises(ValueError, match="must be finite"):
+        ex.coefficient_value(0, (), t)
+    with pytest.raises(ValueError, match="must be finite"):
+        ex.coefficient_derivative(2, (1,), t)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="must be finite"):
+            ex.evaluate_truncated(t, 100.0, 2)
+    assert ex._memo == {}
+
+
+# -- samples of the chain -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def linear_order_four():
+    ex = build_expansion(get_problem("linear_example").problem, order=4)
+    solve_nonoscillatory_chain(ex, t_end=5.0)
+    return ex
+
+
+def test_one_chain_sample_per_cold_evaluation(linear_order_four, monkeypatch):
+    ex = linear_order_four
+    calls = []
+    original = expansion_module.sample
+
+    def sample(solution, t):
+        calls.append(solution)
+        return original(solution, t)
+
+    monkeypatch.setattr(expansion_module, "sample", sample)
+    ex.evaluate_truncated(1.2345, 1000.0, 4)
+    assert len(calls) == 1
+    assert calls[0] is ex.chain_solution
+    ex.evaluate_truncated(1.2345, 2000.0, 4)
+    assert len(calls) == 1
+
+
+def test_chain_values_equal_each_levels_own_sample(linear_order_four):
+    ex = linear_order_four
+    knots = ex.nodes[(0, ())].solution.ts
+    points = np.random.default_rng(7).uniform(0.0, 5.0, 64).tolist() + knots[:5].tolist()
+    for t in points:
+        for r in range(ex.order + 1):
+            own = sample(ex.nodes[(r, ())].solution, t)
+            assert np.array_equal(ex.coefficient_value(r, (), t), own)
 
 
 # -- field points -----------------------------------------------------------------------

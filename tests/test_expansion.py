@@ -673,12 +673,13 @@ def test_chain_makes_one_call_per_stage_and_accepted_step(linear_chain):
     _, ex = linear_chain
     sol = ex.nodes[(0, ())].solution
     accepted = len(sol.ts) - 1
-    # five stages per attempted step, one at each accepted step's end, and
-    # the midpoint values come free from those
-    assert sol.n_rhs_evals == 1 + 5 * sol.n_steps + accepted
+    assert accepted < sol.n_steps  # some steps were rejected
+    # eleven new stages per attempted step; an accepted one adds its end
+    # derivative and the three stages of its dense output
+    assert sol.n_rhs_evals == 1 + 11 * sol.n_steps + 4 * accepted
     for r in range(ex.order + 1):
         level = ex.nodes[(r, ())].solution
-        assert level.ys_mid.shape == level.ys[1:].shape
+        assert level.dense.shape == (accepted, 7, level.ys.shape[1])
 
 
 def test_linear_off_knot_error_against_closed_form(linear_chain):

@@ -280,6 +280,25 @@ def test_compare_cost_times_outside_tracemalloc(monkeypatch):
     assert all(row["peak_kb"] > 0.0 for row in report.rows)
 
 
+def test_compare_cost_chain_row_counts_the_dense_output(monkeypatch):
+    built = []
+    build = harness._build_solved
+
+    def build_and_keep(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "_build_solved", build_and_keep)
+    report = compare_cost("linear_example", (40.0,), 1, grid_n=5, t_end=0.5, order=2)
+    # the stacked chain of levels 0-2: step ends, their derivatives, and
+    # each step's seven interpolant coefficients
+    chain = built[0].chain_solution
+    assert chain.dense.shape == (chain.ts.size - 1, 7, chain.ys.shape[1])
+    arrays = (chain.ts, chain.ys, chain.fs, chain.dense)
+    assert report.rows[0]["method"] == "expansion_build"
+    assert report.rows[0]["peak_kb"] == sum(a.nbytes for a in arrays) / 1024.0
+
+
 def test_cli_problems_lists_builtins(capsys):
     rc = cli_main(["problems"])
     assert rc == 0

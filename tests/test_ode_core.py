@@ -1,7 +1,6 @@
 """Adaptive integrator: accuracy, dense output, error conditions."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,67 +141,74 @@ def test_invalid_spec():
         IvpSpec(rhs=lambda t, y: y, y0=[1.0], t_end=1.0, abs_tol=0.0)
 
 
-def _fraction_tableau():
-    """Fehlberg 4(5) with f(t+h, y5) as a seventh stage at c = 1, row B5."""
-    F = Fraction
-    b5 = [F(16, 135), 0, F(6656, 12825), F(28561, 56430), F(-9, 50), F(2, 55)]
-    c = [0, F(1, 4), F(3, 8), F(12, 13), 1, F(1, 2), 1]
-    a = [
-        [],
-        [F(1, 4)],
-        [F(3, 32), F(9, 32)],
-        [F(1932, 2197), F(-7200, 2197), F(7296, 2197)],
-        [F(439, 216), F(-8), F(3680, 513), F(-845, 4104)],
-        [F(-8, 27), F(2), F(-3544, 2565), F(1859, 4104), F(-11, 40)],
-        b5,
-    ]
-    a = [row + [0] * (7 - len(row)) for row in a]
-    return c, a, b5
+def _rooted_trees(max_order):
+    """Every rooted tree up to ``max_order`` nodes, as (children, order) with
+    children a nondecreasing tuple of indices of earlier trees."""
+    trees = [((), 1)]
+    for n in range(2, max_order + 1):
+        smaller = list(trees)
+
+        def forests(total, start):
+            if total == 0:
+                yield ()
+                return
+            for idx in range(start, len(smaller)):
+                if smaller[idx][1] <= total:
+                    for rest in forests(total - smaller[idx][1], idx):
+                        yield (idx,) + rest
+
+        trees += [(forest, n) for forest in forests(n - 1, 0)]
+    return trees
 
 
-MID_WEIGHTS = [
-    Fraction(119, 864), 0, Fraction(1016, 2565), Fraction(-2197, 16416),
-    Fraction(11, 160), 0, Fraction(1, 32),
-]
+def _elementary_weights(a, trees):
+    """Per tree, the stage vector g with b @ g its elementary weight, and gamma."""
+    g, gamma = [], []
+    for children, n in trees:
+        vec, gam = np.ones(a.shape[0]), n
+        for c in children:
+            vec, gam = vec * (a @ g[c]), gam * gamma[c]
+        g.append(vec)
+        gamma.append(gam)
+    return g, gamma
 
 
-def test_midpoint_weights_meet_order_four_conditions_exactly():
-    c, a, b5 = _fraction_tableau()
-    b = MID_WEIGHTS
-    theta = Fraction(1, 2)
-    stages = range(7)
-    ac = [sum(a[i][j] * c[j] for j in stages) for i in stages]
-    ac2 = [sum(a[i][j] * c[j] ** 2 for j in stages) for i in stages]
-    aac = [sum(a[i][j] * ac[j] for j in stages) for i in stages]
-
-    def weighted(values):
-        return sum(b[i] * values[i] for i in stages)
-
-    conditions = [
-        (weighted([1] * 7), theta),
-        (weighted(c), theta**2 / 2),
-        (weighted([x**2 for x in c]), theta**3 / 3),
-        (weighted(ac), theta**3 / 6),
-        (weighted([x**3 for x in c]), theta**4 / 4),
-        (weighted([c[i] * ac[i] for i in stages]), theta**4 / 8),
-        (weighted(ac2), theta**4 / 12),
-        (weighted(aac), theta**4 / 24),
-    ]
-    for got, want in conditions:
-        assert got == want
-    # the integrator's floats are these fractions, over the same tableau
-    assert list(ode_core._B_MID) == [float(w) for w in b]
-    assert list(ode_core._B5) == [float(w) for w in b5]
-    assert list(ode_core._C) == [float(x) for x in c[:6]]
-    for row, frac_row in zip(ode_core._A, a):
-        assert row == [float(x) for x in frac_row[: len(row)]]
+def test_tableau_meets_its_order_conditions():
+    trees = _rooted_trees(8)
+    assert [sum(1 for _, n in trees if n == q) for q in range(1, 9)] == [1, 1, 2, 4, 9, 20, 48, 115]
+    assert np.max(np.abs(ode_core._A.sum(axis=1) - ode_core._C)) <= 1e-14
+    # the step is of order 8; the error weights (B minus an embedded
+    # method's) vanish on every tree up to order 5 and 3
+    g, gamma = _elementary_weights(ode_core._A[:12, :12], trees)
+    for (_, n), vec, gam in zip(trees, g, gamma):
+        assert abs(ode_core._B @ vec - 1 / gam) <= 1e-14
+        if n <= 5:
+            assert abs(ode_core._E5 @ vec) <= 1e-14
+        if n <= 3:
+            assert abs(ode_core._E3 @ vec) <= 1e-14
+    # the dense output is of order 7 at every theta: read its stage weights
+    # off sample() with one coefficient column per stage
+    g, gamma = _elementary_weights(ode_core._A, trees)
+    b = np.zeros(16)
+    b[:12] = ode_core._B
+    first, end = np.eye(16)[0], np.eye(16)[12]
+    coefficients = np.array([b, first - b, 2 * b - end - first, *ode_core._D])
+    unit_step = ode_core.DenseSolution(
+        ts=np.array([0.0, 1.0]), ys=np.zeros((2, 16)), fs=np.zeros((2, 16)),
+        dense=coefficients[None],
+    )
+    for theta in (0.1, 0.3, 0.5, 0.77, 0.95):
+        weights = sample(unit_step, theta).real
+        for (_, n), vec, gam in zip(trees, g, gamma):
+            if n <= 7:
+                assert abs(weights @ vec - theta**n / gam) <= 1e-14
 
 
 def _lotka_volterra(t, y):
     return np.array([y[0] * (1.0 - y[1]), y[1] * (y[0] - 1.0)], dtype=complex)
 
 
-def _one_step_interpolation_error(h, t0=0.5):
+def _one_step_interpolation_error(h, t0=0.4):
     # loose tolerances and knots at multiples of h make every step after the
     # first knot exactly h long; the step from t0 is compared with a tight
     # solve from the same start, sampled at its own knots
@@ -224,23 +230,35 @@ def _one_step_interpolation_error(h, t0=0.5):
     )
 
 
-def test_interpolation_error_is_fifth_order_in_the_step():
-    errors = [_one_step_interpolation_error(h) for h in (0.1, 0.05, 0.025)]
+def test_interpolation_error_is_eighth_order_in_the_step():
+    # at h = 0.05 the error is already at roundoff
+    errors = [_one_step_interpolation_error(h) for h in (0.4, 0.2, 0.1)]
     for coarse, fine in zip(errors, errors[1:]):
-        assert coarse / fine >= 24.0
+        assert coarse / fine >= 128.0
 
 
-def test_rhs_calls_are_stages_plus_one_per_accepted_step():
+def test_rhs_calls_are_stages_per_attempt_plus_four_per_accepted_step():
     sol = integrate(IvpSpec(rhs=_lotka_volterra, y0=[1.5, 0.7], t_end=3.0))
     accepted = len(sol.ts) - 1
-    assert sol.ys_mid.shape == sol.ys[1:].shape
-    assert sol.n_rhs_evals == 1 + 5 * sol.n_steps + accepted
+    assert accepted < sol.n_steps  # some steps were rejected
+    assert sol.dense.shape == (accepted, 7, 2)
+    # eleven new stages per attempted step; an accepted one adds its end
+    # derivative and the three dense-output stages
+    assert sol.n_rhs_evals == 1 + 11 * sol.n_steps + 4 * accepted
 
 
-def test_without_dense_refine_no_midpoints_are_kept():
+def test_without_dense_refine_no_dense_output_is_kept():
     sol = integrate(
         IvpSpec(rhs=_lotka_volterra, y0=[1.5, 0.7], t_end=3.0, dense_refine=False)
     )
-    assert sol.ys_mid is None
+    assert sol.dense is None
+    assert sol.n_rhs_evals == 1 + 11 * sol.n_steps + len(sol.ts) - 1
     # the cubic Hermite alone interpolates, exactly at the nodes
     assert np.array_equal(sample(sol, float(sol.ts[3])), sol.ys[3])
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_sample_at_a_non_finite_time_is_out_of_domain(t):
+    sol = integrate(IvpSpec(rhs=lambda t, y: -y, y0=[1.0], t_end=1.0))
+    with pytest.raises(OutOfDomain, match="outside solved span"):
+        sample(sol, t)
