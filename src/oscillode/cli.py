@@ -114,10 +114,10 @@ def _cmd_solve(args):
     grid = np.linspace(0.0, t_end, args.grid)
     expansion = build_expansion(registered.problem, order=order, delta_min=args.delta_min)
     solve_nonoscillatory_chain(expansion, t_end, knots=grid)
+    table = expansion.table(grid, order)
     lines = ["t,omega,s,component,y_re,y_im"]
     for omega in args.omega:
-        for t in grid:
-            y = expansion.evaluate_truncated(float(t), omega, order)
+        for t, y in zip(grid, table.evaluate(omega, order)):
             for comp, z in enumerate(y, start=1):
                 lines.append(
                     "%.17g,%.17g,%d,%d,%.17g,%.17g"

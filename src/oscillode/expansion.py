@@ -23,9 +23,11 @@ algebraic node also subtracts the matching derivative of the node one level
 down, over (i sigma).  Lists are summed in a frame: the values known at one
 time t, keyed by the same (node key, order) pairs, and the field's point at
 the base state there, made when a term first needs it.  A chain right-hand
-side seeds its frame with the stage states; an evaluation call's frame holds
-the values memoized for its t, and takes every level's zero-frequency value
-from one sample of the stacked chain solution.
+side seeds its frame with the stage states.  An evaluation frame starts
+empty and takes every level's zero-frequency value from one sample of the
+stacked chain solution.  No coefficient depends on omega: ``Expansion.table``
+keeps a grid's coefficients in a caller-owned ``CoefficientTable``
+(``coefficient_table``), whose truncated sums at any omega are numpy alone.
 """
 
 from __future__ import annotations
@@ -129,16 +131,12 @@ class CoefficientNode:
     # derivative order -> (coef, n, args) terms, built on first use
     _term_lists: dict = dataclass_field(default_factory=dict)
 
-    @property
-    def key(self):
-        return (self.r, self.label.canonical_tuple)
-
 
 class _Frame:
     """The values known at one time t, keyed by (node key, order) pairs.
 
     ``point`` is the field at the base trajectory's value at t, made on
-    first use.  A frame lives for one call; only its values are memoized.
+    first use.  A frame lives for one time of one call.
     """
 
     __slots__ = ("t", "values", "point")
@@ -160,12 +158,10 @@ class Expansion:
         self.order = order
         self.index_sets = index_sets  # levels 0..order+1
         self.nodes = nodes
-        # every (node key, order) pair made once: term arguments and memo keys
+        # every (node key, order) pair made once: term arguments and frame keys
         self._args = {}
         self._base = self._arg((0, ()), 0)
         self._base_rate = self._arg((0, ()), 1)
-        # evaluation memo: t -> {(node key, order): value}
-        self._memo = {}
 
     def node(self, r, label_tuple):
         return self.nodes[(r, tuple(label_tuple))]
@@ -197,12 +193,10 @@ class Expansion:
                     f"node (r={node.r}, m={format_label(key[1])}) has no solution; "
                     "run solve_nonoscillatory_chain first"
                 )
-            # one sample of the stacked state gives every level's value; the
-            # slices are copied, which the memo holds in less memory than
-            # views that keep the stacked sample alive
+            # one sample of the stacked state gives every level's value
             y = sample(self.chain_solution, frame.t)
             for arg, part in _chain_layout(self):
-                frame.values[arg] = y[part].copy()
+                frame.values[arg] = y[part]
             return frame.values[(key, 0)]
         total = np.zeros(self.problem.dimension, dtype=complex)
         if node.has_lower_derivative:
@@ -257,10 +251,10 @@ class Expansion:
         return self.coefficient_derivative(r, label, t, order=0)
 
     def coefficient_derivative(self, r, label, t, order=1):
-        if order < 0:
-            raise ValueError(f"derivative order={order} must be nonnegative")
+        if not float(order).is_integer() or order < 0:
+            raise ValueError(f"derivative order={order!r} must be a nonnegative integer")
         t = _finite_time(t)
-        key = (r, _as_tuple(label))
+        key = (r, label.canonical_tuple if hasattr(label, "canonical_tuple") else tuple(label))
         if key not in self.nodes:
             if not 0 <= r <= self.order:
                 raise ValueError(f"r={r} is outside 0..{self.order}, the built order")
@@ -269,44 +263,39 @@ class Expansion:
                 f"label {format_label(key[1])} is not in level {r}'s index set; its labels "
                 f"are {', '.join(format_label(tup) for tup in present)}"
             )
-        frame = _Frame(t, self._memo.get(t, {}))
-        value = self._value(frame, self._arg(key, int(order))).copy()
-        self._memo[t] = frame.values
-        return value
+        return self._value(_Frame(t, {}), self._arg(key, int(order)))
+
+    def table(self, ts, s=None):
+        """Every coefficient of levels 0..s (default: the built order) at each
+        time in ``ts``, one fresh frame per time; the table serves every omega."""
+        # imported here: a build-only process then never compiles it, and peaks lower
+        from .coefficient_table import CoefficientTable
+        s = self.order if s is None else s
+        if not 0 <= s <= self.order:
+            raise ValueError(f"s={s} is outside 0..{self.order}, the built order")
+        ts = [_finite_time(t) for t in np.ravel(ts)]
+        labels = [[self.nodes[(0, ())].label]] + [self.labels_at(r) for r in range(1, s + 1)]
+        d = self.problem.dimension
+        values = [np.empty((len(ts), len(level), d), dtype=complex) for level in labels]
+        for i, t in enumerate(ts):
+            frame = _Frame(t, {})
+            for r, level in enumerate(labels):
+                for m, label in enumerate(level):
+                    values[r][i, m] = self._value(frame, self._arg((r, label.canonical_tuple), 0))
+        sigmas = [np.array([label.float_value for label in level]) for level in labels]
+        return CoefficientTable(np.array(ts), sigmas, values)
 
     def evaluate_truncated(self, t, omega, s):
         """Partial sum through level s at time t and parameter omega."""
-        if not 0 <= s <= self.order:
-            raise ValueError(f"s={s} is outside 0..{self.order}, the built order")
-        omega = float(omega)
-        if not (math.isfinite(omega) and omega > 0):
-            raise ValueError(f"omega={omega!r} must be finite and positive")
-        t = _finite_time(t)
-        frame = _Frame(t, self._memo.get(t, {}))
-        y = self._value(frame, self._base).copy()
-        for r in range(1, s + 1):
-            acc = np.zeros(self.problem.dimension, dtype=complex)
-            for label in self.labels_at(r):
-                value = self._value(frame, self._arg((r, label.canonical_tuple), 0))
-                acc = acc + value * np.exp(1j * label.float_value * omega * t)
-            y = y + acc / omega**r
-        self._memo[t] = frame.values
-        return y
+        return self.table([t], s).evaluate(omega, s)[0]
 
 
 def _finite_time(t):
-    """``t`` as a float; a NaN or infinite time would key a memo entry that
-    no later call can match."""
+    """``t`` as a float; at a NaN or infinite time a forcing coefficient is NaN."""
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"t={t!r} must be finite")
     return t
-
-
-def _as_tuple(label):
-    if hasattr(label, "canonical_tuple"):
-        return label.canonical_tuple
-    return tuple(label)
 
 
 # -- construction ---------------------------------------------------------------
@@ -413,26 +402,16 @@ def _level_terms(chain, r, basis, kappas):
 # -- solving ----------------------------------------------------------------------
 
 
-def solve_nonoscillatory_chain(
-    expansion,
-    t_end,
-    abs_tol=1e-12,
-    rel_tol=1e-12,
-    knots=None,
-    dense_refine=True,
-    max_steps=10_000_000,
-    max_step=None,
-):
+def solve_nonoscillatory_chain(expansion, t_end, abs_tol=1e-12, rel_tol=1e-12, knots=None):
     """Solve the zero-frequency ODE nodes of every level on [0, t_end].
 
     Each level's initial condition is the negated sum of that level's
     oscillatory coefficients at the origin, so all terms cancel there.  All
     levels are one system on the stacked state [p_00, p_10, ..., p_R0], so
     one step sequence, with error control over the whole state, serves
-    every level.  Steps are uncapped unless ``max_step`` is given: evaluation
+    every level.  Step sizes are set by the tolerances alone: evaluation
     takes derivatives from the term lists, never from the interpolant.
     """
-    expansion._memo.clear()
     system = _ChainSystem(expansion)
     try:
         ics = system.initial_values()
@@ -444,9 +423,6 @@ def solve_nonoscillatory_chain(
                 abs_tol=abs_tol,
                 rel_tol=rel_tol,
                 knots=knots,
-                dense_refine=dense_refine,
-                max_steps=max_steps,
-                max_step=max_step,
             )
         )
     except Exception as err:

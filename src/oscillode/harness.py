@@ -238,11 +238,12 @@ def run_error_study(
 ):
     """Truncation-error samples for each (s, omega) pair on a uniform grid."""
     registered = _resolve(problem)
-    omegas = tuple(float(w) for w in (omegas or registered.omegas))
-    if not omegas:
-        raise ValueError("at least one omega required")
+    omegas = tuple(float(w) for w in (registered.omegas if omegas is None else omegas))
     order = order if order is not None else registered.default_order
-    s_values = tuple(s_values if s_values is not None else range(order + 1))
+    s_values = tuple(range(order + 1) if s_values is None else s_values)
+    for name, values in (("omegas", omegas), ("s_values", s_values)):
+        if not values:
+            raise ValueError(f"{name} is empty; pass None for the default")
     if max(s_values) > order:
         raise ValueError(f"requested s={max(s_values)} above built order {order}")
     t_end = float(t_end if t_end is not None else registered.t_end)
@@ -251,17 +252,14 @@ def run_error_study(
     if expansion is None:
         expansion = _build_solved(registered, order, t_end, grid, chain_abs, chain_rel, delta_min)
 
+    table = expansion.table(grid, max(s_values))
     errors = {}
-    reference_kind = None
     for omega in omegas:
         ref, reference_kind = reference_values(
             registered, omega, grid, tol_abs, tol_rel, cache_dir
         )
         for s in s_values:
-            approx = np.array(
-                [expansion.evaluate_truncated(float(t), omega, s) for t in grid]
-            )
-            errors[(s, omega)] = ref - approx
+            errors[(s, omega)] = ref - table.evaluate(omega, s)
     return ErrorReport(
         problem=registered.name,
         grid=grid,
@@ -290,6 +288,8 @@ def error_report_csv(report):
 
 def fit_slopes(report):
     """Least-squares slope of log sup-error against log omega, per s."""
+    if len(set(report.omegas)) < 2:
+        raise ValueError(f"a slope needs two distinct omegas, not {report.omegas}")
     slopes = {}
     for s in report.s_values:
         xs = [math.log(w) for w in report.omegas]
@@ -385,11 +385,13 @@ def compare_cost(
     chain = expansion.chain_solution
     chain_kb = _kb(chain.ts, chain.ys, chain.fs, chain.dense)
     rows = [("expansion_build", float("nan"), build_s, chain_kb, 0)]
+    # the first evaluation also pays for the table that serves every omega
+    table_s, table = _timed(lambda: expansion.table(grid, s))
     for omega in omegas:
-        seconds, values = _timed(
-            lambda: np.array([expansion.evaluate_truncated(float(t), omega, s) for t in grid])
-        )
-        rows.append(("expansion_eval", omega, seconds, _kb(values), grid.size))
+        seconds, values = _timed(lambda: table.evaluate(omega, s))
+        kb = _kb(table.ts, *table.values, values)
+        rows.append(("expansion_eval", omega, seconds + table_s, kb, grid.size))
+        table_s = 0.0
     for omega in omegas:
         seconds, (values, solution) = _timed(
             lambda: _rk_reference(registered, omega, grid, tol_abs, tol_rel)
@@ -399,18 +401,8 @@ def compare_cost(
             _write_cached(path, grid, values)
         kb = _kb(solution.ts, solution.ys, solution.fs, values)
         rows.append(("rk_reference", omega, seconds, kb, grid.size))
-    report = CostReport(problem=registered.name, s=s, build_count=1)
-    for method, omega, seconds, peak_kb, points in rows:
-        report.rows.append(
-            {
-                "method": method,
-                "omega": omega,
-                "seconds": seconds,
-                "peak_kb": peak_kb,
-                "points": points,
-            }
-        )
-    return report
+    keys = ("method", "omega", "seconds", "peak_kb", "points")
+    return CostReport(registered.name, s, [dict(zip(keys, row)) for row in rows], build_count=1)
 
 
 def cost_report_csv(report):

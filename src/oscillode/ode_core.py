@@ -13,7 +13,6 @@ continuous extension instead.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,7 +241,6 @@ class IvpSpec:
     max_steps: int = 10_000_000
     knots: object = None
     dense_refine: bool = True
-    max_step: float | None = None
 
     def __post_init__(self):
         if self.t_end <= 0:
@@ -322,7 +320,6 @@ def integrate(spec: IvpSpec) -> DenseSolution:
     h = _initial_step(y, f, t_end, spec.abs_tol, spec.rel_tol)
     k = np.empty((16, y.size), dtype=complex)
     n_steps = 0
-    h_cap = spec.max_step if spec.max_step else math.inf
 
     def stage(i, y_stage):
         k[i] = rhs(t + _C[i] * h, y_stage)
@@ -334,7 +331,7 @@ def integrate(spec: IvpSpec) -> DenseSolution:
     while t < t_end:
         if n_steps >= spec.max_steps:
             raise MaxStepsExceeded(f"exceeded {spec.max_steps} steps at t={t:.6g}")
-        h = min(h, h_cap, t_end - t)
+        h = min(h, t_end - t)
         if knots is not None:
             while knot_pos < knots.size and knots[knot_pos] <= t + 1e-14:
                 knot_pos += 1

@@ -283,7 +283,7 @@ def test_criterion_7_cost_flatness(capsys, linear_setup):
             expansion.evaluate_truncated(float(t), omega, 4)
         return time.process_time() - t0
 
-    # warm pass fills the coefficient cache shared by every omega
+    # a first pass builds the nodes' derivative term lists, which every omega shares
     eval_time(500.0)
     pairs = [(eval_time(500.0), eval_time(5000.0)) for _ in range(15)]
     ratio = statistics.median(hi / lo for lo, hi in pairs)

@@ -1,8 +1,10 @@
-"""Coefficient evaluation: input checks, the memo, field points, and a property
-over random small problems that ties evaluation to the chain solve."""
+"""Coefficient evaluation: input checks, what a call leaves behind, coefficient
+tables, field points, and a property over random small problems that ties
+evaluation to the chain solve."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ def count_points(monkeypatch):
     return calls
 
 
-# -- inputs and the memo --------------------------------------------------------------
+# -- inputs and what a call leaves behind ---------------------------------------------
 
 
 def test_coefficient_at_a_level_above_the_built_order_is_rejected():
@@ -61,8 +63,17 @@ def test_coefficient_with_a_label_outside_the_index_set_is_rejected():
     assert str(info.value).endswith("its labels are 0")
 
 
-def test_a_call_that_raises_leaves_no_memo_entry():
+def _state(ex):
+    """Each attribute of the expansion with its identity and size, and the
+    number of term lists of each node: what a call could leave behind."""
+    attrs = {name: (id(v), len(v) if hasattr(v, "__len__") else None) for name, v in vars(ex).items()}
+    return attrs, {key: len(node._term_lists) for key, node in ex.nodes.items()}
+
+
+def test_a_call_that_raises_leaves_no_state():
     ex = solved_worked_example(order=2)
+    ex.evaluate_truncated(0.25, 100.0, 2)  # builds the term lists later calls use
+    before = _state(ex)
     with pytest.raises(ValueError):
         ex.coefficient_value(5, (1,), 0.5)
     with pytest.raises(OutOfDomain):
@@ -70,14 +81,22 @@ def test_a_call_that_raises_leaves_no_memo_entry():
     for k in range(20):
         with pytest.raises(OutOfDomain):
             ex.coefficient_value(2, (1,), 2.0 + k)
-    assert ex._memo == {}
+    with pytest.raises(OutOfDomain):
+        ex.table([0.5, 7.0])
+    assert _state(ex) == before
     ex.evaluate_truncated(0.5, 100.0, 2)
-    assert list(ex._memo) == [0.5]
+    ex.table([0.1, 0.2]).evaluate(100.0, 2)
+    assert _state(ex) == before
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
-def test_a_non_finite_time_is_rejected_before_the_memo(t):
+def test_a_non_finite_time_is_rejected_before_any_sample(t, monkeypatch):
     ex = solved_worked_example(order=2)
+    ex.evaluate_truncated(0.25, 100.0, 2)
+    before = _state(ex)
+    calls = []
+    original = expansion_module.sample
+    monkeypatch.setattr(expansion_module, "sample", lambda *args: calls.append(1) or original(*args))
     with pytest.raises(ValueError, match="must be finite"):
         ex.coefficient_value(0, (), t)
     with pytest.raises(ValueError, match="must be finite"):
@@ -85,7 +104,10 @@ def test_a_non_finite_time_is_rejected_before_the_memo(t):
     for _ in range(3):
         with pytest.raises(ValueError, match="must be finite"):
             ex.evaluate_truncated(t, 100.0, 2)
-    assert ex._memo == {}
+    with pytest.raises(ValueError, match="must be finite"):
+        ex.table([0.5, t])
+    assert calls == []
+    assert _state(ex) == before
 
 
 # -- samples of the chain -----------------------------------------------------------------
@@ -108,11 +130,68 @@ def test_one_chain_sample_per_cold_evaluation(linear_order_four, monkeypatch):
         return original(solution, t)
 
     monkeypatch.setattr(expansion_module, "sample", sample)
+    # every time of a table is cold; its sums at any omega are warm
+    ts = np.linspace(0.1, 4.9, 7)
+    table = ex.table(ts)
+    assert len(calls) == len(ts)
+    assert all(solution is ex.chain_solution for solution in calls)
+    for omega in (7.5, 1000.0, 2000.0):
+        for s in range(ex.order + 1):
+            table.evaluate(omega, s)
+    assert len(calls) == len(ts)
     ex.evaluate_truncated(1.2345, 1000.0, 4)
-    assert len(calls) == 1
-    assert calls[0] is ex.chain_solution
-    ex.evaluate_truncated(1.2345, 2000.0, 4)
-    assert len(calls) == 1
+    assert len(calls) == len(ts) + 1
+
+
+def test_memory_stays_bounded_over_many_evaluation_times(linear_order_four):
+    ex = linear_order_four
+    ts = np.random.default_rng(3).uniform(0.0, 5.0, 2000).tolist()
+    ex.evaluate_truncated(ts[0], 1000.0, 4)  # builds the term lists
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        for t in ts:
+            ex.evaluate_truncated(t, 1000.0, 4)
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024
+
+
+def _pointwise_sum(coefficients, labels, t, omega, s):
+    """The truncated sum at one time, label by label, from coefficient values."""
+    y = coefficients[(0, ())]
+    for r in range(1, s + 1):
+        acc = np.zeros(y.shape, dtype=complex)
+        for label in labels[r]:
+            acc = acc + coefficients[(r, label.canonical_tuple)] * np.exp(
+                1j * label.float_value * omega * t
+            )
+        y = y + acc / omega**r
+    return y
+
+
+@pytest.mark.parametrize(
+    "name, order, t_end", [("linear_example", 4, 5.0), ("memristor", 3, 3.0)]
+)
+def test_table_sums_equal_the_pointwise_sum(name, order, t_end):
+    ex = build_expansion(get_problem(name).problem, order=order)
+    knots = np.linspace(0.0, t_end, 9)
+    solve_nonoscillatory_chain(ex, t_end, knots=knots)
+    ts = np.concatenate([knots, np.random.default_rng(11).uniform(0.0, t_end, 16)])
+    labels = {r: ex.labels_at(r) for r in range(1, order + 1)}
+    keys = [(0, ())] + [(r, lab.canonical_tuple) for r in labels for lab in labels[r]]
+    coefficients = [{key: ex.coefficient_value(*key, t) for key in keys} for t in ts.tolist()]
+    table = ex.table(ts)
+    for omega in (120.0, 1000.0, 7777.7):
+        for s in range(order + 1):
+            want = np.array(
+                [_pointwise_sum(c, labels, t, omega, s) for c, t in zip(coefficients, ts.tolist())]
+            )
+            assert np.array_equal(table.evaluate(omega, s), want)
+            assert np.array_equal([ex.evaluate_truncated(t, omega, s) for t in ts], want)
+    with pytest.raises(ValueError, match=r"s=2 is outside 0\.\.1, the levels of the table"):
+        ex.table(ts, 1).evaluate(100.0, 2)
 
 
 def test_chain_values_equal_each_levels_own_sample(linear_order_four):
@@ -130,14 +209,20 @@ def test_chain_values_equal_each_levels_own_sample(linear_order_four):
 
 def test_one_field_point_per_cold_evaluation_and_none_when_warm(count_points):
     ex = solved_worked_example(order=3)
+    ts = [0.37, 0.5, 0.61]
     count_points.clear()
+    table = ex.table(ts)
+    assert len(count_points) == len(ts)
+    for omega in (300.0, 900.0):
+        for s in range(ex.order + 1):
+            table.evaluate(omega, s)
+    assert len(count_points) == len(ts)
     ex.evaluate_truncated(0.37, 300.0, 3)
-    assert len(count_points) == 1
-    ex.evaluate_truncated(0.37, 900.0, 3)
+    assert len(count_points) == len(ts) + 1
     ex.coefficient_value(3, (1, 1), 0.37)
-    assert len(count_points) == 1
+    assert len(count_points) == len(ts) + 2
     ex.coefficient_derivative(3, (1, 1), 0.61, order=2)
-    assert len(count_points) == 2
+    assert len(count_points) == len(ts) + 3
 
 
 def test_one_field_point_per_chain_right_hand_side(count_points):

@@ -544,6 +544,12 @@ def test_coefficient_derivative_rejects_negative_order(memristor_solved, r, labe
         memristor_solved.coefficient_derivative(r, label, 1.0, order=-1)
 
 
+@pytest.mark.parametrize("order", [0.5, 1.5, math.inf, math.nan])
+def test_coefficient_derivative_rejects_a_fractional_order(memristor_solved, order):
+    with pytest.raises(ValueError, match=f"order={order!r} must be a nonnegative integer"):
+        memristor_solved.coefficient_derivative(1, (1,), 0.5, order=order)
+
+
 def test_duplicate_frequencies_rejected():
     basis = FrequencyBasis([1.0], names=("1",))
     k1 = BaseFrequency(1, basis, coords=(1,))
@@ -628,11 +634,14 @@ def test_user_field_without_jet_gives_the_same_expansion():
 )
 def test_chain_levels_share_one_step_sequence_and_match_their_derivatives(make_problem, order):
     ex = build_expansion(make_problem(), order=order)
+    attributes = set(vars(ex))
     solve_nonoscillatory_chain(ex, t_end=1.0)
     solutions = [ex.nodes[(r, ())].solution for r in range(order + 1)]
-    # one integration for every level, and nothing cached by the solve
+    # one integration for every level, and nothing cached by the solve: it
+    # adds the chain solution alone, and interns no key but a node's
     assert all(sol.ts is solutions[0].ts for sol in solutions)
-    assert ex._memo == {}
+    assert set(vars(ex)) == attributes | {"chain_solution"}
+    assert all(key in ex.nodes for key, _ in ex._args)
     # every stored derivative is the level's right-hand side at that node
     for r, sol in enumerate(solutions):
         want = np.array([ex.coefficient_derivative(r, (), t) for t in sol.ts])

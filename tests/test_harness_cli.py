@@ -176,6 +176,22 @@ def test_slope_fit_on_synthetic_report():
     assert slopes[1] == pytest.approx(-2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["omegas", "s_values"])
+def test_an_empty_study_input_is_rejected(name):
+    with pytest.raises(ValueError, match=f"{name} is empty; pass None for the default"):
+        run_error_study("linear_example", grid_n=5, t_end=0.5, order=1, **{name: ()})
+
+
+@pytest.mark.parametrize("omegas", [(500.0,), (500.0, 500.0)])
+def test_a_slope_needs_two_distinct_omegas(omegas):
+    report = run_error_study("linear_example", omegas=omegas, s_values=(0,), grid_n=9, order=1)
+    with pytest.raises(ValueError, match="a slope needs two distinct omegas"):
+        fit_slopes(report)
+    with pytest.raises(ValueError, match="a slope needs two distinct omegas"):
+        cli_main(["slope", "--problem", "linear_example", "--grid", "9"]
+                 + [arg for w in omegas for arg in ("--omega", str(w))])
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
