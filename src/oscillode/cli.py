@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 
+from .errors import OscillodeError
 from .expansion import build_expansion, dump_expansion, solve_nonoscillatory_chain
 from .freq_algebra import build_index_chain, format_index_table
 from .harness import (
@@ -239,7 +240,11 @@ _COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, OscillodeError) as err:
+        sys.stderr.write(f"oscillode: error: {err}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -438,8 +438,9 @@ def solve_nonoscillatory_chain(expansion, t_end, abs_tol=1e-12, rel_tol=1e-12, k
             ts=solution.ts,
             ys=solution.ys[:, part],
             fs=solution.fs[:, part],
-            dense=None if solution.dense is None else solution.dense[:, :, part],
+            dense=solution.dense[:, :, part],
             n_steps=solution.n_steps,
+            n_accepted=solution.n_accepted,
             n_rhs_evals=solution.n_rhs_evals,
         )
         node.initial_value = ic

@@ -198,12 +198,12 @@ def reference_values(
 
 
 def _rk_reference(registered, omega, grid, tol_abs, tol_rel):
-    """Integrated reference values on the grid, and the dense solution behind them."""
+    """Reference values on the grid, and the knots-only solution behind them."""
     solution = integrate(
         IvpSpec(
             rhs=_oscillatory_rhs(registered.problem, omega),
             y0=registered.problem.y0,
-            t_end=float(grid[-1]),
+            t_end=float(grid.max()),
             abs_tol=tol_abs / REFERENCE_SAFETY,
             rel_tol=tol_rel / REFERENCE_SAFETY,
             knots=grid,
@@ -370,8 +370,8 @@ def compare_cost(
     is always integrated (a cache hit would time a file read) and then
     written to ``cache_dir``.  ``peak_kb`` is the size of the arrays a step
     holds when it ends, read off the arrays in the same pass: the build's
-    chain dense output, an evaluation's grid values, and a reference's dense
-    output plus its grid values.
+    chain dense output, an evaluation's coefficient table and grid values,
+    and a reference's stored grid states plus its grid values.
     """
     registered = _resolve(problem)
     omegas = tuple(float(w) for w in omegas)
@@ -425,18 +425,9 @@ def check_reference_consistency(problem, omega, grid_n=129, t_end=None, bound=1e
     exact = np.array(
         [exact_linear_solution(registered.linear, omega)(float(t)) for t in grid]
     )
-    solution = integrate(
-        IvpSpec(
-            rhs=_oscillatory_rhs(registered.problem, omega),
-            y0=registered.problem.y0,
-            t_end=t_end,
-            abs_tol=1e-12,
-            rel_tol=1e-12,
-            knots=grid,
-            dense_refine=False,
-        )
-    )
-    rk = np.array([sample(solution, float(t)) for t in grid])
+    # a local tolerance of 1e-12, as _rk_reference divides by the safety factor
+    tol = 1e-12 * REFERENCE_SAFETY
+    rk, _ = _rk_reference(registered, omega, grid, tol, tol)
     worst = float(np.max(np.abs(rk - exact)))
     if worst > bound:
         raise AssertionError(

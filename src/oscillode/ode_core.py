@@ -4,10 +4,10 @@ States are complex vectors.  Each step evaluates the twelve stages of the
 eighth-order method of Hairer, Norsett and Wanner (Solving ODEs I, II.10);
 the end derivative f(t+h, y_new) of an accepted step is the first stage of
 the next (FSAL).  The step controller uses the method's combined fifth- and
-third-order error estimate.  Accepted steps store the state and derivative
-at both ends, which yields a cubic Hermite interpolant; with dense output
-on, three more stages per accepted step give the method's seventh-order
-continuous extension instead.
+third-order error estimate.  With dense output on, three more stages per
+accepted step give the method's seventh-order continuous extension; off,
+only the states at t = 0, the knots and t_end are kept, so memory grows
+with the knots, not with the steps.
 """
 
 from __future__ import annotations
@@ -224,13 +224,13 @@ _ORDER_EXP = 0.125  # 1/8
 class IvpSpec:
     """Initial value problem y' = rhs(t, y) on [0, t_end].
 
-    ``knots`` is an optional increasing array of times the integrator must
-    land on exactly, so samples there carry no interpolation error.
+    ``knots`` is an optional array of times, in any order, the integrator
+    must land on exactly, so samples there carry no interpolation error.
 
-    With ``dense_refine`` on, every accepted step also records the seven
+    With ``dense_refine`` on, every accepted step is stored with the seven
     coefficients of its seventh-order interpolant in ``dense`` (three more
-    right-hand-side calls per step), which makes samples between nodes
-    O(h^8) instead of O(h^4).  Off, memory stays at the nodes.
+    right-hand-side calls per step), so it can be sampled anywhere.  Off,
+    only the states at t = 0, the knots and t_end are kept and sampled.
     """
 
     rhs: object
@@ -251,7 +251,9 @@ class IvpSpec:
 
 @dataclass
 class DenseSolution:
-    """Step ends with derivatives, plus each step's interpolant if recorded.
+    """Stored states with derivatives (without ``dense``, at t = 0, the knots
+    and t_end only), plus each step's interpolant if recorded.  ``n_steps``
+    counts attempted steps and ``n_accepted`` accepted ones.
 
     ``dense[i]`` holds the seven coefficient vectors F_0..F_6 of the step
     from ``ts[i]``; at s = (t - ts[i]) / h and u = 1 - s the value there is
@@ -264,6 +266,7 @@ class DenseSolution:
     fs: np.ndarray
     dense: np.ndarray | None = None
     n_steps: int = 0
+    n_accepted: int = 0
     n_rhs_evals: int = 0
 
     @property
@@ -308,18 +311,18 @@ def integrate(spec: IvpSpec) -> DenseSolution:
     f = np.asarray(rhs(t, y), dtype=complex)
     n_evals = 1
 
-    knots = None
+    # sorted as Python floats: np.unique imports numpy.ma (about 1 MB) and
+    # np.sort's first call grows the process by 128 KB; repeats are skipped
+    knots = [] if spec.knots is None else np.asarray(spec.knots, dtype=float).tolist()
+    knots = [tk for tk in sorted(knots) if 0.0 < tk < t_end]
     knot_pos = 0
-    if spec.knots is not None:
-        knots = np.asarray(spec.knots, dtype=float)
-        knots = knots[(knots > 0.0) & (knots < t_end)]
 
     ts, ys, fs = [0.0], [y.copy()], [f.copy()]
     dense = [] if spec.dense_refine else None
 
     h = _initial_step(y, f, t_end, spec.abs_tol, spec.rel_tol)
     k = np.empty((16, y.size), dtype=complex)
-    n_steps = 0
+    n_steps = n_accepted = 0
 
     def stage(i, y_stage):
         k[i] = rhs(t + _C[i] * h, y_stage)
@@ -331,12 +334,14 @@ def integrate(spec: IvpSpec) -> DenseSolution:
     while t < t_end:
         if n_steps >= spec.max_steps:
             raise MaxStepsExceeded(f"exceeded {spec.max_steps} steps at t={t:.6g}")
+        # a step cut to end on a knot or on t_end ends there exactly
+        stop = t_end if h >= t_end - t else None
         h = min(h, t_end - t)
-        if knots is not None:
-            while knot_pos < knots.size and knots[knot_pos] <= t + 1e-14:
-                knot_pos += 1
-            if knot_pos < knots.size and t + h > knots[knot_pos] - 1e-14:
-                h = knots[knot_pos] - t
+        while knot_pos < len(knots) and knots[knot_pos] <= t + 1e-14:
+            knot_pos += 1
+        if knot_pos < len(knots) and t + h > knots[knot_pos] - 1e-14:
+            stop = knots[knot_pos]
+            h = stop - t
         if t + h == t:
             raise StepUnderflow(f"step size underflow at t={t:.6g} (h={h:.3e})")
 
@@ -360,11 +365,13 @@ def integrate(spec: IvpSpec) -> DenseSolution:
                 # a BLAS buffer
                 rows = [dy, h * f - dy, 2 * dy - h * (k[12] + f)]
                 dense.append(np.array(rows + [h * (d @ k) for d in _D]))
-            t = t + h
+            t = t + h if stop is None else stop
             y, f = y_new, k[12].copy()
-            ts.append(t)
-            ys.append(y)
-            fs.append(f)
+            n_accepted += 1
+            if dense is not None or stop is not None:
+                ts.append(t)
+                ys.append(y)
+                fs.append(f)
 
         factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-_ORDER_EXP)
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
@@ -376,35 +383,29 @@ def integrate(spec: IvpSpec) -> DenseSolution:
         fs=np.array(fs),
         dense=None if dense is None else np.array(dense),
         n_steps=n_steps,
+        n_accepted=n_accepted,
         n_rhs_evals=n_evals,
     )
 
 
 def sample(solution: DenseSolution, t: float) -> np.ndarray:
-    """Value at ``t``: the step's seventh-order interpolant when ``dense`` is
-    recorded, else its cubic Hermite; exact at the nodes either way."""
+    """Value at ``t``: the stored state at a stored time, else the step's
+    seventh-order interpolant; without ``dense`` only stored times answer."""
     ts = solution.ts
     if not ts[0] - 1e-12 <= t <= ts[-1] + 1e-12:
         raise OutOfDomain(f"t={t:.6g} outside solved span [{ts[0]:.6g}, {ts[-1]:.6g}]")
     t = min(max(t, float(ts[0])), float(ts[-1]))
     i = bisect.bisect_right(ts, t) - 1
-    if i >= ts.size - 1:
-        return solution.ys[-1].copy()
     if t == ts[i]:
         return solution.ys[i].copy()
-    h = float(ts[i + 1] - ts[i])
-    s = (t - float(ts[i])) / h
-    if solution.dense is not None:
-        su = s * (1.0 - s)
-        w = np.array([s, su, s * su, su * su, s * su * su, su**3, s * su**3])
-        # elementwise, so a slice of the state samples to the same bits as
-        # the whole state
-        return solution.ys[i] + (w[:, None] * solution.dense[i]).sum(axis=0)
-    s2, s3 = s * s, s * s * s
-    ys, fs = solution.ys, solution.fs
-    return (
-        (2 * s3 - 3 * s2 + 1) * ys[i]
-        + (3 * s2 - 2 * s3) * ys[i + 1]
-        + h * (s3 - 2 * s2 + s) * fs[i]
-        + h * (s3 - s2) * fs[i + 1]
-    )
+    if solution.dense is None:
+        raise OutOfDomain(
+            f"t={t:.6g} is not a stored time; a solution without dense output "
+            "keeps only t = 0, the knots and t_end"
+        )
+    s = (t - float(ts[i])) / float(ts[i + 1] - ts[i])
+    su = s * (1.0 - s)
+    w = np.array([s, su, s * su, su * su, s * su * su, su**3, s * su**3])
+    # elementwise, so a slice of the state samples to the same bits as the
+    # whole state
+    return solution.ys[i] + (w[:, None] * solution.dense[i]).sum(axis=0)

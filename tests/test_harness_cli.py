@@ -18,6 +18,7 @@ from oscillode.harness import (
     reference_values,
     run_error_study,
 )
+from oscillode.linear_closed_form import exact_linear_solution
 from oscillode.problems import get_problem, load_problem_config
 from oscillode.svg import emit_svg
 
@@ -158,6 +159,38 @@ def test_reference_hierarchy_guard():
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize(
+    "grid", [[0.0, 0.5, 0.25, 1.0, 0.75, 1.5], [1.5, 1.25, 1.0, 0.5, 0.0]],
+    ids=["shuffled", "reversed"],
+)
+def test_an_unordered_grid_gets_an_accurate_reference(grid):
+    registered = get_problem("linear_example")
+    values, _ = reference_values(registered, 300.0, grid, method="rk")
+    exact = exact_linear_solution(registered.linear, 300.0)
+    for t, y in zip(grid, values):
+        assert float(np.max(np.abs(y - exact(t)))) <= 1e-9
+
+
+def test_reference_memory_does_not_grow_with_omega():
+    # ten times the omega takes about ten times the steps; a reference keeps
+    # only its grid's states, so its memory stays put
+    registered = get_problem("memristor")
+    grid = np.linspace(0.0, 3.0, 129)
+    harness._rk_reference(registered, 100.0, grid[:3], 1e-10, 1e-10)  # one-time allocations
+    peaks, steps = {}, {}
+    for omega in (100.0, 1000.0):
+        tracemalloc.start()
+        try:
+            _, solution = harness._rk_reference(registered, omega, grid, 1e-10, 1e-10)
+            peaks[omega] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solution.ts.tolist() == grid.tolist()
+        steps[omega] = solution.n_accepted
+    assert steps[1000.0] >= 5 * steps[100.0]
+    assert peaks[1000.0] <= 1.5 * peaks[100.0], peaks
+
+
 def test_slope_fit_on_synthetic_report():
     import dataclasses
 
@@ -183,13 +216,16 @@ def test_an_empty_study_input_is_rejected(name):
 
 
 @pytest.mark.parametrize("omegas", [(500.0,), (500.0, 500.0)])
-def test_a_slope_needs_two_distinct_omegas(omegas):
+def test_a_slope_needs_two_distinct_omegas(omegas, capsys):
     report = run_error_study("linear_example", omegas=omegas, s_values=(0,), grid_n=9, order=1)
     with pytest.raises(ValueError, match="a slope needs two distinct omegas"):
         fit_slopes(report)
-    with pytest.raises(ValueError, match="a slope needs two distinct omegas"):
-        cli_main(["slope", "--problem", "linear_example", "--grid", "9"]
-                 + [arg for w in omegas for arg in ("--omega", str(w))])
+    rc = cli_main(["slope", "--problem", "linear_example", "--grid", "9"]
+                  + [arg for w in omegas for arg in ("--omega", str(w))])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("oscillode: error: a slope needs two distinct omegas")
+    assert err.count("\n") == 1
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -313,6 +349,23 @@ def test_compare_cost_chain_row_counts_the_dense_output(monkeypatch):
     arrays = (chain.ts, chain.ys, chain.fs, chain.dense)
     assert report.rows[0]["method"] == "expansion_build"
     assert report.rows[0]["peak_kb"] == sum(a.nbytes for a in arrays) / 1024.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["errors", "--order", "9", "--grid", "9"], "requested s=9 above built order 4"),
+        (["table", "--problem", "worked_example", "-r", "3", "--delta-min", "10"],
+         "generated frequency 2 ~ 2.000e+00"),
+    ],
+    ids=["errors", "table"],
+)
+def test_cli_reports_bad_input_in_one_line(argv, message, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"oscillode: error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_problems_lists_builtins(capsys):

@@ -239,22 +239,46 @@ def test_interpolation_error_is_eighth_order_in_the_step():
 
 def test_rhs_calls_are_stages_per_attempt_plus_four_per_accepted_step():
     sol = integrate(IvpSpec(rhs=_lotka_volterra, y0=[1.5, 0.7], t_end=3.0))
-    accepted = len(sol.ts) - 1
-    assert accepted < sol.n_steps  # some steps were rejected
-    assert sol.dense.shape == (accepted, 7, 2)
+    # with dense output every accepted step is stored
+    assert sol.n_accepted == len(sol.ts) - 1
+    assert sol.n_accepted < sol.n_steps  # some steps were rejected
+    assert sol.dense.shape == (sol.n_accepted, 7, 2)
     # eleven new stages per attempted step; an accepted one adds its end
     # derivative and the three dense-output stages
-    assert sol.n_rhs_evals == 1 + 11 * sol.n_steps + 4 * accepted
+    assert sol.n_rhs_evals == 1 + 11 * sol.n_steps + 4 * sol.n_accepted
 
 
-def test_without_dense_refine_no_dense_output_is_kept():
+def test_without_dense_output_only_the_knots_are_kept():
+    # out of order and with a repeat; knots outside (0, t_end) are dropped
+    knots = [2.25, 0.5, -1.0, 1.0, 3.0, 0.5, 1.75, 7.0]
+    kept = [0.0, 0.5, 1.0, 1.75, 2.25, 3.0]
+    dense = integrate(IvpSpec(rhs=_lotka_volterra, y0=[1.5, 0.7], t_end=3.0, knots=knots))
     sol = integrate(
-        IvpSpec(rhs=_lotka_volterra, y0=[1.5, 0.7], t_end=3.0, dense_refine=False)
+        IvpSpec(rhs=_lotka_volterra, y0=[1.5, 0.7], t_end=3.0, knots=knots,
+                dense_refine=False)
     )
     assert sol.dense is None
-    assert sol.n_rhs_evals == 1 + 11 * sol.n_steps + len(sol.ts) - 1
-    # the cubic Hermite alone interpolates, exactly at the nodes
-    assert np.array_equal(sample(sol, float(sol.ts[3])), sol.ys[3])
+    assert sol.ts.tolist() == kept
+    # the same steps as with dense output, without its three extra stages
+    assert (sol.n_steps, sol.n_accepted) == (dense.n_steps, dense.n_accepted)
+    assert len(kept) - 1 < sol.n_accepted < sol.n_steps
+    assert sol.n_rhs_evals == 1 + 11 * sol.n_steps + sol.n_accepted
+    for i, t in enumerate(kept):
+        j = dense.ts.tolist().index(t)
+        assert np.array_equal(sol.ys[i], dense.ys[j])
+        assert np.array_equal(sol.fs[i], dense.fs[j])
+        # sampling at a stored time gives the stored state, bit for bit
+        assert np.array_equal(sample(sol, t), sol.ys[i])
+
+
+def test_without_dense_output_a_time_between_knots_is_out_of_domain():
+    sol = integrate(
+        IvpSpec(rhs=_lotka_volterra, y0=[1.5, 0.7], t_end=3.0, knots=[1.0],
+                dense_refine=False)
+    )
+    for t in (0.5, 1.0 + 1e-9, 2.999):
+        with pytest.raises(OutOfDomain, match="only t = 0, the knots and t_end"):
+            sample(sol, t)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
