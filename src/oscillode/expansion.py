@@ -20,14 +20,18 @@ entry of args is a (node key, order) pair naming a derivative of a
 coefficient.  One rule turns the list of order j into that of order j+1:
 (f_n[a_1..a_n])' = f_(n+1)[p_00', a_1..a_n] + sum_i f_n[.., a_i', ..].  An
 algebraic node also subtracts the matching derivative of the node one level
-down, over (i sigma).  Lists are summed in a frame: the values known at one
-time t, keyed by the same (node key, order) pairs, and the field's point at
-the base state there, made when a term first needs it.  A chain right-hand
-side seeds its frame with the stage states.  An evaluation frame starts
-empty and takes every level's zero-frequency value from one sample of the
-stacked chain solution.  No coefficient depends on omega: ``Expansion.table``
-keeps a grid's coefficients in a caller-owned ``CoefficientTable``
-(``coefficient_table``), whose truncated sums at any omega are numpy alone.
+down, over (i sigma).  The lists are compiled into a plan (``plan.Plan``): a
+straight-line program over integer slots whose steps are a forcing value,
+the field's point at the base state, or a term sum.  A plan holds no value;
+a call fills one fresh slot list per time.  The chain solve compiles one
+plan of every level's right-hand side, whose slots it seeds with the stage
+states.  The expansion compiles one plan of every level's coefficients on
+first use: seeded level by level it gives the initial values, and seeded
+from one sample of the stacked chain solution per time, the table.  A single
+coefficient or derivative compiles a plan of its own.  No coefficient
+depends on omega: ``Expansion.table`` keeps a grid's coefficients in a
+caller-owned ``CoefficientTable`` (``coefficient_table``), whose truncated
+sums at any omega are numpy alone.
 """
 
 from __future__ import annotations
@@ -132,21 +136,6 @@ class CoefficientNode:
     _term_lists: dict = dataclass_field(default_factory=dict)
 
 
-class _Frame:
-    """The values known at one time t, keyed by (node key, order) pairs.
-
-    ``point`` is the field at the base trajectory's value at t, made on
-    first use.  A frame lives for one time of one call.
-    """
-
-    __slots__ = ("t", "values", "point")
-
-    def __init__(self, t, values):
-        self.t = t
-        self.values = values
-        self.point = None
-
-
 class Expansion:
     """Node table plus index sets; evaluable once the ODE chain is solved."""
 
@@ -158,10 +147,11 @@ class Expansion:
         self.order = order
         self.index_sets = index_sets  # levels 0..order+1
         self.nodes = nodes
-        # every (node key, order) pair made once: term arguments and frame keys
+        # every (node key, order) pair made once: the term lists' arguments
         self._args = {}
-        self._base = self._arg((0, ()), 0)
         self._base_rate = self._arg((0, ()), 1)
+        # the plan of every level's coefficients, compiled on first use
+        self._levels_plan = None
 
     def node(self, r, label_tuple):
         return self.nodes[(r, tuple(label_tuple))]
@@ -174,45 +164,6 @@ class Expansion:
     def _arg(self, key, order):
         arg = (key, order)
         return self._args.setdefault(arg, arg)
-
-    def _value(self, frame, arg):
-        """Value at the frame's time of ``arg``, a (node key, order) pair."""
-        value = frame.values.get(arg)
-        if value is None:
-            value = frame.values[arg] = self._compute(frame, *arg)
-        return value
-
-    def _compute(self, frame, key, order):
-        node = self.nodes[key]
-        if node.kind == "forcing":
-            forcing = self.problem.forcings[node.forcing_index - 1]
-            return forcing.derivative(order, frame.t) / (1j * forcing.kappa.value)
-        if node.kind == "ode" and order == 0:
-            if self.chain_solution is None:
-                raise OutOfDomain(
-                    f"node (r={node.r}, m={format_label(key[1])}) has no solution; "
-                    "run solve_nonoscillatory_chain first"
-                )
-            # one sample of the stacked state gives every level's value
-            y = sample(self.chain_solution, frame.t)
-            for arg, part in _chain_layout(self):
-                frame.values[arg] = y[part]
-            return frame.values[(key, 0)]
-        total = np.zeros(self.problem.dimension, dtype=complex)
-        if node.has_lower_derivative:
-            pref = 1.0 / (1j * node.label.float_value)
-            total = total + (-pref) * self._value(frame, self._arg((node.r - 1, key[1]), order + 1))
-        return self._sum(frame, self._terms(node, order), total)
-
-    def _sum(self, frame, terms, total):
-        """total plus coef * f_n[args] summed over the terms at the frame's time."""
-        field = self.problem.field
-        if terms and frame.point is None:
-            frame.point = field.at(self._value(frame, self._base))
-        for coef, n, args in terms:
-            dirs = [self._value(frame, arg) for arg in args]
-            total = total + coef * field.apply(n, frame.point, dirs)
-        return total
 
     def _terms(self, node, order):
         """Terms of a node's order-th derivative; an ode node's start at order 1."""
@@ -263,31 +214,63 @@ class Expansion:
                 f"label {format_label(key[1])} is not in level {r}'s index set; its labels "
                 f"are {', '.join(format_label(tup) for tup in present)}"
             )
-        return self._value(_Frame(t, {}), self._arg(key, int(order)))
+        from .plan import Plan
+
+        plan = Plan(self, [[self._arg(key, int(order))]])
+        slots = self._slots_at(plan, t)
+        plan.run(plan.segments[0], t, slots)
+        return slots[plan.targets[0][0]]
 
     def table(self, ts, s=None):
         """Every coefficient of levels 0..s (default: the built order) at each
-        time in ``ts``, one fresh frame per time; the table serves every omega."""
+        time in ``ts``, one chain sample per time; the table serves every omega."""
         # imported here: a build-only process then never compiles it, and peaks lower
         from .coefficient_table import CoefficientTable
         s = self.order if s is None else s
         if not 0 <= s <= self.order:
             raise ValueError(f"s={s} is outside 0..{self.order}, the built order")
         ts = [_finite_time(t) for t in np.ravel(ts)]
-        labels = [[self.nodes[(0, ())].label]] + [self.labels_at(r) for r in range(1, s + 1)]
+        plan = self._plan()
         d = self.problem.dimension
-        values = [np.empty((len(ts), len(level), d), dtype=complex) for level in labels]
+        values = [np.empty((len(ts), len(plan.targets[r]), d), dtype=complex) for r in range(s + 1)]
         for i, t in enumerate(ts):
-            frame = _Frame(t, {})
-            for r, level in enumerate(labels):
-                for m, label in enumerate(level):
-                    values[r][i, m] = self._value(frame, self._arg((r, label.canonical_tuple), 0))
+            slots = self._slots_at(plan, t)
+            for r in range(s + 1):
+                plan.run(plan.segments[r], t, slots)
+                for m, slot in enumerate(plan.targets[r]):
+                    values[r][i, m] = slots[slot]
+        labels = [[self.nodes[(0, ())].label]] + [self.labels_at(r) for r in range(1, s + 1)]
         sigmas = [np.array([label.float_value for label in level]) for level in labels]
         return CoefficientTable(np.array(ts), sigmas, values)
 
     def evaluate_truncated(self, t, omega, s):
         """Partial sum through level s at time t and parameter omega."""
         return self.table([t], s).evaluate(omega, s)[0]
+
+    def _plan(self):
+        """The plan whose group r is every level-r coefficient, label by label
+        (level 0: p_00 alone); the table and the initial values run it."""
+        if self._levels_plan is None:
+            groups = [[self._arg((0, ()), 0)]] + [
+                [self._arg((r, label.canonical_tuple), 0) for label in self.labels_at(r)]
+                for r in range(1, self.order + 1)
+            ]
+            from .plan import Plan
+
+            self._levels_plan = Plan(self, groups)
+        return self._levels_plan
+
+    def _slots_at(self, plan, t):
+        """Slots for ``plan`` at time t: every level's chain value from one
+        sample of the stacked chain solution, if the plan reads any."""
+        if not plan.reads_chain:
+            return plan.slots()
+        if self.chain_solution is None:
+            raise OutOfDomain(
+                f"nodes (r=0..{self.order}, m=0) have no solution; "
+                "run solve_nonoscillatory_chain first"
+            )
+        return plan.slots(sample(self.chain_solution, t))
 
 
 def _finite_time(t):
@@ -432,7 +415,7 @@ def solve_nonoscillatory_chain(expansion, t_end, abs_tol=1e-12, rel_tol=1e-12, k
             err.add_note(f"while solving node (r={system.level}, m=0)")
         raise
     expansion.chain_solution = solution
-    for r, (ic, part) in enumerate(zip(ics, system.parts)):
+    for r, (ic, part) in enumerate(zip(ics, system.plan.parts)):
         node = expansion.nodes[(r, ())]
         node.solution = DenseSolution(
             ts=solution.ts,
@@ -447,68 +430,56 @@ def solve_nonoscillatory_chain(expansion, t_end, abs_tol=1e-12, rel_tol=1e-12, k
     return expansion
 
 
-def _chain_layout(expansion):
-    """Each zero-frequency level's value key and its slice of the stacked
-    chain state [p_00, p_10, ..., p_R0]."""
-    d = expansion.problem.dimension
-    return [
-        (expansion._arg((r, ()), 0), slice(r * d, (r + 1) * d))
-        for r in range(expansion.order + 1)
-    ]
-
-
 class _ChainSystem:
     """The zero-frequency nodes of all levels as one ODE on the stacked state.
 
     A level-r equation reads only lower levels and its own unknown, so a
-    call seeds one frame with every level's slice of the state (lower levels
-    enter as exact stage values) and sums the levels' order-1 term lists in
-    increasing order, adding each level's derivative to the frame for the
-    levels above.  ``level`` is the level being worked on, or None outside a
-    call, so an error can name it.
+    call seeds the chain plan's slots with every level's part of the state
+    (lower levels enter as exact stage values) and runs the plan's
+    segments, one per level in increasing order; each level's derivative
+    stays in its slot for the levels above.  The plan is compiled once per
+    solve.  ``level`` is the level being worked on, or None outside a call,
+    so an error can name it.
     """
 
     def __init__(self, expansion):
         self.expansion = expansion
-        self.dimension = expansion.problem.dimension
-        self.state_keys, self.parts = zip(*_chain_layout(expansion))
-        # each level's (derivative key, right-hand-side terms)
-        self.rhs = [
-            (expansion._arg((r, ()), 1), expansion._terms(expansion.nodes[(r, ())], 1))
-            for r in range(expansion.order + 1)
-        ]
+        from .plan import Plan
+
+        self.plan = Plan(expansion, [[expansion._arg((r, ()), 1)] for r in range(expansion.order + 1)])
         self.level = None
 
     def initial_values(self):
         """Each level's value at t = 0, computed from the levels below it."""
         expansion = self.expansion
-        frame = _Frame(0.0, {})
+        plan = expansion._plan()
+        slots = plan.slots()
         ics = []
-        for r, key in enumerate(self.state_keys):
+        for r, (segment, targets) in enumerate(zip(plan.segments, plan.targets)):
             self.level = r
             if r == 0:
                 ic = expansion.problem.y0.astype(complex)
             else:
-                ic = np.zeros(self.dimension, dtype=complex)
-                for label in expansion.labels_at(r):
+                plan.run(segment, 0.0, slots)
+                ic = np.zeros(plan.dimension, dtype=complex)
+                for label, slot in zip(expansion.labels_at(r), targets):
                     if not label.is_zero:
-                        ic -= expansion._value(frame, expansion._arg((r, label.canonical_tuple), 0))
-            frame.values[key] = ic
+                        ic -= slots[slot]
+            slots[r] = ic
             ics.append(ic)
         self.level = None
         return ics
 
     def __call__(self, t, y):
-        sum_terms = self.expansion._sum
-        frame = _Frame(t, {key: y[part] for key, part in zip(self.state_keys, self.parts)})
-        out = np.empty_like(y)
-        for r, (key, terms) in enumerate(self.rhs):
+        plan = self.plan
+        slots = plan.slots(y)
+        derivatives = []
+        for r, (segment, (target,)) in enumerate(zip(plan.segments, plan.targets)):
             self.level = r
-            total = sum_terms(frame, terms, np.zeros(self.dimension, dtype=complex))
-            frame.values[key] = total
-            out[self.parts[r]] = total
+            plan.run(segment, t, slots)
+            derivatives.append(slots[target])
         self.level = None
-        return out
+        return np.concatenate(derivatives)
 
 
 # -- report -------------------------------------------------------------------------

@@ -8,11 +8,17 @@ third-order error estimate.  With dense output on, three more stages per
 accepted step give the method's seventh-order continuous extension; off,
 only the states at t = 0, the knots and t_end are kept, so memory grows
 with the knots, not with the steps.
+
+A step that would pass a knot is cut to end on it.  The cut does not steer
+the controller: after an accepted cut step, the next step is the larger of
+the usual proposal and the step chosen before the cut, so a knot just past
+a step's end costs one short step, not a run of steps growing back from it.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,6 +232,8 @@ class IvpSpec:
 
     ``knots`` is an optional array of times, in any order, the integrator
     must land on exactly, so samples there carry no interpolation error.
+    ``t_end``, the tolerances and every knot must be finite, else the spec
+    raises ValueError.
 
     With ``dense_refine`` on, every accepted step is stored with the seven
     coefficients of its seventh-order interpolant in ``dense`` (three more
@@ -243,10 +251,17 @@ class IvpSpec:
     dense_refine: bool = True
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end={self.t_end!r} must be finite and positive")
+        for name in ("abs_tol", "rel_tol"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"{name}={tol!r} must be finite and positive")
+        if self.knots is not None:
+            knots = np.asarray(self.knots, dtype=float).ravel().tolist()
+            bad = [tk for tk in knots if not math.isfinite(tk)]
+            if bad:
+                raise ValueError(f"knot {bad[0]!r} is not finite; every knot must be")
 
 
 @dataclass
@@ -334,7 +349,9 @@ def integrate(spec: IvpSpec) -> DenseSolution:
     while t < t_end:
         if n_steps >= spec.max_steps:
             raise MaxStepsExceeded(f"exceeded {spec.max_steps} steps at t={t:.6g}")
-        # a step cut to end on a knot or on t_end ends there exactly
+        # a step cut to end on a knot or on t_end ends there exactly; the
+        # controller's step from before the cut is kept for the next step
+        h_kept = h
         stop = t_end if h >= t_end - t else None
         h = min(h, t_end - t)
         while knot_pos < len(knots) and knots[knot_pos] <= t + 1e-14:
@@ -375,6 +392,8 @@ def integrate(spec: IvpSpec) -> DenseSolution:
 
         factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-_ORDER_EXP)
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        if err <= 1.0 and stop is not None:
+            h = max(h, h_kept)
         n_steps += 1
 
     return DenseSolution(

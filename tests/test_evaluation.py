@@ -12,6 +12,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from oscillode import expansion as expansion_module
+from oscillode import plan as plan_module
 from oscillode.deriv_engine import VectorField, constant_amplitude, polynomial_field
 from oscillode.errors import OutOfDomain, SmallDenominatorError
 from oscillode.expansion import Problem, build_expansion, solve_nonoscillatory_chain
@@ -230,6 +231,63 @@ def test_one_field_point_per_chain_right_hand_side(count_points):
     solve_nonoscillatory_chain(ex, t_end=1.0)
     # one per right-hand-side call, plus one for the initial values at t = 0
     assert len(count_points) == ex.nodes[(0, ())].solution.n_rhs_evals + 1
+
+
+# -- the evaluation plan ----------------------------------------------------------------
+
+
+@pytest.fixture
+def compiled_plans(monkeypatch):
+    """Record every plan compiled; the list grows by one per plan."""
+    plans = []
+
+    class Plan(plan_module.Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(plan_module, "Plan", Plan)
+    return plans
+
+
+@pytest.mark.parametrize(
+    "name, order, calls",
+    [("memristor", 3, {0: 1, 1: 7, 2: 8, 3: 3}), ("linear_example", 4, {0: 1, 1: 4, 2: 4, 3: 2, 4: 1})],
+    ids=["memristor", "linear"],
+)
+def test_a_chain_right_hand_side_makes_one_apply_per_term(name, order, calls, monkeypatch):
+    ex = build_expansion(get_problem(name).problem, order=order)
+    solve_nonoscillatory_chain(ex, t_end=1.0)
+    rhs = expansion_module._ChainSystem(ex)
+    counted = {}
+    original = VectorField.apply
+
+    def apply(self, n, y, directions):
+        counted[n] = counted.get(n, 0) + 1
+        return original(self, n, y, directions)
+
+    monkeypatch.setattr(VectorField, "apply", apply)
+    rhs(0.3, ex.chain_solution.ys[2])
+    assert counted == calls
+
+
+def test_a_build_compiles_no_plan(compiled_plans):
+    ex = build_expansion(get_problem("memristor").problem, order=3)
+    assert compiled_plans == []
+    assert ex._levels_plan is None
+
+
+def test_a_solve_compiles_its_chain_plan_once(compiled_plans):
+    ex = build_expansion(get_problem("memristor").problem, order=3)
+    solve_nonoscillatory_chain(ex, t_end=1.0)
+    # the chain's plan and the levels' plan, which gave the initial values
+    assert len(compiled_plans) == 2
+    assert ex.chain_solution.n_rhs_evals > 100
+    assert compiled_plans[1] is ex._levels_plan
+    # tables reuse the levels' plan
+    ex.table([0.2, 0.4])
+    ex.evaluate_truncated(0.3, 100.0, 2)
+    assert len(compiled_plans) == 2
 
 
 # -- random small problems ----------------------------------------------------------------

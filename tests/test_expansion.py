@@ -649,6 +649,14 @@ def test_chain_levels_share_one_step_sequence_and_match_their_derivatives(make_p
         assert float(np.max(np.abs(sol.fs - want))) <= 1e-10 * scale
 
 
+def test_memristor_chain_on_its_knots_is_not_slowed_by_them():
+    # each of the 128 knot cuts used to cap the next step at five times the
+    # cut piece: 3776 right-hand-side calls against 3479 now
+    ex = build_expansion(get_problem("memristor").problem, order=3)
+    solve_nonoscillatory_chain(ex, t_end=3.0, knots=np.linspace(0.0, 3.0, 129))
+    assert ex.chain_solution.n_rhs_evals <= 3550
+
+
 def test_chain_error_names_the_level_that_raised():
     reg = get_problem("memristor")
     first = reg.problem.forcings[0]

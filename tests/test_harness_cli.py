@@ -357,8 +357,12 @@ def test_compare_cost_chain_row_counts_the_dense_output(monkeypatch):
         (["errors", "--order", "9", "--grid", "9"], "requested s=9 above built order 4"),
         (["table", "--problem", "worked_example", "-r", "3", "--delta-min", "10"],
          "generated frequency 2 ~ 2.000e+00"),
+        (["solve", "--problem", "worked_example", "--omega", "100", "--grid", "5",
+          "--t-end", "nan"], "t_end=nan must be finite and positive"),
+        (["reference", "--problem", "worked_example", "--omega", "100", "--grid", "5",
+          "--tol-abs", "nan"], "abs_tol=nan must be finite and positive"),
     ],
-    ids=["errors", "table"],
+    ids=["errors", "table", "solve_t_end", "reference_tol_abs"],
 )
 def test_cli_reports_bad_input_in_one_line(argv, message, capsys):
     assert cli_main(argv) == 2

@@ -141,6 +141,34 @@ def test_invalid_spec():
         IvpSpec(rhs=lambda t, y: y, y0=[1.0], t_end=1.0, abs_tol=0.0)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("t_end", math.nan), ("t_end", math.inf), ("abs_tol", math.nan), ("rel_tol", math.inf)],
+)
+def test_a_non_finite_span_or_tolerance_is_rejected(name, value):
+    spec = dict(rhs=lambda t, y: -y, y0=[1.0], t_end=1.0)
+    spec[name] = value
+    with pytest.raises(ValueError, match=rf"{name}={value!r} must be finite and positive"):
+        IvpSpec(**spec)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_knot_is_rejected(bad):
+    with pytest.raises(ValueError, match=rf"knot {bad!r} is not finite"):
+        IvpSpec(rhs=lambda t, y: -y, y0=[1.0], t_end=1.0, knots=[0.25, bad, 0.75])
+
+
+def test_a_knot_just_past_a_step_end_does_not_shrink_the_steps_after_it():
+    plain = integrate(IvpSpec(rhs=_lotka_volterra, y0=[1.5, 0.7], t_end=3.0))
+    # the step from ts[3] is cut to a millionth of itself to land on the knot;
+    # the step after it starts again from the step the controller had chosen
+    knot = plain.ts[3] + 1e-6 * (plain.ts[4] - plain.ts[3])
+    cut = integrate(IvpSpec(rhs=_lotka_volterra, y0=[1.5, 0.7], t_end=3.0, knots=[knot]))
+    assert knot in cut.ts
+    assert cut.ts[5] - cut.ts[4] >= plain.ts[4] - plain.ts[3]
+    assert cut.n_accepted <= plain.n_accepted + 2
+
+
 def _rooted_trees(max_order):
     """Every rooted tree up to ``max_order`` nodes, as (children, order) with
     children a nondecreasing tuple of indices of earlier trees."""
