@@ -6,6 +6,7 @@ Subcommands: expand, solve, reference, errors, table, bench, slope.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -42,6 +43,14 @@ def _registered(args):
     if args.config:
         return load_problem_config(args.config)
     return get_problem(args.problem)
+
+
+def _t_end(args, registered):
+    """--t-end, or the problem's horizon, checked before any grid is built on it."""
+    t_end = args.t_end if args.t_end is not None else registered.t_end
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end={t_end!r} must be finite and positive")
+    return t_end
 
 
 def _write_or_print(text, out):
@@ -101,8 +110,8 @@ def build_parser():
 def _cmd_expand(args):
     registered = _registered(args)
     order = args.order if args.order is not None else registered.default_order
+    t_end = _t_end(args, registered)
     expansion = build_expansion(registered.problem, order=order, delta_min=args.delta_min)
-    t_end = args.t_end if args.t_end is not None else registered.t_end
     solve_nonoscillatory_chain(expansion, t_end)
     _write_or_print(dump_expansion(expansion), args.out)
     return 0
@@ -111,7 +120,7 @@ def _cmd_expand(args):
 def _cmd_solve(args):
     registered = _registered(args)
     order = args.order if args.order is not None else registered.default_order
-    t_end = args.t_end if args.t_end is not None else registered.t_end
+    t_end = _t_end(args, registered)
     grid = np.linspace(0.0, t_end, args.grid)
     expansion = build_expansion(registered.problem, order=order, delta_min=args.delta_min)
     solve_nonoscillatory_chain(expansion, t_end, knots=grid)
@@ -130,7 +139,7 @@ def _cmd_solve(args):
 
 def _cmd_reference(args):
     registered = _registered(args)
-    t_end = args.t_end if args.t_end is not None else registered.t_end
+    t_end = _t_end(args, registered)
     grid = np.linspace(0.0, t_end, args.grid)
     lines = ["t,omega,component,y_re,y_im"]
     for omega in args.omega:
@@ -154,7 +163,7 @@ def _cmd_errors(args):
         omegas=args.omega,
         s_values=sorted(set(args.order)) if args.order else None,
         grid_n=args.grid,
-        t_end=args.t_end,
+        t_end=_t_end(args, registered),
         tol_abs=args.tol_abs,
         tol_rel=args.tol_rel,
         delta_min=args.delta_min,
@@ -189,7 +198,7 @@ def _cmd_bench(args):
         args.omega,
         args.order,
         grid_n=args.grid,
-        t_end=args.t_end,
+        t_end=_t_end(args, registered),
         tol_abs=args.tol_abs,
         tol_rel=args.tol_rel,
         cache_dir=args.cache_dir,
@@ -205,7 +214,7 @@ def _cmd_slope(args):
         omegas=args.omega,
         s_values=sorted(set(args.order)) if args.order else None,
         grid_n=args.grid,
-        t_end=args.t_end,
+        t_end=_t_end(args, registered),
         tolerance=args.slope_tolerance,
         cache_dir=args.cache_dir,
     )

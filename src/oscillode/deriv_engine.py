@@ -57,6 +57,12 @@ class VectorField:
     once and returns a callable ``(n, directions)`` that gives the same
     result as ``differential(n, y, directions)``.  Without it, ``at(y)``
     closes over y and calls ``differential``.
+
+    ``reads(n)`` is optional too: the direction components that f_n can
+    depend on, so that f_n[v_1..v_n] is exactly 0 when some v_i is zero on
+    them.  A compiled plan then leaves out the terms it proves zero.  None
+    means every component.  A wrong declaration gives wrong answers;
+    ``validate_field`` checks it.
     """
 
     dimension: int
@@ -64,6 +70,7 @@ class VectorField:
     differential: object
     max_order: int
     jet: object = None
+    reads: object = None
 
     def __call__(self, y):
         return np.asarray(self.evaluate(y), dtype=complex)
@@ -101,13 +108,16 @@ class ForcingTerm:
 
     ``amplitude_derivative(j, t)`` is the j-th time derivative, with
     ``j = 0`` reproducing the amplitude itself.  ``max_derivative_order`` of
-    None means unlimited.
+    None means unlimited.  ``support(j)``, if given, holds the components in
+    which the j-th derivative can be nonzero; a compiled plan leaves out the
+    terms that this makes zero, so a wrong support gives wrong answers.
     """
 
     kappa: object
     amplitude: object
     amplitude_derivative: object
     max_derivative_order: int | None = None
+    support: object = None
 
     def derivative(self, j, t):
         if self.max_derivative_order is not None and j > self.max_derivative_order:
@@ -148,15 +158,25 @@ def validate_field(fld, samples, h=1e-3, threshold=1e-5):
     order up to ``max_order``.  Deviations above ``threshold`` (relative to
     the larger of the two results and 1) raise ValidationFailed.  The step is
     widened with the order to balance truncation against the eps / h^n
-    roundoff amplification of nested differences.
+    roundoff amplification of nested differences.  A field that declares
+    ``reads`` must also give exactly 0 whenever one direction is zeroed on
+    ``reads(n)``.
     """
     failures = []
+    misread = set()  # orders at which a zeroed direction gave a nonzero f_n
     report = []
     for y, directions in samples:
         for n in range(1, fld.max_order + 1):
             dirs = directions[:n]
             if len(dirs) < n:
                 continue
+            for i in range(n if fld.reads is not None else 0):
+                zeroed = [np.array(v, dtype=complex) for v in dirs]
+                zeroed[i][list(fld.reads(n))] = 0.0
+                dev = float(np.max(np.abs(fld.apply(n, y, zeroed))))
+                if dev:
+                    failures.append((n, y, dev))
+                    misread.add(n)
             exact = fld.apply(n, y, dirs)
             approx = _richardson_fd(fld, n, y, dirs, h * 2.0 ** (n - 1))
             scale = max(1.0, float(np.max(np.abs(exact))), float(np.max(np.abs(approx))))
@@ -166,6 +186,8 @@ def validate_field(fld, samples, h=1e-3, threshold=1e-5):
                 failures.append((n, y, dev))
     if failures:
         worst = ", ".join(f"order {n}: dev {dev:.2e}" for n, _, dev in failures[:5])
+        if misread:
+            worst += f"; f_n reads beyond reads(n) at n = {sorted(misread)}"
         raise ValidationFailed(
             f"{len(failures)} differential checks failed ({worst})", failures=failures
         )
@@ -191,6 +213,7 @@ def linear_field(matrix, max_order=6):
         differential=lambda n, y, directions: differential_at(n, directions),
         max_order=max_order,
         jet=lambda y: differential_at,
+        reads=lambda n: range(d) if n == 1 else (),
     )
 
 
@@ -256,6 +279,10 @@ def polynomial_field(dimension, component_terms, max_order=6):
             tables[n] = (derivs, rows)
         return tables[n]
 
+    # y_i is read at order n if a monomial of degree >= n contains it
+    tops = [max((sum(e) for p in polys for e, c in p.terms.items() if e[i] and c), default=0)
+            for i in range(dimension)]
+
     def evaluate(y):
         return np.array([p(y) for p in polys], dtype=complex)
 
@@ -283,6 +310,7 @@ def polynomial_field(dimension, component_terms, max_order=6):
         differential=lambda n, y, directions: jet(y)(n, directions),
         max_order=max_order,
         jet=jet,
+        reads=lambda n: [i for i, top in enumerate(tops) if top >= n],
     )
 
 
@@ -297,6 +325,7 @@ def constant_amplitude(kappa, vector):
         amplitude=lambda t: vec,
         amplitude_derivative=lambda j, t: vec if j == 0 else zero,
         max_derivative_order=None,
+        support=lambda j: np.flatnonzero(vec).tolist() if j == 0 else [],
     )
 
 
@@ -330,4 +359,5 @@ def polynomial_amplitude(kappa, coefficients):
         amplitude=lambda t: derivative(0, t),
         amplitude_derivative=derivative,
         max_derivative_order=None,
+        support=lambda j: np.flatnonzero(np.any(coeffs[j:], axis=0)).tolist(),
     )

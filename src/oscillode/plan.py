@@ -1,6 +1,20 @@
 """The evaluation plan: an expansion's term lists compiled into a
 straight-line program.
 
+The compiling walk leaves out every term that is zero by the problem's
+structure.  A field may declare ``reads(n)``, the direction components that
+f_n can depend on, and a forcing ``support(j)``, the components in which its
+amplitude's j-th derivative can be nonzero; either left as None means every
+component.  From these the walk works out which components of each value it
+needs can be nonzero: a chain value's are all of them, a forcing value's are
+its support, and a sum's are the union of those of its terms that remain.
+It drops a term f_n[args] when some argument is zero on ``reads(n)``, and a
+lower derivative that is zero in every component; what only dropped terms
+read is never computed.  A dropped term is an exact zero for finite values,
+so the sums, and with them every output bit, are those of the full lists.
+A wrong declaration drops terms that are not zero and gives wrong answers
+without a sign; ``validate_field`` checks a field's ``reads``.
+
 Imported on first use, as ``coefficient_table`` is: a process that only
 builds expansions never compiles this module, and peaks lower.
 """
@@ -14,7 +28,8 @@ class Plan:
     """A straight-line program for the values of (node key, order) pairs at
     one time, compiled from the term lists.
 
-    The compiling walk mirrors the recursion value -> node -> term sum: each
+    The compiling walk mirrors the recursion value -> node -> term sum, less
+    the terms that are zero by structure (see the module docstring): each
     value needed gets an integer slot, set by one step that comes after the
     steps of the values it reads.  Slot r holds level r's chain value p_r0,
     which the caller fills in (``slots``).  There are three kinds of step:
@@ -33,14 +48,60 @@ class Plan:
 
     def __init__(self, expansion, groups):
         nodes = expansion.nodes
-        d = expansion.problem.dimension
-        self.field = expansion.problem.field
+        problem = expansion.problem
+        d = problem.dimension
+        self.field = problem.field
         self.dimension = d
         self.parts = [slice(r * d, (r + 1) * d) for r in range(expansion.order + 1)]
         slot_of = {expansion._arg((r, ()), 0): r for r in range(len(self.parts))}
         self.size = len(slot_of)
         self.point = None
         self.reads_chain = False
+
+        every = frozenset(range(d))
+        declared_reads = self.field.reads
+        reads = {}  # n -> the components f_n reads
+        # value -> the components in which it can be nonzero
+        support = dict.fromkeys(slot_of, every)
+        live = {}  # sum value -> (its lower-derivative value or None, its terms)
+
+        def support_of(arg):
+            if arg not in support:
+                key, order = arg
+                node = nodes[key]
+                if node.kind == "forcing":
+                    declared_support = problem.forcings[node.forcing_index - 1].support
+                    support[arg] = (
+                        every if declared_support is None else frozenset(declared_support(order))
+                    )
+                else:
+                    # a field value may be nonzero in any component
+                    lower, terms = live_parts(arg)
+                    if terms:
+                        support[arg] = every
+                    else:
+                        support[arg] = frozenset() if lower is None else support[lower]
+            return support[arg]
+
+        def live_parts(arg):
+            """The sum's lower derivative and terms, less those zero by structure."""
+            if arg not in live:
+                key, order = arg
+                node = nodes[key]
+                lower = None
+                if node.has_lower_derivative:
+                    lower = expansion._arg((node.r - 1, key[1]), order + 1)
+                    if not support_of(lower):
+                        lower = None
+                terms = []
+                for term in expansion._terms(node, order):
+                    n = term[1]
+                    if n not in reads:
+                        reads[n] = every if declared_reads is None else frozenset(declared_reads(n))
+                    if all(support_of(a) & reads[n] for a in term[2]):
+                        terms.append(term)
+                live[arg] = lower, terms
+            return live[arg]
 
         def walk(arg, steps):
             slot = slot_of.get(arg)
@@ -50,14 +111,13 @@ class Plan:
             key, order = arg
             node = nodes[key]
             if node.kind == "forcing":
-                forcing = expansion.problem.forcings[node.forcing_index - 1]
+                forcing = problem.forcings[node.forcing_index - 1]
                 step = (FORCING, forcing, order, 1j * forcing.kappa.value)
             else:
+                below, terms = live_parts(arg)
                 lower = None
-                if node.has_lower_derivative:
-                    below = walk(expansion._arg((node.r - 1, key[1]), order + 1), steps)
-                    lower = (-(1.0 / (1j * node.label.float_value)), below)
-                terms = expansion._terms(node, order)
+                if below is not None:
+                    lower = (-(1.0 / (1j * node.label.float_value)), walk(below, steps))
                 if terms and self.point is None:
                     self.reads_chain = True
                     self.point = self._new_slot()

@@ -158,6 +158,7 @@ def memristor_field(a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
         differential=lambda n, y, directions: jet(y)(n, directions),
         max_order=4,
         jet=jet,
+        reads=lambda n: range(5) if n == 1 else range(4),  # y5 enters linearly
     )
 
 

@@ -7,8 +7,10 @@ import pytest
 
 from oscillode.deriv_engine import (
     VectorField,
+    constant_amplitude,
     fd_differential,
     linear_field,
+    polynomial_amplitude,
     polynomial_field,
     validate_field,
 )
@@ -292,3 +294,43 @@ def test_user_field_without_jet_works_through_points():
         fld.apply(5, point, dirs * 3)
     with pytest.raises(ValueError):
         fld.apply(2, point, dirs[:1])
+
+
+# -- sparsity declarations ----------------------------------------------------------
+
+
+def test_every_builtin_declaration_holds():
+    from oscillode.problems import get_problem
+
+    rng = np.random.default_rng(14)
+    fields = [
+        memristor_field(),
+        linear_field(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)), max_order=4),
+        polynomial_field(2, [{(0, 1): 1.0, (1, 2): 0.3 - 0.1j}, {(2, 0): 0.15}], 4),
+        *(get_problem(name).problem.field for name in ("linear_example", "worked_example")),
+    ]
+    for fld in fields:
+        assert fld.reads is not None
+        validate_field(fld, [_complex_samples(rng, fld.dimension, 4) for _ in range(4)])
+    amplitudes = [
+        constant_amplitude(None, [0.0, 2.0 - 1.0j, 0.0]),
+        polynomial_amplitude(None, [[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        *(f for name in ("linear_example", "memristor", "worked_example")
+          for f in get_problem(name).problem.forcings),
+    ]
+    for amp in amplitudes:
+        for j in range(5):
+            off = np.ones(amp.derivative(0, 0.0).size, dtype=bool)
+            off[list(amp.support(j))] = False
+            for t in rng.uniform(-2.0, 2.0, 3):
+                assert not np.any(amp.derivative(j, t)[off])
+
+
+def test_validate_detects_a_wrong_reads_declaration():
+    base = memristor_field()
+    rng = np.random.default_rng(15)
+    # claims that f_n for n >= 2 ignores y2, on which g and h depend
+    bad = VectorField(5, base.evaluate, base.differential, 4, base.jet,
+                      reads=lambda n: range(5) if n == 1 else (0, 2, 3))
+    with pytest.raises(ValidationFailed, match=r"f_n reads beyond reads\(n\) at n = \[2, 3, 4\]"):
+        validate_field(bad, [_complex_samples(rng, 5, 4) for _ in range(3)])

@@ -624,6 +624,49 @@ def test_user_field_without_jet_gives_the_same_expansion():
     assert np.array_equal(values[0], values[1])
 
 
+@pytest.mark.parametrize(
+    "name, order", [("memristor", 3), ("linear_example", 4), ("worked_example", 3)]
+)
+def test_declared_sparsity_gives_the_same_expansion_with_fewer_calls(name, order, monkeypatch):
+    # the same field and amplitudes with no reads or support declared: the
+    # plans keep every term, and the terms they drop are exact zeros
+    reg = get_problem(name)
+    base = reg.problem.field
+    plain_field = VectorField(
+        base.dimension, base.evaluate, base.differential, base.max_order, base.jet
+    )
+    plain_forcings = [
+        ForcingTerm(f.kappa, f.amplitude, f.amplitude_derivative, f.max_derivative_order)
+        for f in reg.problem.forcings
+    ]
+    counted = {}
+    original = VectorField.apply
+
+    def apply(self, n, y, directions):
+        counted[id(self)] = counted.get(id(self), 0) + 1
+        return original(self, n, y, directions)
+
+    monkeypatch.setattr(VectorField, "apply", apply)
+    built = []
+    for fld, forcings in ((base, reg.problem.forcings), (plain_field, plain_forcings)):
+        problem = Problem(fld, forcings, reg.problem.y0, reg.problem.basis)
+        ex = build_expansion(problem, order=order)
+        solve_nonoscillatory_chain(ex, t_end=1.0)
+        table = ex.table(np.linspace(0.0, 1.0, 7))
+        built.append((ex, [table.evaluate(omega, order) for omega in (150.0, 2000.0)]))
+    (declared, declared_sums), (plain, plain_sums) = built
+    for attribute in ("ts", "ys", "fs", "dense"):
+        assert np.array_equal(
+            getattr(declared.chain_solution, attribute), getattr(plain.chain_solution, attribute)
+        )
+    for r in range(order + 1):
+        assert np.array_equal(
+            declared.nodes[(r, ())].initial_value, plain.nodes[(r, ())].initial_value
+        )
+    assert np.array_equal(declared_sums, plain_sums)
+    assert counted[id(base)] < counted[id(plain_field)]
+
+
 # -- the coupled chain solve ---------------------------------------------------------
 
 
@@ -666,9 +709,14 @@ def test_chain_error_names_the_level_that_raised():
             raise _NeedsCode("amplitude undefined past t=0.5", code=3)
         return first.amplitude_derivative(j, t)
 
+    # no support declared: the plan keeps every amplitude derivative, so the
+    # chain reads the one that raises
     forcings = [
         ForcingTerm(first.kappa, first.amplitude, amplitude_derivative, first.max_derivative_order),
-        *reg.problem.forcings[1:],
+        *(
+            ForcingTerm(f.kappa, f.amplitude, f.amplitude_derivative, f.max_derivative_order)
+            for f in reg.problem.forcings[1:]
+        ),
     ]
     problem = Problem(reg.problem.field, forcings, reg.problem.y0, reg.problem.basis)
     ex = build_expansion(problem, order=2)

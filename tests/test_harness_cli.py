@@ -361,9 +361,16 @@ def test_compare_cost_chain_row_counts_the_dense_output(monkeypatch):
           "--t-end", "nan"], "t_end=nan must be finite and positive"),
         (["reference", "--problem", "worked_example", "--omega", "100", "--grid", "5",
           "--tol-abs", "nan"], "abs_tol=nan must be finite and positive"),
+        *(
+            ([command, "--problem", "worked_example", "--omega", "100", "--grid", "5",
+              "--t-end", "inf"], "t_end=inf must be finite and positive")
+            for command in ("solve", "reference", "errors")
+        ),
     ],
-    ids=["errors", "table", "solve_t_end", "reference_tol_abs"],
+    ids=["errors", "table", "solve_t_end", "reference_tol_abs",
+         "solve_t_end_inf", "reference_t_end_inf", "errors_t_end_inf"],
 )
+@pytest.mark.filterwarnings("error")  # a warning printed before the error is a second line
 def test_cli_reports_bad_input_in_one_line(argv, message, capsys):
     assert cli_main(argv) == 2
     captured = capsys.readouterr()
