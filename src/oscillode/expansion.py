@@ -20,24 +20,25 @@ entry of args is a (node key, order) pair naming a derivative of a
 coefficient.  One rule turns the list of order j into that of order j+1:
 (f_n[a_1..a_n])' = f_(n+1)[p_00', a_1..a_n] + sum_i f_n[.., a_i', ..].  An
 algebraic node also subtracts the matching derivative of the node one level
-down, over (i sigma).  The lists are compiled into a plan (``plan.Plan``): a
-straight-line program over integer slots whose steps are a forcing value,
-the field's point at the base state, or a term sum.  A plan holds no value;
-a call fills one fresh slot list per time.  The chain solve compiles one
-plan of every level's right-hand side, whose slots it seeds with the stage
-states.  The expansion compiles one plan of every level's coefficients on
-first use: seeded level by level it gives the initial values, and seeded
-from one sample of the stacked chain solution per time, the table.  A single
-coefficient or derivative compiles a plan of its own.  No coefficient
-depends on omega: ``Expansion.table`` keeps a grid's coefficients in a
-caller-owned ``CoefficientTable`` (``coefficient_table``), whose truncated
-sums at any omega are numpy alone.
+down, over (i sigma).  The lists live only while a plan (``plan.Plan``) is
+compiled from them, in a dict the compile owns.  A plan is a straight-line
+program over integer slots whose steps are a forcing value, the field's
+point at the base state, or a term sum; it holds no value, and a call fills
+one fresh slot list per time.  The chain solve compiles one plan of every
+level's right-hand side, whose slots it seeds with the stage states, and
+one of every level's coefficients, which it keeps with the chain solution:
+seeded level by level it gives the initial values, and seeded from one
+sample of the stacked chain solution per time, the table.  A single
+coefficient or derivative compiles a plan of its own, so no evaluation
+changes the expansion.  No coefficient depends on omega: ``Expansion.table``
+keeps a grid's coefficients in a caller-owned ``CoefficientTable``
+(``coefficient_table``), whose truncated sums at any omega are numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -132,8 +133,6 @@ class CoefficientNode:
     has_lower_derivative: bool = False
     solution: object = None
     initial_value: object = None
-    # derivative order -> (coef, n, args) terms, built on first use
-    _term_lists: dict = dataclass_field(default_factory=dict)
 
 
 class Expansion:
@@ -147,10 +146,7 @@ class Expansion:
         self.order = order
         self.index_sets = index_sets  # levels 0..order+1
         self.nodes = nodes
-        # every (node key, order) pair made once: the term lists' arguments
-        self._args = {}
-        self._base_rate = self._arg((0, ()), 1)
-        # the plan of every level's coefficients, compiled on first use
+        # the plan of every level's coefficients, set with chain_solution
         self._levels_plan = None
 
     def node(self, r, label_tuple):
@@ -161,40 +157,25 @@ class Expansion:
 
     # -- internal evaluation ---------------------------------------------------
 
-    def _arg(self, key, order):
-        arg = (key, order)
-        return self._args.setdefault(arg, arg)
-
-    def _terms(self, node, order):
-        """Terms of a node's order-th derivative; an ode node's start at order 1."""
-        lists = node._term_lists
-        if not lists:
+    def _terms(self, key, order, lists):
+        """Terms of node ``key``'s order-th derivative; an ode node's start at
+        order 1.  ``lists[key]`` maps the orders made so far to their lists,
+        and gains every order up to this one; the caller owns ``lists``."""
+        node, made = self.nodes[key], lists.setdefault(key, {})
+        if not made:
             ode = node.kind == "ode"
             pref = 1.0 if ode else 1.0 / (1j * node.label.float_value)
-            lists[int(ode)] = [
+            made[int(ode)] = [
                 (
                     pref * complex(term.weight),
                     term.n,
-                    tuple(self._arg((lev, lab.canonical_tuple), 0) for lev, lab in term.operands),
+                    tuple(((lev, lab.canonical_tuple), 0) for lev, lab in term.operands),
                 )
                 for term in node.terms
             ]
-        for j in range(max(k for k in lists if k <= order), order):
-            lists[j + 1] = self._derivative(lists[j])
-        return lists[order]
-
-    def _derivative(self, terms):
-        """The time derivative of a term list.
-
-        (coef * f_n[a_1..a_n])' is coef * f_(n+1)[p_00', a_1..a_n] plus, for
-        each i, coef * f_n[.., a_i', ..]; p_00' is the base trajectory's rate.
-        """
-        out = []
-        for coef, n, args in terms:
-            out.append((coef, n + 1, (self._base_rate,) + args))
-            for i, (key, order) in enumerate(args):
-                out.append((coef, n, args[:i] + (self._arg(key, order + 1),) + args[i + 1 :]))
-        return out
+        for j in range(max(k for k in made if k <= order), order):
+            made[j + 1] = _derivative(made[j])
+        return made[order]
 
     # -- public evaluation -------------------------------------------------------
 
@@ -216,8 +197,8 @@ class Expansion:
             )
         from .plan import Plan
 
-        plan = Plan(self, [[self._arg(key, int(order))]])
-        slots = self._slots_at(plan, t)
+        plan = Plan(self, [[(key, int(order))]])
+        slots = plan.slots(sample(self._solved_chain(), t)) if plan.reads_chain else plan.slots()
         plan.run(plan.segments[0], t, slots)
         return slots[plan.targets[0][0]]
 
@@ -230,11 +211,11 @@ class Expansion:
         if not 0 <= s <= self.order:
             raise ValueError(f"s={s} is outside 0..{self.order}, the built order")
         ts = [_finite_time(t) for t in np.ravel(ts)]
-        plan = self._plan()
+        chain, plan = self._solved_chain(), self._levels_plan
         d = self.problem.dimension
         values = [np.empty((len(ts), len(plan.targets[r]), d), dtype=complex) for r in range(s + 1)]
         for i, t in enumerate(ts):
-            slots = self._slots_at(plan, t)
+            slots = plan.slots(sample(chain, t))
             for r in range(s + 1):
                 plan.run(plan.segments[r], t, slots)
                 for m, slot in enumerate(plan.targets[r]):
@@ -247,30 +228,14 @@ class Expansion:
         """Partial sum through level s at time t and parameter omega."""
         return self.table([t], s).evaluate(omega, s)[0]
 
-    def _plan(self):
-        """The plan whose group r is every level-r coefficient, label by label
-        (level 0: p_00 alone); the table and the initial values run it."""
-        if self._levels_plan is None:
-            groups = [[self._arg((0, ()), 0)]] + [
-                [self._arg((r, label.canonical_tuple), 0) for label in self.labels_at(r)]
-                for r in range(1, self.order + 1)
-            ]
-            from .plan import Plan
-
-            self._levels_plan = Plan(self, groups)
-        return self._levels_plan
-
-    def _slots_at(self, plan, t):
-        """Slots for ``plan`` at time t: every level's chain value from one
-        sample of the stacked chain solution, if the plan reads any."""
-        if not plan.reads_chain:
-            return plan.slots()
+    def _solved_chain(self):
+        """The stacked chain solution; before a solve, OutOfDomain."""
         if self.chain_solution is None:
             raise OutOfDomain(
                 f"nodes (r=0..{self.order}, m=0) have no solution; "
                 "run solve_nonoscillatory_chain first"
             )
-        return plan.slots(sample(self.chain_solution, t))
+        return self.chain_solution
 
 
 def _finite_time(t):
@@ -281,10 +246,25 @@ def _finite_time(t):
     return t
 
 
+def _derivative(terms):
+    """The time derivative of a term list.
+
+    (coef * f_n[a_1..a_n])' is coef * f_(n+1)[p_00', a_1..a_n] plus, for
+    each i, coef * f_n[.., a_i', ..]; p_00' is the base trajectory's rate.
+    """
+    out = []
+    for coef, n, args in terms:
+        out.append((coef, n + 1, (((0, ()), 1),) + args))
+        for i, (key, order) in enumerate(args):
+            out.append((coef, n, args[:i] + ((key, order + 1),) + args[i + 1 :]))
+    return out
+
+
 # -- construction ---------------------------------------------------------------
 
 
 def _check_orders(problem, order):
+    """Orders, and declared forcing supports, against what ``order`` levels read."""
     fld = problem.field
     if fld.max_order < max(1, order):
         raise UnsupportedOrder(
@@ -298,6 +278,14 @@ def _check_orders(problem, order):
                 f"forcing {m} supports amplitude derivatives up to {limit}, "
                 f"need {order - 1}"
             )
+        for j in range(order if forcing.support is not None else 0):
+            for t in (0.0, 0.318, 0.707, 1.414):
+                outside = set(np.flatnonzero(forcing.derivative(j, t))) - set(forcing.support(j))
+                if outside:
+                    raise ValueError(
+                        f"forcing {m}'s amplitude derivative of order {j} is nonzero at "
+                        f"t={t} in component {min(outside)}, outside its declared support({j})"
+                    )
 
 
 def build_expansion(problem, order=4, delta_min=None):
@@ -414,7 +402,7 @@ def solve_nonoscillatory_chain(expansion, t_end, abs_tol=1e-12, rel_tol=1e-12, k
         else:
             err.add_note(f"while solving node (r={system.level}, m=0)")
         raise
-    expansion.chain_solution = solution
+    expansion.chain_solution, expansion._levels_plan = solution, system.levels_plan
     for r, (ic, part) in enumerate(zip(ics, system.plan.parts)):
         node = expansion.nodes[(r, ())]
         node.solution = DenseSolution(
@@ -438,21 +426,28 @@ class _ChainSystem:
     (lower levels enter as exact stage values) and runs the plan's
     segments, one per level in increasing order; each level's derivative
     stays in its slot for the levels above.  The plan is compiled once per
-    solve.  ``level`` is the level being worked on, or None outside a call,
-    so an error can name it.
+    solve, and next to it ``levels_plan``, whose group r is every level-r
+    coefficient, label by label (level 0: p_00 alone): it gives the initial
+    values, and the solve keeps it for the table.  ``level`` is the level
+    being worked on, or None outside a call, so an error can name it.
     """
 
     def __init__(self, expansion):
         self.expansion = expansion
         from .plan import Plan
 
-        self.plan = Plan(expansion, [[expansion._arg((r, ()), 1)] for r in range(expansion.order + 1)])
+        self.plan = Plan(expansion, [[((r, ()), 1)] for r in range(expansion.order + 1)])
+        levels = [[((0, ()), 0)]] + [
+            [((r, label.canonical_tuple), 0) for label in expansion.labels_at(r)]
+            for r in range(1, expansion.order + 1)
+        ]
+        self.levels_plan = Plan(expansion, levels)
         self.level = None
 
     def initial_values(self):
         """Each level's value at t = 0, computed from the levels below it."""
         expansion = self.expansion
-        plan = expansion._plan()
+        plan = self.levels_plan
         slots = plan.slots()
         ics = []
         for r, (segment, targets) in enumerate(zip(plan.segments, plan.targets)):

@@ -73,7 +73,6 @@ class CostReport:
     problem: str
     s: int
     rows: list = field(default_factory=list)  # dicts: method, omega, seconds, peak_kb, points
-    build_count: int = 0
 
 
 def _oscillatory_rhs(problem, omega):
@@ -402,7 +401,7 @@ def compare_cost(
         kb = _kb(solution.ts, solution.ys, solution.fs, values)
         rows.append(("rk_reference", omega, seconds, kb, grid.size))
     keys = ("method", "omega", "seconds", "peak_kb", "points")
-    return CostReport(registered.name, s, [dict(zip(keys, row)) for row in rows], build_count=1)
+    return CostReport(registered.name, s, [dict(zip(keys, row)) for row in rows])
 
 
 def cost_report_csv(report):

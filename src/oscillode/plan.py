@@ -12,8 +12,9 @@ It drops a term f_n[args] when some argument is zero on ``reads(n)``, and a
 lower derivative that is zero in every component; what only dropped terms
 read is never computed.  A dropped term is an exact zero for finite values,
 so the sums, and with them every output bit, are those of the full lists.
-A wrong declaration drops terms that are not zero and gives wrong answers
-without a sign; ``validate_field`` checks a field's ``reads``.
+A wrong declaration drops terms that are not zero and gives wrong answers;
+``validate_field`` checks a field's ``reads``, and a build each forcing's
+``support``, at a few times.
 
 Imported on first use, as ``coefficient_table`` is: a process that only
 builds expansions never compiles this module, and peaks lower.
@@ -53,7 +54,7 @@ class Plan:
         self.field = problem.field
         self.dimension = d
         self.parts = [slice(r * d, (r + 1) * d) for r in range(expansion.order + 1)]
-        slot_of = {expansion._arg((r, ()), 0): r for r in range(len(self.parts))}
+        slot_of = {((r, ()), 0): r for r in range(len(self.parts))}
         self.size = len(slot_of)
         self.point = None
         self.reads_chain = False
@@ -64,6 +65,7 @@ class Plan:
         # value -> the components in which it can be nonzero
         support = dict.fromkeys(slot_of, every)
         live = {}  # sum value -> (its lower-derivative value or None, its terms)
+        lists = {}  # the term lists, made for this compile alone (``Expansion._terms``)
 
         def support_of(arg):
             if arg not in support:
@@ -90,11 +92,11 @@ class Plan:
                 node = nodes[key]
                 lower = None
                 if node.has_lower_derivative:
-                    lower = expansion._arg((node.r - 1, key[1]), order + 1)
+                    lower = ((node.r - 1, key[1]), order + 1)
                     if not support_of(lower):
                         lower = None
                 terms = []
-                for term in expansion._terms(node, order):
+                for term in expansion._terms(key, order, lists):
                     n = term[1]
                     if n not in reads:
                         reads[n] = every if declared_reads is None else frozenset(declared_reads(n))

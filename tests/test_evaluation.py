@@ -65,15 +65,18 @@ def test_coefficient_with_a_label_outside_the_index_set_is_rejected():
 
 
 def _state(ex):
-    """Each attribute of the expansion with its identity and size, and the
-    number of term lists of each node: what a call could leave behind."""
-    attrs = {name: (id(v), len(v) if hasattr(v, "__len__") else None) for name, v in vars(ex).items()}
-    return attrs, {key: len(node._term_lists) for key, node in ex.nodes.items()}
+    """Each attribute of the expansion and of every node, with its identity
+    and size: what a call could leave behind."""
+
+    def attributes(obj):
+        return {name: (id(v), len(v) if hasattr(v, "__len__") else None) for name, v in vars(obj).items()}
+
+    return attributes(ex), {key: attributes(node) for key, node in ex.nodes.items()}
 
 
 def test_a_call_that_raises_leaves_no_state():
     ex = solved_worked_example(order=2)
-    ex.evaluate_truncated(0.25, 100.0, 2)  # builds the term lists later calls use
+    ex.evaluate_truncated(0.25, 100.0, 2)
     before = _state(ex)
     with pytest.raises(ValueError):
         ex.coefficient_value(5, (1,), 0.5)
@@ -87,6 +90,41 @@ def test_a_call_that_raises_leaves_no_state():
     assert _state(ex) == before
     ex.evaluate_truncated(0.5, 100.0, 2)
     ex.table([0.1, 0.2]).evaluate(100.0, 2)
+    assert _state(ex) == before
+
+
+def test_no_evaluation_changes_the_expansion():
+    ex = solved_worked_example(order=3)
+    before = _state(ex)
+    raised = 0
+    for order in range(5):
+        for r, label in ex.nodes:
+            ex.coefficient_derivative(r, label, 0.4, order=order)
+            try:  # past the chain's end: raises if the coefficient reads the chain
+                ex.coefficient_derivative(r, label, 7.0, order=order)
+            except OutOfDomain:
+                raised += 1
+        with pytest.raises(ValueError):
+            ex.coefficient_derivative(3, (9,), 0.4, order=order)
+    for s in range(ex.order + 1):
+        ex.table([0.1, 0.5, 0.9], s).evaluate(100.0, s)
+        ex.evaluate_truncated(0.3, 250.0, s)
+        with pytest.raises(OutOfDomain):
+            ex.table([0.5, 7.0], s)
+        with pytest.raises(OutOfDomain):
+            ex.evaluate_truncated(7.0, 100.0, s)
+    assert raised > 0
+    assert _state(ex) == before
+
+
+def test_a_table_before_the_solve_is_out_of_domain():
+    ex = build_expansion(get_problem("worked_example").problem, order=2)
+    before = _state(ex)
+    for ts in ([0.5], []):
+        with pytest.raises(OutOfDomain, match="run solve_nonoscillatory_chain first"):
+            ex.table(ts)
+    with pytest.raises(OutOfDomain, match="run solve_nonoscillatory_chain first"):
+        ex.evaluate_truncated(0.5, 100.0, 2)
     assert _state(ex) == before
 
 

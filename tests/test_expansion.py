@@ -667,6 +667,38 @@ def test_declared_sparsity_gives_the_same_expansion_with_fewer_calls(name, order
     assert counted[id(base)] < counted[id(plain_field)]
 
 
+def test_a_wrong_forcing_support_is_rejected_at_build():
+    reg = get_problem("memristor")
+    forcings = reg.problem.forcings
+    # the amplitudes are nonzero in component 4, but the declaration says nowhere
+    undeclared, wrong = (
+        [
+            ForcingTerm(f.kappa, f.amplitude, f.amplitude_derivative, f.max_derivative_order, support)
+            for f in forcings
+        ]
+        for support in (None, lambda j: [])
+    )
+    dumps = []
+    for fcs in (forcings, undeclared):
+        problem = Problem(reg.problem.field, fcs, reg.problem.y0, reg.problem.basis)
+        dumps.append(dump_expansion(build_expansion(problem, order=3)))
+    assert dumps[0] == dumps[1]
+    problem = Problem(reg.problem.field, wrong, reg.problem.y0, reg.problem.basis)
+    with pytest.raises(
+        ValueError, match=r"forcing 1's amplitude derivative of order 0 is nonzero at t=0\.0 in component 4"
+    ):
+        build_expansion(problem, order=3)
+    # a + b t claims a zero first derivative: caught at order 1, which only
+    # a build of two or more levels reads
+    basis = FrequencyBasis([1.0], names=("1",))
+    ramp = polynomial_amplitude(BaseFrequency(1, basis, coords=(1,)), [[1.0, 0.0], [0.0, 2.0]])
+    ramp.support = lambda j: [0, 1] if j == 0 else []
+    problem = Problem(linear_field(np.eye(2)), [ramp], y0=[0.0, 0.0], basis=basis)
+    build_expansion(problem, order=1)
+    with pytest.raises(ValueError, match=r"forcing 1's amplitude derivative of order 1 .* in component 1"):
+        build_expansion(problem, order=2)
+
+
 # -- the coupled chain solve ---------------------------------------------------------
 
 
@@ -681,10 +713,9 @@ def test_chain_levels_share_one_step_sequence_and_match_their_derivatives(make_p
     solve_nonoscillatory_chain(ex, t_end=1.0)
     solutions = [ex.nodes[(r, ())].solution for r in range(order + 1)]
     # one integration for every level, and nothing cached by the solve: it
-    # adds the chain solution alone, and interns no key but a node's
+    # adds the chain solution alone
     assert all(sol.ts is solutions[0].ts for sol in solutions)
     assert set(vars(ex)) == attributes | {"chain_solution"}
-    assert all(key in ex.nodes for key, _ in ex._args)
     # every stored derivative is the level's right-hand side at that node
     for r, sol in enumerate(solutions):
         want = np.array([ex.coefficient_derivative(r, (), t) for t in sol.ts])
