@@ -9,8 +9,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .errors import OscillodeError
 from .expansion import build_expansion, dump_expansion, solve_nonoscillatory_chain
 from .freq_algebra import build_index_chain, format_index_table
@@ -21,6 +19,7 @@ from .harness import (
     reference_values,
     run_error_study,
     run_slope_study,
+    uniform_grid,
 )
 from .problems import get_problem, load_problem_config, problem_names
 from .svg import emit_svg
@@ -121,7 +120,7 @@ def _cmd_solve(args):
     registered = _registered(args)
     order = args.order if args.order is not None else registered.default_order
     t_end = _t_end(args, registered)
-    grid = np.linspace(0.0, t_end, args.grid)
+    grid = uniform_grid(t_end, args.grid)
     expansion = build_expansion(registered.problem, order=order, delta_min=args.delta_min)
     solve_nonoscillatory_chain(expansion, t_end, knots=grid)
     table = expansion.table(grid, order)
@@ -140,7 +139,7 @@ def _cmd_solve(args):
 def _cmd_reference(args):
     registered = _registered(args)
     t_end = _t_end(args, registered)
-    grid = np.linspace(0.0, t_end, args.grid)
+    grid = uniform_grid(t_end, args.grid)
     lines = ["t,omega,component,y_re,y_im"]
     for omega in args.omega:
         values, kind = reference_values(

@@ -1,10 +1,12 @@
-"""Vector fields with multilinear differentials, and forcing amplitudes.
+"""Vector fields given by their jets, and forcings by their amplitude derivatives.
 
 The expansion machinery needs the n-th differential of the field,
-``f_n(y)[v_1, ..., v_n]``, symmetric and linear in each direction, supplied
-exactly by the caller.  Nested central differences are provided as a
-validation oracle only; they lose too many digits at high order to sit in
-the production path.
+``f_n(y)[v_1, ..., v_n]``, symmetric and linear in each direction, at a few
+base states: the field's Taylor jet at one point.  The caller supplies it
+exactly, as ``jet(y)``, and a forcing's amplitude as its time derivatives
+``amplitude_derivative(j, t)``, with ``j = 0`` the amplitude itself.  Nested
+central differences are provided as a validation oracle only; they lose too
+many digits at high order to sit in the production path.
 """
 
 from __future__ import annotations
@@ -47,18 +49,15 @@ class FieldPoint:
 
 @dataclass
 class VectorField:
-    """Autonomous vector field with user-supplied exact differentials.
+    """Autonomous vector field given by its value and its jet.
 
-    ``differential(n, y, directions)`` must return the n-th derivative tensor
-    contracted with the given direction vectors; ``max_order`` is the highest
-    n for which that is implemented.
+    ``jet(y)`` does the work that depends on ``y`` alone once and returns a
+    callable ``(n, directions)``: the n-th derivative tensor at y contracted
+    with the given direction vectors.  ``max_order`` is the highest n for
+    which that is implemented.  A plain ``differential(n, y, directions)``
+    becomes a jet through ``lambda y: lambda n, d: differential(n, y, d)``.
 
-    ``jet(y)`` is optional.  It does the work that depends on ``y`` alone
-    once and returns a callable ``(n, directions)`` that gives the same
-    result as ``differential(n, y, directions)``.  Without it, ``at(y)``
-    closes over y and calls ``differential``.
-
-    ``reads(n)`` is optional too: the direction components that f_n can
+    ``reads(n)`` is optional: the direction components that f_n can
     depend on, so that f_n[v_1..v_n] is exactly 0 when some v_i is zero on
     them.  A compiled plan then leaves out the terms it proves zero.  None
     means every component.  A wrong declaration gives wrong answers;
@@ -67,9 +66,8 @@ class VectorField:
 
     dimension: int
     evaluate: object
-    differential: object
+    jet: object
     max_order: int
-    jet: object = None
     reads: object = None
 
     def __call__(self, y):
@@ -77,10 +75,7 @@ class VectorField:
 
     def at(self, y):
         """The point y, for several ``apply`` calls that share its work."""
-        if self.jet is not None:
-            return FieldPoint(y, self.jet(y))
-        differential = self.differential
-        return FieldPoint(y, lambda n, directions: differential(n, y, directions))
+        return FieldPoint(y, self.jet(y))
 
     def apply(self, n, y, directions):
         """f_n at ``y`` applied to the directions.
@@ -104,18 +99,17 @@ class VectorField:
 
 @dataclass
 class ForcingTerm:
-    """One forcing channel: a base frequency and its amplitude function.
+    """One forcing channel: a base frequency and its amplitude's derivatives.
 
-    ``amplitude_derivative(j, t)`` is the j-th time derivative, with
-    ``j = 0`` reproducing the amplitude itself.  ``max_derivative_order`` of
-    None means unlimited.  ``support(j)``, if given, holds the components in
+    ``amplitude_derivative(j, t)`` is the amplitude's j-th time derivative;
+    ``j = 0`` is the amplitude itself.  ``max_derivative_order`` of None
+    means unlimited.  ``support(j)``, if given, holds the components in
     which the j-th derivative can be nonzero; a compiled plan leaves out the
     terms that this makes zero, so a wrong support gives wrong answers.
     ``build_expansion`` checks it at a few fixed times.
     """
 
     kappa: object
-    amplitude: object
     amplitude_derivative: object
     max_derivative_order: int | None = None
     support: object = None
@@ -211,9 +205,8 @@ def linear_field(matrix, max_order=6):
     return VectorField(
         dimension=d,
         evaluate=lambda y: a @ y,
-        differential=lambda n, y, directions: differential_at(n, directions),
-        max_order=max_order,
         jet=lambda y: differential_at,
+        max_order=max_order,
         reads=lambda n: range(d) if n == 1 else (),
     )
 
@@ -308,9 +301,8 @@ def polynomial_field(dimension, component_terms, max_order=6):
     return VectorField(
         dimension=dimension,
         evaluate=evaluate,
-        differential=lambda n, y, directions: jet(y)(n, directions),
-        max_order=max_order,
         jet=jet,
+        max_order=max_order,
         reads=lambda n: [i for i, top in enumerate(tops) if top >= n],
     )
 
@@ -323,7 +315,6 @@ def constant_amplitude(kappa, vector):
     zero = np.zeros_like(vec)
     return ForcingTerm(
         kappa=kappa,
-        amplitude=lambda t: vec,
         amplitude_derivative=lambda j, t: vec if j == 0 else zero,
         max_derivative_order=None,
         support=lambda j: np.flatnonzero(vec).tolist() if j == 0 else [],
@@ -357,7 +348,6 @@ def polynomial_amplitude(kappa, coefficients):
 
     return ForcingTerm(
         kappa=kappa,
-        amplitude=lambda t: derivative(0, t),
         amplitude_derivative=derivative,
         max_derivative_order=None,
         # row by row: np.any over an axis of a complex array adds 128 KiB to peak RSS

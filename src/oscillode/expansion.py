@@ -149,9 +149,6 @@ class Expansion:
         # the plan of every level's coefficients, set with chain_solution
         self._levels_plan = None
 
-    def node(self, r, label_tuple):
-        return self.nodes[(r, tuple(label_tuple))]
-
     def labels_at(self, r):
         return self.index_sets[r].labels
 

@@ -466,6 +466,8 @@ def extend_index_set(index_set, partitions, basis, kappas, delta_min=None):
 
 def build_index_chain(basis, kappas, r_max, delta_min=None):
     """Index sets for levels ``0..r_max`` (``U_2`` always equals ``U_1``)."""
+    if r_max < 0:
+        raise ValueError(f"level r_max={r_max} must be nonnegative")
     chain = [base_index_set(basis, kappas)]
     if r_max >= 1:
         chain.append(first_index_set(basis, kappas))

@@ -38,6 +38,7 @@ __all__ = [
     "error_report_csv",
     "cost_report_csv",
     "check_reference_consistency",
+    "uniform_grid",
 ]
 
 # local tolerance tightening so the reference's global error honors its label
@@ -46,6 +47,14 @@ REFERENCE_SAFETY = 50.0
 _CACHE_FORMAT = "reference-v2"
 # field probes: fixed offsets from y0, scaled by 1 + |y0|
 _PROBE_OFFSETS = (0.0, 0.25, -0.5)
+
+
+def uniform_grid(t_end, grid_n):
+    """``grid_n`` evenly spaced times from 0 to ``t_end``, both included."""
+    grid_n = int(grid_n)
+    if grid_n < 2:
+        raise ValueError(f"a grid needs at least 2 points, at 0 and t_end, not {grid_n}")
+    return np.linspace(0.0, t_end, grid_n)
 
 
 def _resolve(problem) -> RegisteredProblem:
@@ -83,7 +92,7 @@ def _oscillatory_rhs(problem, omega):
     def rhs(t, y):
         out = fld(y)
         for forcing, kappa in zip(forcings, kappas):
-            out = out + forcing.amplitude(t) * np.exp(1j * kappa * omega * t)
+            out = out + forcing.amplitude_derivative(0, t) * np.exp(1j * kappa * omega * t)
         return out
 
     return rhs
@@ -118,7 +127,7 @@ def _cache_path(cache_dir, registered, omega, tol_abs, tol_rel, grid):
         h.update(problem.field(state).tobytes())
     for t in grid[:: max(1, (grid.size - 1) // 4)]:
         for forcing in problem.forcings:
-            h.update(np.asarray(forcing.amplitude(float(t)), dtype=complex).tobytes())
+            h.update(np.asarray(forcing.amplitude_derivative(0, float(t)), dtype=complex).tobytes())
     return Path(cache_dir) / f"ref_{registered.name}_{h.hexdigest()[:16]}.npz"
 
 
@@ -246,7 +255,7 @@ def run_error_study(
     if max(s_values) > order:
         raise ValueError(f"requested s={max(s_values)} above built order {order}")
     t_end = float(t_end if t_end is not None else registered.t_end)
-    grid = np.linspace(0.0, t_end, int(grid_n))
+    grid = uniform_grid(t_end, grid_n)
 
     if expansion is None:
         expansion = _build_solved(registered, order, t_end, grid, chain_abs, chain_rel, delta_min)
@@ -376,7 +385,7 @@ def compare_cost(
     omegas = tuple(float(w) for w in omegas)
     order = order if order is not None else max(registered.default_order, s)
     t_end = float(t_end if t_end is not None else registered.t_end)
-    grid = np.linspace(0.0, t_end, int(grid_n))
+    grid = uniform_grid(t_end, grid_n)
 
     build_s, expansion = _timed(
         lambda: _build_solved(registered, order, t_end, grid, 1e-12, 1e-12)
@@ -420,7 +429,7 @@ def check_reference_consistency(problem, omega, grid_n=129, t_end=None, bound=1e
     if registered.linear is None:
         raise ValueError("consistency check needs a linear problem")
     t_end = float(t_end if t_end is not None else registered.t_end)
-    grid = np.linspace(0.0, t_end, int(grid_n))
+    grid = uniform_grid(t_end, grid_n)
     exact = np.array(
         [exact_linear_solution(registered.linear, omega)(float(t)) for t in grid]
     )

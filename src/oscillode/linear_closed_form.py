@@ -140,16 +140,10 @@ class LinearCoefficientTable:
     def __init__(self, problem, order):
         self.problem = problem
         self.order = order
-        self._expm_cache = {}
         a = problem.matrix
         self._powers = [np.eye(problem.dimension, dtype=complex)]
         for _ in range(max(order - 1, 0)):
             self._powers.append(a @ self._powers[-1])
-
-    def _expm(self, t):
-        if t not in self._expm_cache:
-            self._expm_cache[t] = matrix_exponential(self.problem.matrix, t)
-        return self._expm_cache[t]
 
     def _oscillatory(self, r, m, t):
         forcing = self.problem.forcings[m - 1]
@@ -167,12 +161,12 @@ class LinearCoefficientTable:
         if r == 0:
             if m != 0:
                 raise ValueError("level 0 only has the non-oscillatory coefficient")
-            return self._expm(t) @ self.problem.y0
+            return matrix_exponential(self.problem.matrix, t) @ self.problem.y0
         if m == 0:
             total = np.zeros(self.problem.dimension, dtype=complex)
             for mm in range(1, len(self.problem.forcings) + 1):
                 total += self._oscillatory(r, mm, 0.0)
-            return -(self._expm(t) @ total)
+            return -(matrix_exponential(self.problem.matrix, t) @ total)
         return self._oscillatory(r, m, t)
 
 
@@ -217,16 +211,13 @@ class ExactLinearSolution:
 
         q0 = sum(q[0] for _, q in self.particulars)
         self._homog_ic = problem.y0 - q0
-        self._expm_cache = {}
         self._self_check(check_points, seed)
 
-    def _expm(self, t):
-        if t not in self._expm_cache:
-            self._expm_cache[t] = matrix_exponential(self.problem.matrix, t)
-        return self._expm_cache[t]
-
     def __call__(self, t):
-        y = self._expm(t) @ self._homog_ic
+        return self._add_particulars(t, matrix_exponential(self.problem.matrix, t) @ self._homog_ic)
+
+    def _add_particulars(self, t, y):
+        """``y`` plus every particular solution at t."""
         for kappa, q in self.particulars:
             poly = np.zeros(self.problem.dimension, dtype=complex)
             for j in range(q.shape[0] - 1, -1, -1):
@@ -237,8 +228,9 @@ class ExactLinearSolution:
     def _residual(self, t):
         """y'(t) - A y(t) - forcing(t); should vanish identically."""
         a = self.problem.matrix
-        y = self(t)
-        dy = a @ (self._expm(t) @ self._homog_ic)
+        homogeneous = matrix_exponential(a, t) @ self._homog_ic
+        y = self._add_particulars(t, homogeneous)
+        dy = a @ homogeneous
         for (kappa, q), forcing in zip(self.particulars, self.problem.forcings):
             poly = np.zeros(self.problem.dimension, dtype=complex)
             dpoly = np.zeros(self.problem.dimension, dtype=complex)

@@ -284,13 +284,6 @@ class DenseSolution:
     n_accepted: int = 0
     n_rhs_evals: int = 0
 
-    @property
-    def t_end(self):
-        return float(self.ts[-1])
-
-    def __call__(self, t):
-        return sample(self, t)
-
 
 def _error_norm(k, h, y_old, y_new, abs_tol, rel_tol):
     """Max over components of DOP853's combined estimate e5^2 / sqrt(e5^2 +

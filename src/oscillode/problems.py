@@ -155,9 +155,8 @@ def memristor_field(a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
     return VectorField(
         dimension=5,
         evaluate=evaluate,
-        differential=lambda n, y, directions: jet(y)(n, directions),
-        max_order=4,
         jet=jet,
+        max_order=4,
         reads=lambda n: range(5) if n == 1 else range(4),  # y5 enters linearly
     )
 

@@ -87,15 +87,18 @@ def test_validate_memristor_field_to_order_four():
 def test_validate_detects_corruption():
     base = memristor_field()
 
-    def corrupted(n, y, directions):
-        out = base.differential(n, y, directions)
-        if n == 2:
-            out = out + 1e-2
-        return out
+    def corrupted(y):
+        differential_at = base.jet(y)
 
-    bad = VectorField(
-        dimension=5, evaluate=base.evaluate, differential=corrupted, max_order=4
-    )
+        def corrupted_at(n, directions):
+            out = differential_at(n, directions)
+            if n == 2:
+                out = out + 1e-2
+            return out
+
+        return corrupted_at
+
+    bad = VectorField(dimension=5, evaluate=base.evaluate, jet=corrupted, max_order=4)
     rng = np.random.default_rng(5)
     with pytest.raises(ValidationFailed):
         validate_field(bad, _random_samples(rng, 5, 3))
@@ -239,7 +242,7 @@ def test_memristor_point_is_bit_identical():
         for n in range(1, fld.max_order + 1):
             expected = _memristor_reference(n, y, dirs[:n])
             assert np.array_equal(fld.apply(n, point, dirs[:n]), expected)
-            assert np.array_equal(fld.differential(n, y, dirs[:n]), expected)
+            assert np.array_equal(fld.apply(n, y, dirs[:n]), expected)
         assert np.array_equal(fld.apply(0, point, []), fld(y))
 
 
@@ -269,7 +272,7 @@ def test_linear_and_polynomial_points_match_references():
             assert np.array_equal(poly.apply(n, y, dirs[:n]), got)
 
 
-def test_user_field_without_jet_works_through_points():
+def test_user_written_jet_works_through_points():
     calls = []
 
     def differential(n, y, directions):
@@ -280,7 +283,7 @@ def test_user_field_without_jet_works_through_points():
     fld = VectorField(
         dimension=2,
         evaluate=lambda y: np.array([y[1], -(y[0] ** 3)]),
-        differential=differential,
+        jet=lambda y: lambda n, d: differential(n, y, d),
         max_order=4,
     )
     rng = np.random.default_rng(13)
@@ -330,7 +333,7 @@ def test_validate_detects_a_wrong_reads_declaration():
     base = memristor_field()
     rng = np.random.default_rng(15)
     # claims that f_n for n >= 2 ignores y2, on which g and h depend
-    bad = VectorField(5, base.evaluate, base.differential, 4, base.jet,
+    bad = VectorField(5, base.evaluate, base.jet, 4,
                       reads=lambda n: range(5) if n == 1 else (0, 2, 3))
     with pytest.raises(ValidationFailed, match=r"f_n reads beyond reads\(n\) at n = \[2, 3, 4\]"):
         validate_field(bad, [_complex_samples(rng, 5, 4) for _ in range(3)])

@@ -93,20 +93,20 @@ class TestTwoFrequencyStructure:
 
     def test_level_one_forcing_nodes(self, expansion):
         for m in (1, 2):
-            node = expansion.node(1, (m,))
+            node = expansion.nodes[(1, (m,))]
             assert node.kind == "forcing"
             assert node.forcing_index == m
 
     def test_level_two_recursion(self, expansion):
         for m in (1, 2):
-            node = expansion.node(2, (m,))
+            node = expansion.nodes[(2, (m,))]
             assert node.kind == "algebraic"
             assert node.has_lower_derivative
             assert term_signature(node) == {(1, ((1, (m,)),)): Fraction(1)}
 
     def test_level_three_singletons(self, expansion):
         for m in (1, 2):
-            node = expansion.node(3, (m,))
+            node = expansion.nodes[(3, (m,))]
             assert node.has_lower_derivative
             assert term_signature(node) == {
                 (1, ((2, (m,)),)): Fraction(1),
@@ -115,18 +115,18 @@ class TestTwoFrequencyStructure:
 
     def test_level_three_pairs(self, expansion):
         for m in (1, 2):
-            node = expansion.node(3, (m, m))
+            node = expansion.nodes[(3, (m, m))]
             assert not node.has_lower_derivative
             assert term_signature(node) == {(2, ((1, (m,)), (1, (m,)))): Fraction(1, 2)}
             # effective prefactor 1 / (4 i kappa_m)
             kappa = expansion.problem.forcings[m - 1].kappa.value
             assert node.label.float_value == pytest.approx(2.0 * kappa)
-        node12 = expansion.node(3, (1, 2))
+        node12 = expansion.nodes[(3, (1, 2))]
         assert term_signature(node12) == {(2, ((1, (1,)), (1, (2,)))): Fraction(1)}
 
     def test_level_four_singletons(self, expansion):
         for m in (1, 2):
-            node = expansion.node(4, (m,))
+            node = expansion.nodes[(4, (m,))]
             assert node.has_lower_derivative
             assert term_signature(node) == {
                 (1, ((3, (m,)),)): Fraction(1),
@@ -137,14 +137,14 @@ class TestTwoFrequencyStructure:
 
     def test_level_four_pairs(self, expansion):
         for m in (1, 2):
-            node = expansion.node(4, (m, m))
+            node = expansion.nodes[(4, (m, m))]
             assert node.has_lower_derivative
             assert term_signature(node) == {
                 (1, ((3, (m, m)),)): Fraction(1),
                 (2, ((1, (m,)), (2, (m,)))): Fraction(1),
                 (3, ((1, ()), (1, (m,)), (1, (m,)))): Fraction(1, 2),
             }
-        node12 = expansion.node(4, (1, 2))
+        node12 = expansion.nodes[(4, (1, 2))]
         assert term_signature(node12) == {
             (1, ((3, (1, 2)),)): Fraction(1),
             (2, ((1, (1,)), (2, (2,)))): Fraction(1),
@@ -154,19 +154,19 @@ class TestTwoFrequencyStructure:
 
     def test_level_four_triples(self, expansion):
         for m in (1, 2):
-            node = expansion.node(4, (m, m, m))
+            node = expansion.nodes[(4, (m, m, m))]
             assert not node.has_lower_derivative
             # weight 1/6 with sigma = 3 kappa_m gives the 1/(18 i kappa_m) factor
             assert term_signature(node) == {
                 (3, ((1, (m,)), (1, (m,)), (1, (m,)))): Fraction(1, 6)
             }
-        node112 = expansion.node(4, (1, 1, 2))
+        node112 = expansion.nodes[(4, (1, 1, 2))]
         assert term_signature(node112) == {
             (3, ((1, (1,)), (1, (1,)), (1, (2,)))): Fraction(1, 2)
         }
 
     def test_level_four_zero_node(self, expansion):
-        node = expansion.node(4, ())
+        node = expansion.nodes[(4, ())]
         assert node.kind == "ode"
         assert term_signature(node) == {
             (1, ((4, ()),)): Fraction(1),
@@ -194,15 +194,15 @@ class TestWorkedExampleStructure:
         return worked_expansion
 
     def test_pair_node_weights(self, expansion):
-        node = expansion.node(3, (1, 1))
+        node = expansion.nodes[(3, (1, 1))]
         assert term_signature(node) == {(2, ((1, (1,)), (1, (1,)))): Fraction(1, 2)}
         assert node.label.float_value == pytest.approx(2.0)
-        node12 = expansion.node(3, (1, 2))
+        node12 = expansion.nodes[(3, (1, 2))]
         assert term_signature(node12) == {(2, ((1, (1,)), (1, (2,)))): Fraction(1)}
 
     def test_zero_level_three_includes_triple_resonance(self, expansion):
         # kappa_1 + kappa_2 + kappa_3 = 0 feeds the zero node at level 3
-        node = expansion.node(3, ())
+        node = expansion.nodes[(3, ())]
         sig = term_signature(node)
         assert sig[(3, ((1, (1,)), (1, (2,)), (1, (3,))))] == Fraction(1)
         assert sig[(3, ((1, ()), (1, ()), (1, ())))] == Fraction(1, 6)
@@ -211,7 +211,7 @@ class TestWorkedExampleStructure:
 
     def test_level_three_singletons_structure(self, expansion):
         for m in (1, 2, 3):
-            node = expansion.node(3, (m,))
+            node = expansion.nodes[(3, (m,))]
             assert term_signature(node) == {
                 (1, ((2, (m,)),)): Fraction(1),
                 (2, ((1, ()), (1, (m,)))): Fraction(1),
@@ -224,7 +224,7 @@ class TestMemristorStructure:
         return memristor_solved
 
     def test_level_two_zero_node_terms(self, solved):
-        sig = term_signature(solved.node(2, ()))
+        sig = term_signature(solved.nodes[(2, ())])
         assert sig[(1, ((2, ()),))] == Fraction(1)
         assert sig[(2, ((1, ()), (1, ())))] == Fraction(1, 2)
         assert sig[(2, ((1, (1,)), (1, (2,))))] == Fraction(1)
@@ -357,12 +357,12 @@ def test_term_weights_match_ordered_enumeration(name, order):
     ex = build_expansion(problem, order=order)
     for r in range(1, order + 1):
         oracle = _ordered_level_terms(ex.index_sets, r, problem.basis)
-        assert term_signature(ex.node(r, ())) == oracle.get((), {})
+        assert term_signature(ex.nodes[(r, ())]) == oracle.get((), {})
         if r + 1 > order:
             continue
         for lab in ex.labels_at(r + 1):
             if not lab.is_zero:
-                assert term_signature(ex.node(r + 1, lab.canonical_tuple)) == oracle.get(
+                assert term_signature(ex.nodes[(r + 1, lab.canonical_tuple)]) == oracle.get(
                     lab.canonical_tuple, {}
                 )
 
@@ -413,7 +413,7 @@ def test_assembled_rhs_matches_raw_enumeration():
                         raw[key] = raw.get(key, 0.0) + val
             # assembled: zero node terms at level r and algebraic nodes at r + 1
             assembled = {}
-            zero_node = ex.node(r, ())
+            zero_node = ex.nodes[(r, ())]
             total = np.zeros(problem.dimension, dtype=complex)
             for term in zero_node.terms:
                 dirs = [
@@ -426,7 +426,7 @@ def test_assembled_rhs_matches_raw_enumeration():
                 for lab in ex.labels_at(r + 1):
                     if lab.is_zero:
                         continue
-                    node = ex.node(r + 1, lab.canonical_tuple)
+                    node = ex.nodes[(r + 1, lab.canonical_tuple)]
                     total = np.zeros(problem.dimension, dtype=complex)
                     for term in node.terms:
                         dirs = [
@@ -590,7 +590,7 @@ def test_chain_error_keeps_original_exception():
     def evaluate(y):
         raise _NeedsCode("field blew up", code=7)
 
-    fld = VectorField(base.dimension, evaluate, base.differential, base.max_order)
+    fld = VectorField(base.dimension, evaluate, base.jet, base.max_order)
     problem = Problem(fld, reg.problem.forcings, reg.problem.y0, reg.problem.basis)
     ex = build_expansion(problem, order=1)
     with pytest.raises(_NeedsCode) as info:
@@ -610,20 +610,6 @@ def test_problem_rejects_amplitude_dimension_mismatch():
         Problem(field, [polynomial_amplitude(kappa, [[1.0], [2.0]])], y0=[0.0, 0.0], basis=basis)
 
 
-def test_user_field_without_jet_gives_the_same_expansion():
-    reg = get_problem("worked_example")
-    base = reg.problem.field
-    plain = VectorField(base.dimension, base.evaluate, base.differential, base.max_order)
-    assert plain.jet is None
-    values = []
-    for fld in (base, plain):
-        problem = Problem(fld, reg.problem.forcings, reg.problem.y0, reg.problem.basis)
-        ex = build_expansion(problem, order=2)
-        solve_nonoscillatory_chain(ex, t_end=1.0)
-        values.append([ex.evaluate_truncated(t, 300.0, 2) for t in (0.0, 0.37, 1.0)])
-    assert np.array_equal(values[0], values[1])
-
-
 @pytest.mark.parametrize(
     "name, order", [("memristor", 3), ("linear_example", 4), ("worked_example", 3)]
 )
@@ -632,11 +618,9 @@ def test_declared_sparsity_gives_the_same_expansion_with_fewer_calls(name, order
     # plans keep every term, and the terms they drop are exact zeros
     reg = get_problem(name)
     base = reg.problem.field
-    plain_field = VectorField(
-        base.dimension, base.evaluate, base.differential, base.max_order, base.jet
-    )
+    plain_field = VectorField(base.dimension, base.evaluate, base.jet, base.max_order)
     plain_forcings = [
-        ForcingTerm(f.kappa, f.amplitude, f.amplitude_derivative, f.max_derivative_order)
+        ForcingTerm(f.kappa, f.amplitude_derivative, f.max_derivative_order)
         for f in reg.problem.forcings
     ]
     counted = {}
@@ -673,7 +657,7 @@ def test_a_wrong_forcing_support_is_rejected_at_build():
     # the amplitudes are nonzero in component 4, but the declaration says nowhere
     undeclared, wrong = (
         [
-            ForcingTerm(f.kappa, f.amplitude, f.amplitude_derivative, f.max_derivative_order, support)
+            ForcingTerm(f.kappa, f.amplitude_derivative, f.max_derivative_order, support)
             for f in forcings
         ]
         for support in (None, lambda j: [])
@@ -743,9 +727,9 @@ def test_chain_error_names_the_level_that_raised():
     # no support declared: the plan keeps every amplitude derivative, so the
     # chain reads the one that raises
     forcings = [
-        ForcingTerm(first.kappa, first.amplitude, amplitude_derivative, first.max_derivative_order),
+        ForcingTerm(first.kappa, amplitude_derivative, first.max_derivative_order),
         *(
-            ForcingTerm(f.kappa, f.amplitude, f.amplitude_derivative, f.max_derivative_order)
+            ForcingTerm(f.kappa, f.amplitude_derivative, f.max_derivative_order)
             for f in reg.problem.forcings[1:]
         ),
     ]

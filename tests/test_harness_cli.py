@@ -215,6 +215,11 @@ def test_an_empty_study_input_is_rejected(name):
         run_error_study("linear_example", grid_n=5, t_end=0.5, order=1, **{name: ()})
 
 
+def test_a_consistency_check_needs_a_grid_of_two_points():
+    with pytest.raises(ValueError, match="a grid needs at least 2 points, at 0 and t_end, not 1"):
+        check_reference_consistency("linear_example", 300.0, grid_n=1)
+
+
 @pytest.mark.parametrize("omegas", [(500.0,), (500.0, 500.0)])
 def test_a_slope_needs_two_distinct_omegas(omegas, capsys):
     report = run_error_study("linear_example", omegas=omegas, s_values=(0,), grid_n=9, order=1)
@@ -366,9 +371,25 @@ def test_compare_cost_chain_row_counts_the_dense_output(monkeypatch):
               "--t-end", "inf"], "t_end=inf must be finite and positive")
             for command in ("solve", "reference", "errors")
         ),
+        *(
+            (["table", "--problem", "worked_example", "-r", level],
+             f"level r_max={level} must be nonnegative")
+            for level in ("-1", "-2")
+        ),
+        *(
+            ([command, "--problem", problem, "--omega", "100", "--grid", grid],
+             f"a grid needs at least 2 points, at 0 and t_end, not {grid}")
+            for command, problem, grid in (
+                ("solve", "linear_example", "0"), ("reference", "memristor", "1"),
+                ("errors", "linear_example", "0"), ("errors", "memristor", "1"),
+                ("bench", "linear_example", "1"),
+            )
+        ),
     ],
     ids=["errors", "table", "solve_t_end", "reference_tol_abs",
-         "solve_t_end_inf", "reference_t_end_inf", "errors_t_end_inf"],
+         "solve_t_end_inf", "reference_t_end_inf", "errors_t_end_inf",
+         "table_level_-1", "table_level_-2", "solve_grid_0", "reference_grid_1",
+         "errors_grid_0", "errors_memristor_grid_1", "bench_grid_1"],
 )
 @pytest.mark.filterwarnings("error")  # a warning printed before the error is a second line
 def test_cli_reports_bad_input_in_one_line(argv, message, capsys):

@@ -1,6 +1,7 @@
 """Closed-form linear oracle: matrix exponential, coefficients, exact solution."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,3 +183,22 @@ def test_singular_resolvent_detected():
     )
     with pytest.raises(SingularResolvent):
         exact_linear_solution(prob, omega=5.0)
+
+
+def test_memory_stays_bounded_over_many_times():
+    prob = reference_linear_problem()
+    solution = exact_linear_solution(prob, omega=100.0)
+    table = linear_coefficients(prob, 4)
+    ts = np.random.default_rng(4).uniform(0.0, 5.0, 2000).tolist()
+    calls = (solution, lambda t: table.value(0, 0, t), lambda t: table.value(2, 0, t))
+    for call in calls:
+        call(ts[0])
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for t in ts:
+                call(t)
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown < 256 * 1024
