@@ -197,7 +197,8 @@ class Expansion:
         plan = Plan(self, [[(key, int(order))]])
         slots = plan.slots(sample(self._solved_chain(), t)) if plan.reads_chain else plan.slots()
         plan.run(plan.segments[0], t, slots)
-        return slots[plan.targets[0][0]]
+        # a copy: a sum's value may be an array that the field returned
+        return slots[plan.targets[0][0]].copy()
 
     def table(self, ts, s=None):
         """Every coefficient of levels 0..s (default: the built order) at each
@@ -465,13 +466,10 @@ class _ChainSystem:
     def __call__(self, t, y):
         plan = self.plan
         slots = plan.slots(y)
-        derivatives = []
-        for r, (segment, (target,)) in enumerate(zip(plan.segments, plan.targets)):
-            self.level = r
+        for self.level, segment in enumerate(plan.segments):
             plan.run(segment, t, slots)
-            derivatives.append(slots[target])
         self.level = None
-        return np.concatenate(derivatives)
+        return np.concatenate([slots[target] for (target,) in plan.targets])
 
 
 # -- report -------------------------------------------------------------------------

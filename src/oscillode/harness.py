@@ -182,8 +182,12 @@ def reference_values(
     else integrates the full oscillatory system with grid points forced as
     step endpoints, at a local tolerance ``REFERENCE_SAFETY`` times tighter
     than requested so the global error honors the requested accuracy.
-    ``method="rk"`` forces the integrator, also for a linear problem.
+    ``method="rk"`` forces the integrator, also for a linear problem.  An
+    ``omega`` that is not finite and positive raises ``ValueError`` first.
     """
+    omega = float(omega)
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega={omega!r} must be finite and positive")
     registered = _resolve(registered)
     grid = np.asarray(grid, dtype=float)
     if method == "auto" and registered.linear is not None:

@@ -11,10 +11,10 @@ its support, and a sum's are the union of those of its terms that remain.
 It drops a term f_n[args] when some argument is zero on ``reads(n)``, and a
 lower derivative that is zero in every component; what only dropped terms
 read is never computed.  A dropped term is an exact zero for finite values,
-so the sums, and with them every output bit, are those of the full lists.
-A wrong declaration drops terms that are not zero and gives wrong answers;
-``validate_field`` checks a field's ``reads``, and a build each forcing's
-``support``, at a few times.
+so the sums, and with them every output bit up to the sign of a zero, are
+those of the full lists.  A wrong declaration drops terms that are not zero
+and gives wrong answers; ``validate_field`` checks a field's ``reads``, and
+a build each forcing's ``support``, at a few times.
 
 Imported on first use, as ``coefficient_table`` is: a process that only
 builds expansions never compiles this module, and peaks lower.
@@ -23,6 +23,11 @@ builds expansions never compiles this module, and peaks lower.
 import numpy as np
 
 FORCING, POINT, SUM = range(3)
+
+
+def _factor(coef):
+    """A term's coefficient, or None for exactly 1, which multiplies nothing."""
+    return None if coef == 1 else coef
 
 
 class Plan:
@@ -38,9 +43,13 @@ class Plan:
     - ``(FORCING, out, forcing, j, i kappa)``: the amplitude's j-th
       derivative over (i kappa);
     - ``(POINT, out)``: the field's point at the base state in slot 0;
-    - ``(SUM, out, lower, terms)``: zero, plus c * slot for ``lower`` =
-      (c, slot) if not None, plus coef * f_n[arg slots] for each (coef, n,
-      arg slots) term in turn.
+    - ``(SUM, out, lower, terms)``: c * slot for ``lower`` = (c, slot) if
+      not None, plus coef * f_n[arg slots] for each (coef, n, arg slots)
+      term in turn.  A coefficient that is exactly 1 is compiled to None and
+      multiplies nothing.  The sum starts from its first part, not from a
+      zero array, and adds each next part into a new array: it never writes
+      into an array that the field returned.  A sum with no parts left is a
+      fresh zero vector.
 
     ``segments[g]`` holds the steps that complete the g-th group of targets,
     whose slots are ``targets[g]``; the segments run in order on one slot
@@ -119,13 +128,14 @@ class Plan:
                 below, terms = live_parts(arg)
                 lower = None
                 if below is not None:
-                    lower = (-(1.0 / (1j * node.label.float_value)), walk(below, steps))
+                    lower = (_factor(-(1.0 / (1j * node.label.float_value))), walk(below, steps))
                 if terms and self.point is None:
                     self.reads_chain = True
                     self.point = self._new_slot()
                     steps.append((POINT, self.point))
                 terms = tuple(
-                    (coef, n, tuple(walk(a, steps) for a in args)) for coef, n, args in terms
+                    (_factor(coef), n, tuple(walk(a, steps) for a in args))
+                    for coef, n, args in terms
                 )
                 step = (SUM, lower, terms)
             slot = slot_of[arg] = self._new_slot()
@@ -158,13 +168,17 @@ class Plan:
             kind = step[0]
             if kind == SUM:
                 _, out, lower, terms = step
-                # in place: the same sums as total = total + x, one array fewer
-                total = np.zeros(d, dtype=complex)
+                # never in place: a value may be an array the field returned
+                total = None
                 if lower is not None:
-                    total += lower[0] * slots[lower[1]]
+                    coef, slot = lower
+                    total = slots[slot] if coef is None else coef * slots[slot]
                 for coef, n, args in terms:
-                    total += coef * field.apply(n, slots[point], [slots[a] for a in args])
-                slots[out] = total
+                    x = field.apply(n, slots[point], [slots[a] for a in args])
+                    if coef is not None:
+                        x = coef * x
+                    total = x if total is None else total + x
+                slots[out] = np.zeros(d, dtype=complex) if total is None else total
             elif kind == FORCING:
                 _, out, forcing, j, i_kappa = step
                 slots[out] = forcing.derivative(j, t) / i_kappa

@@ -45,12 +45,10 @@ SQRT2 = math.sqrt(2.0)
 # bilinear y3 * (quadratic in y1) piece.
 
 
-# binomial coefficients C(n, k) for n <= 4, k <= 2
-_BINOMIAL = ((1,), (1, 1), (1, 2, 1), (1, 3, 3), (1, 4, 6))
-
-
 def _reciprocal_derivs(x, e):
-    """Derivatives through order 4 of 1 / ((1 + e) + 3 e x^2)."""
+    """Derivatives through order 4 of 1 / ((1 + e) + 3 e x^2), in plain
+    Python complex arithmetic whatever the type of x."""
+    x = complex(x)
     den = (1.0 + e) + 3.0 * e * x * x
     d1 = 6.0 * e * x
     d2 = 6.0 * e
@@ -63,33 +61,38 @@ def _reciprocal_derivs(x, e):
 
 
 def _window_recip_derivs(x, g):
-    """Derivatives through order 4 of (1 + 3 x^2) g(x), given g's derivatives."""
-    w = (1.0 + 3.0 * x * x, 6.0 * x, 6.0, 0.0, 0.0)
-    out = []
-    for n in range(5):
-        val = 0.0
-        for k in range(min(n, 2) + 1):
-            val = val + _BINOMIAL[n][k] * w[k] * g[n - k]
-        out.append(val)
-    return tuple(out)
+    """Derivatives through order 4 of (1 + 3 x^2) g(x), given g's derivatives.
+
+    The n-th is 0.0 plus C(n, k) w^(k) g^(n-k) for k = 0, 1, 2 in turn,
+    where w = 1 + 3 x^2.
+    """
+    w0, w1, w2 = 1.0 + 3.0 * x * x, 6.0 * x, 6.0
+    g0, g1, g2, g3, g4 = g
+    return (
+        0.0 + 1 * w0 * g0,
+        0.0 + 1 * w0 * g1 + 1 * w1 * g0,
+        0.0 + 1 * w0 * g2 + 2 * w1 * g1 + 1 * w2 * g0,
+        0.0 + 1 * w0 * g3 + 3 * w1 * g2 + 3 * w2 * g1,
+        0.0 + 1 * w0 * g4 + 4 * w1 * g3 + 6 * w2 * g2,
+    )
 
 
 def _direction_products(comps):
     """Product of all the components, and for each i of all but the i-th.
 
-    Each product runs left to right from 1.0.
+    Each product runs left to right from 1.0; the one without the i-th
+    continues the product of the first i.
     """
-    prod_all = 1.0
+    prefix = [1.0]
     for v in comps:
-        prod_all = prod_all * v
+        prefix.append(prefix[-1] * v)
     rests = []
     for i in range(len(comps)):
-        rest = 1.0
-        for j, v in enumerate(comps):
-            if j != i:
-                rest = rest * v
+        rest = prefix[i]
+        for v in comps[i + 1 :]:
+            rest = rest * v
         rests.append(rest)
-    return prod_all, rests
+    return prefix[-1], rests
 
 
 def memristor_field(a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
@@ -97,8 +100,12 @@ def memristor_field(a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
 
     With g = 1 / ((1 + e) + 3 e y2^2) and h = (1 + 3 y2^2) g, the rows are
     y3, (y4 - y3) g, a y3 phi(y1) - a (y3 - y4) h, (y3 - y4) h + y5 and
-    -b y4 - c y5, where phi(y1) = d - (1 + 3 y1^2).  A point holds the
-    derivatives of g, h and phi at its y2 and y1.
+    -b y4 - c y5, where phi(y1) = d - (1 + 3 y1^2).  A point unpacks y into
+    plain Python complex numbers, which cost less per operation than numpy
+    scalars, and holds the derivatives of g, h and phi at its y2 and y1,
+    each already multiplied by the linear factor it meets.  Orders 1 and 2
+    take closed forms that make the general formula's products and sums in
+    its order, so every order gives the same bits as the general formula.
     """
 
     def evaluate(y):
@@ -117,38 +124,45 @@ def memristor_field(a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
         )
 
     def jet(y):
-        y1, y2, y3, y4, _ = y
+        y1, y2, y3, y4, _ = np.asarray(y).tolist()
         g = _reciprocal_derivs(y2, e)
         h = _window_recip_derivs(y2, g)
         phi = (d - (1.0 + 3.0 * y1 * y1), -6.0 * y1, -6.0, 0.0, 0.0)
-        # plain complex scalars: same products and sums, less overhead
-        g, h, phi = ([complex(x) for x in derivs] for derivs in (g, h, phi))
-        y3, y4 = complex(y3), complex(y4)
+        # Rows 2, 3 and 4 are sums of L(y) s(y_k) with L linear.  Their n-th
+        # differential is L(y) s^(n) prod_i v_ik plus, for each i,
+        # (grad L . v_i) s^(n-1) prod_(j != i) v_jk.  The L(y) s^(n) factors:
+        lg = [(y4 - y3) * gn for gn in g]
+        lh = [(y3 - y4) * hn for hn in h]  # the (y3 - y4) h part of rows 3 and 4
+        lphi = [y3 * pn for pn in phi]
 
         def differential_at(n, directions):
-            # Rows 2, 3 and 4 are sums of L(y) s(y_k) with L linear.  Their
-            # n-th differential is L(y) s^(n) prod_i v_ik plus, for each i,
-            # (grad L . v_i) s^(n-1) prod_(j != i) v_jk.
-            comps = [np.asarray(dirn, dtype=complex).tolist() for dirn in directions]
+            if n == 1:
+                v1, v2, v3, v4, v5 = np.asarray(directions[0]).tolist()
+                prod1, prod2 = 1.0 * v1, 1.0 * v2
+                row2 = lg[1] * prod2 + (v4 - v3) * g[0] * 1.0
+                window = lh[1] * prod2 + (v3 - v4) * h[0] * 1.0
+                cubic = lphi[1] * prod1 + v3 * phi[0] * 1.0
+                row5 = -b * v4 - c * v5
+                return np.array([v3, row2, a * cubic - a * window, window + v5, row5], dtype=complex)
+            if n == 2:
+                u1, u2, u3, u4, _ = np.asarray(directions[0]).tolist()
+                v1, v2, v3, v4, _ = np.asarray(directions[1]).tolist()
+                prod1, prod2 = 1.0 * u1 * v1, 1.0 * u2 * v2
+                row2 = lg[2] * prod2 + (u4 - u3) * g[1] * (1.0 * v2) + (v4 - v3) * g[1] * (1.0 * u2)
+                window = lh[2] * prod2 + (u3 - u4) * h[1] * (1.0 * v2) + (v3 - v4) * h[1] * (1.0 * u2)
+                cubic = lphi[2] * prod1 + u3 * phi[1] * (1.0 * v1) + v3 * phi[1] * (1.0 * u1)
+                return np.array([0.0, row2, a * cubic - a * window, window, 0.0], dtype=complex)
+            comps = [np.asarray(dirn).tolist() for dirn in directions]
             prod1, rests1 = _direction_products([v[0] for v in comps])
             prod2, rests2 = _direction_products([v[1] for v in comps])
-            row2 = (y4 - y3) * g[n] * prod2
-            window = (y3 - y4) * h[n] * prod2  # the (y3 - y4) h part of rows 3 and 4
-            cubic = y3 * phi[n] * prod1
+            row2 = lg[n] * prod2
+            window = lh[n] * prod2
+            cubic = lphi[n] * prod1
             for v, rest1, rest2 in zip(comps, rests1, rests2):
                 row2 = row2 + (v[3] - v[2]) * g[n - 1] * rest2
                 window = window + (v[2] - v[3]) * h[n - 1] * rest2
                 cubic = cubic + v[2] * phi[n - 1] * rest1
-            row3 = a * cubic - a * window
-            row4 = window
-            row1 = 0.0
-            row5 = 0.0
-            if n == 1:
-                (v,) = comps
-                row1 = v[2]
-                row4 = row4 + v[4]
-                row5 = -b * v[3] - c * v[4]
-            return np.array([row1, row2, row3, row4, row5], dtype=complex)
+            return np.array([0.0, row2, a * cubic - a * window, window, 0.0], dtype=complex)
 
         return differential_at
 

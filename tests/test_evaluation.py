@@ -5,6 +5,7 @@ evaluation to the chain solve."""
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from oscillode.ode_core import sample
 from oscillode.problems import get_problem
 
 SQRT2 = math.sqrt(2.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def solved_worked_example(order):
@@ -307,6 +309,62 @@ def test_a_chain_right_hand_side_makes_one_apply_per_term(name, order, calls, mo
     monkeypatch.setattr(VectorField, "apply", apply)
     rhs(0.3, ex.chain_solution.ys[2])
     assert counted == calls
+
+
+def _storing_field(give):
+    """A two-state field whose value and differentials are stored arrays,
+    handed out through ``give``; the arrays are returned too.  They are
+    read-only, so a write into one raises at once."""
+    stored = [np.array([0.3 - 0.1j, -0.2 + 0.05j]) * (1.0 + 0.5j) ** n for n in range(5)]
+    for array in stored:
+        array.flags.writeable = False
+    field = VectorField(
+        dimension=2,
+        evaluate=lambda y: give(stored[0]),
+        jet=lambda y: lambda n, directions: give(stored[n]),
+        max_order=4,
+    )
+    return field, stored
+
+
+def test_a_field_that_hands_out_its_stored_arrays_keeps_them():
+    # a sum may keep the array the field returned as its value, so nothing
+    # may write into a value in place
+    basis = FrequencyBasis([1.0, SQRT2], names=("1", "sqrt(2)"))
+    kappas = [BaseFrequency(1, basis, coords=(1, 0)), BaseFrequency(2, basis, coords=(0, 1))]
+    results = []
+    for give in (lambda a: a, np.copy):
+        field, stored = _storing_field(give)
+        before = [a.copy() for a in stored]
+        forcings = [constant_amplitude(kappa, [0.5, -0.25]) for kappa in kappas]
+        ex = build_expansion(Problem(field, forcings, [0.1, 0.2], basis), order=3)
+        solve_nonoscillatory_chain(ex, t_end=1.0)
+        table = ex.table([0.0, 0.3, 0.7])
+        sums = [table.evaluate(omega, s) for omega in (250.0, 900.0) for s in range(4)]
+        rate = ex.coefficient_derivative(1, (), 0.3)
+        result = [ex.chain_solution.ys, ex.chain_solution.fs, *table.values, *sums, rate.copy()]
+        rate *= 2.0
+        for now, then in zip(stored, before):
+            assert np.array_equal(now, then)
+        results.append(result)
+    for shared, copied in zip(*results):
+        assert np.array_equal(shared, copied)
+
+
+def test_memristor_chain_matches_its_stored_values():
+    # the stacked r = 3 chain at the 129 knots, then at 64 times between
+    # them, as an earlier version of the solver computed it
+    registered = get_problem("memristor")
+    grid = np.linspace(0.0, registered.t_end, 129)
+    between = np.sort(np.random.default_rng(64).uniform(0.0, registered.t_end, 64))
+    ex = build_expansion(registered.problem, order=3)
+    solve_nonoscillatory_chain(ex, registered.t_end, knots=grid)
+    chain = ex.chain_solution
+    assert (chain.n_steps, chain.n_accepted, chain.n_rhs_evals) == (234, 226, 3479)
+    values = np.array([sample(chain, t) for t in np.concatenate([grid, between]).tolist()])
+    stored = np.load(GOLDEN / "memristor_chain_r3.npy")
+    assert values.shape == stored.shape
+    assert float(np.max(np.abs(values - stored))) <= 1e-12
 
 
 def test_a_build_compiles_no_plan(compiled_plans):

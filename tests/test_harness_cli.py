@@ -159,6 +159,20 @@ def test_reference_hierarchy_guard():
     assert worst < 1e-8
 
 
+@pytest.mark.filterwarnings("error")  # numpy's warning at a nan omega would come first
+@pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -5.0])
+def test_reference_rejects_a_bad_omega_before_any_work(omega, tmp_path, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("reference work started")
+
+    monkeypatch.setattr(harness, "_resolve", no_work)
+    for name, method in (("memristor", "auto"), ("linear_example", "auto"),
+                         ("linear_example", "rk")):
+        with pytest.raises(ValueError, match=f"omega={omega!r} must be finite and positive"):
+            reference_values(name, omega, [0.0, 0.5], cache_dir=tmp_path, method=method)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "grid", [[0.0, 0.5, 0.25, 1.0, 0.75, 1.5], [1.5, 1.25, 1.0, 0.5, 0.0]],
     ids=["shuffled", "reversed"],
@@ -366,6 +380,8 @@ def test_compare_cost_chain_row_counts_the_dense_output(monkeypatch):
           "--t-end", "nan"], "t_end=nan must be finite and positive"),
         (["reference", "--problem", "worked_example", "--omega", "100", "--grid", "5",
           "--tol-abs", "nan"], "abs_tol=nan must be finite and positive"),
+        (["reference", "--problem", "memristor", "--omega", "nan", "--grid", "5"],
+         "omega=nan must be finite and positive"),
         *(
             ([command, "--problem", "worked_example", "--omega", "100", "--grid", "5",
               "--t-end", "inf"], "t_end=inf must be finite and positive")
@@ -386,7 +402,7 @@ def test_compare_cost_chain_row_counts_the_dense_output(monkeypatch):
             )
         ),
     ],
-    ids=["errors", "table", "solve_t_end", "reference_tol_abs",
+    ids=["errors", "table", "solve_t_end", "reference_tol_abs", "reference_omega_nan",
          "solve_t_end_inf", "reference_t_end_inf", "errors_t_end_inf",
          "table_level_-1", "table_level_-2", "solve_grid_0", "reference_grid_1",
          "errors_grid_0", "errors_memristor_grid_1", "bench_grid_1"],
