@@ -44,7 +44,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OutOfDomain, UnsupportedOrder
-from .freq_algebra import build_index_chain, format_label, level_partitions, operand_multisets
+from .freq_algebra import (
+    _sigma_from_counts,
+    build_index_chain,
+    format_label,
+    level_partitions,
+    operand_multisets,
+)
 from .ode_core import DenseSolution, IvpSpec, integrate, sample
 
 __all__ = [
@@ -319,7 +325,7 @@ def build_expansion(problem, order=4, delta_min=None):
             )
 
     for r in range(1, order + 1):
-        groups = _level_terms(chain, r, basis, kappas)
+        groups = _level_terms(chain, r, basis, kappas, top=r == order)
         upper = chain[r + 1]
         current_tuples = {lab.canonical_tuple for lab in chain[r].labels}
 
@@ -342,23 +348,29 @@ def build_expansion(problem, order=4, delta_min=None):
     return Expansion(problem, order, chain[: order + 2], nodes)
 
 
-def _level_terms(chain, r, basis, kappas):
+def _level_terms(chain, r, basis, kappas, top=False):
     """Terms of the level-r equation, grouped by frequency label.
 
     One term per operand multiset (``operand_multisets``), with weight
     1/prod(m_i!).  A multiset's frequency, looked up in the next index set
-    once per distinct count vector, names its group; every group frequency
-    must already be present there.
+    once per distinct count vector by the finder's integer key
+    (``IndexSet.finder``), names its group; every group frequency must
+    already be present there.  At the top level (``top``) only the zero
+    group, p_R0's terms, is kept: a nonzero group there would feed a node
+    one level above the build.  Every multiset is still looked up.
     """
     resolve = chain[r + 1].finder(basis, kappas)
     groups = {}
     for operands, counts, weight in operand_multisets(chain[r], level_partitions(r)):
-        sigma, target = resolve(counts)
+        _, target = resolve(counts)
         if target is None:
+            sigma = _sigma_from_counts(counts, basis, kappas)
             raise AssertionError(
                 f"level-{r} term frequency {basis.sigma_string(sigma)} missing from "
                 "the next index set"
             )
+        if top and not target.is_zero:
+            continue
         operands = tuple(sorted(operands, key=lambda ol: (ol[0], ol[1].canonical_tuple)))
         groups.setdefault(target.canonical_tuple, []).append(
             Term(weight=weight, n=len(operands), operands=operands)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -300,8 +301,10 @@ def operand_multisets(index_set, partitions):
     product.  Yields ``(operands, counts, weight)``: the operands, the sum of
     their count vectors, and ``1/prod(m_i!)`` with ``m_i`` the repeats of
     one pair, which is the total ``1/n!`` of the multiset's orderings.
+    Multisets with equal weights share one ``Fraction``.
     """
     runs = {}
+    weights = {}
 
     def run(level, k):
         if (level, k) not in runs:
@@ -320,7 +323,10 @@ def operand_multisets(index_set, partitions):
         pieces = [run(level, len(list(group))) for level, group in itertools.groupby(part.parts)]
         for combo in itertools.product(*pieces):
             operands, counts, denominators = zip(*combo)
-            yield sum(operands, ()), tuple(map(sum, zip(*counts))), Fraction(1, math.prod(denominators))
+            den = math.prod(denominators)
+            if den not in weights:
+                weights[den] = Fraction(1, den)
+            yield sum(operands, ()), tuple(map(sum, zip(*counts))), weights[den]
 
 
 @dataclass(frozen=True)
@@ -374,20 +380,36 @@ class IndexSet:
         return self.labels[: self.prefix_sizes[k - 1]]
 
     def finder(self, basis, kappas):
-        """Function ``counts -> (sigma, label)``: a count vector's frequency,
-        summed once per vector, and this set's label with it or None (a dict
-        lookup in exact mode, a tolerance scan in float mode)."""
+        """Function ``counts -> (key, label)``: a count vector's frequency in
+        lookup form, computed once per vector, and this set's label with that
+        frequency, or None.
+
+        In exact mode the key is an integer tuple: the base frequencies'
+        coordinates are scaled once by the common denominator of all of them,
+        so a count vector's key is an integer dot product and the lookup is a
+        dict lookup; no ``Fraction`` is made.  In float mode the key is the
+        float frequency itself, matched by a tolerance scan.
+        """
         if basis.mode == "exact":
-            find = {label.sigma: label for label in self.labels}.get
+            scale = math.lcm(*(q.denominator for kappa in kappas for q in kappa.coords))
+            columns = list(zip(*((int(q * scale) for q in kappa.coords) for kappa in kappas)))
+
+            def key_of(counts):
+                return tuple(sum(map(operator.mul, counts, column)) for column in columns)
+
+            find = {key_of(label.counts): label for label in self.labels}.get
         else:
+            def key_of(counts):
+                return _sigma_from_counts(counts, basis, kappas)
+
             def find(sigma):
                 return next((lab for lab in self.labels if basis.sigma_equal(lab.sigma, sigma)), None)
         known = {}
 
         def resolve(counts):
             if counts not in known:
-                sigma = _sigma_from_counts(counts, basis, kappas)
-                known[counts] = (sigma, find(sigma))
+                key = key_of(counts)
+                known[counts] = (key, find(key))
             return known[counts]
 
         return resolve
@@ -425,6 +447,8 @@ def extend_index_set(index_set, partitions, basis, kappas, delta_min=None):
     is reduced to the sum of its count vectors; the frequency of each
     distinct sum is either matched to an existing label or appended as a
     new one (shortest representative tuple, lexicographic within a length).
+    Frequencies are compared by the finder's key (``IndexSet.finder``); in
+    exact mode a ``Fraction`` frequency is made only for each new label.
     A new nonzero frequency smaller in magnitude than ``delta_min`` aborts
     with a diagnostic naming the offending combination.
     """
@@ -434,20 +458,22 @@ def extend_index_set(index_set, partitions, basis, kappas, delta_min=None):
         delta_min = default_delta_min(kappas)
     m_count = len(kappas)
     resolve = index_set.finder(basis, kappas)
-    new = {}  # sigma -> shortest tuple, in order of first appearance
+    new = {}  # key -> shortest tuple, in order of first appearance
     for counts in dict.fromkeys(c for _, c, _ in operand_multisets(index_set, partitions)):
-        sigma, label = resolve(counts)
+        key, label = resolve(counts)
         if label is not None:
             continue
         if basis.mode == "float":
-            sigma = next((s for s in new if basis.sigma_equal(s, sigma)), sigma)
+            key = next((s for s in new if basis.sigma_equal(s, key)), key)
         tup = _tuple_from_counts(counts)
-        prev = new.get(sigma)
+        prev = new.get(key)
         if prev is None or (len(tup), tup) < (len(prev), prev):
-            new[sigma] = tup
+            new[key] = tup
 
     new_labels = []
-    for sigma, tup in new.items():
+    for key, tup in new.items():
+        counts = _counts_from_tuple(tup, m_count)
+        sigma = _sigma_from_counts(counts, basis, kappas) if basis.mode == "exact" else key
         fv = basis.sigma_float(sigma)
         if abs(fv) < delta_min:
             raise SmallDenominatorError(
@@ -456,7 +482,6 @@ def extend_index_set(index_set, partitions, basis, kappas, delta_min=None):
                 label=tup,
                 sigma=fv,
             )
-        counts = _counts_from_tuple(tup, m_count)
         new_labels.append(FrequencyLabel(counts, sigma, fv, tup))
     new_labels.sort(key=lambda lab: (len(lab.canonical_tuple), lab.canonical_tuple))
 

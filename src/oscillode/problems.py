@@ -100,16 +100,17 @@ def memristor_field(a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
 
     With g = 1 / ((1 + e) + 3 e y2^2) and h = (1 + 3 y2^2) g, the rows are
     y3, (y4 - y3) g, a y3 phi(y1) - a (y3 - y4) h, (y3 - y4) h + y5 and
-    -b y4 - c y5, where phi(y1) = d - (1 + 3 y1^2).  A point unpacks y into
-    plain Python complex numbers, which cost less per operation than numpy
-    scalars, and holds the derivatives of g, h and phi at its y2 and y1,
-    each already multiplied by the linear factor it meets.  Orders 1 and 2
-    take closed forms that make the general formula's products and sums in
-    its order, so every order gives the same bits as the general formula.
+    -b y4 - c y5, where phi(y1) = d - (1 + 3 y1^2).  ``evaluate`` and a point
+    unpack y into plain Python complex numbers, which cost less per operation
+    than numpy scalars; a point also holds the derivatives of g, h and phi
+    at its y2 and y1, each already multiplied by the linear factor it
+    meets.  Orders 1 and 2 take closed forms that make the general
+    formula's products and sums in its order, so every order gives the same
+    bits as the general formula.
     """
 
     def evaluate(y):
-        y1, y2, y3, y4, y5 = y
+        y1, y2, y3, y4, y5 = np.asarray(y).tolist()
         g = 1.0 / ((1.0 + e) + 3.0 * e * y2 * y2)
         h = (1.0 + 3.0 * y2 * y2) * g
         return np.array(

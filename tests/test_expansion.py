@@ -16,6 +16,8 @@ from oscillode.deriv_engine import (
     polynomial_amplitude,
     polynomial_field,
 )
+from oscillode import expansion as expansion_module
+from oscillode import freq_algebra as freq_algebra_module
 from oscillode.errors import OutOfDomain, SmallDenominatorError, UnsupportedOrder
 from oscillode.expansion import (
     Problem,
@@ -353,7 +355,35 @@ def _ordered_level_terms(chain, r, basis):
 @pytest.mark.parametrize("name, order", [("memristor", 4), ("worked_example", 5)])
 def test_term_weights_match_ordered_enumeration(name, order):
     """Each multiset term carries exactly the merged weight of its orderings."""
-    problem = get_problem(name).problem
+    assert_terms_match_ordered_enumeration(get_problem(name).problem, order)
+
+
+def fractional_problem(reals, coords):
+    """Three constant channels at base frequencies with fractional coordinates."""
+    basis = FrequencyBasis(reals)
+    kappas = [BaseFrequency(m, basis, coords=c) for m, c in enumerate(coords, start=1)]
+    field = polynomial_field(
+        2,
+        [{(0, 1): 1.0, (3, 0): -0.2, (1, 1): 0.1}, {(1, 0): -1.0, (2, 0): 0.2}],
+        max_order=8,
+    )
+    forcings = [constant_amplitude(k, [0.4, 0.1 * k.index]) for k in kappas]
+    return Problem(field, forcings, y0=[0.15, -0.1], basis=basis)
+
+
+@pytest.mark.parametrize(
+    "reals, coords",
+    [
+        ([1.0, SQRT2], [("1/2", 0), ("1/3", 1), ("-5/6", -1)]),
+        ([1.0], [("1/4",), ("1/6",), ("-1",)]),
+    ],
+)
+def test_fractional_coordinates_match_ordered_enumeration(reals, coords):
+    """The integer frequency keys group terms as exact rational sums do."""
+    assert_terms_match_ordered_enumeration(fractional_problem(reals, coords), 4)
+
+
+def assert_terms_match_ordered_enumeration(problem, order):
     ex = build_expansion(problem, order=order)
     for r in range(1, order + 1):
         oracle = _ordered_level_terms(ex.index_sets, r, problem.basis)
@@ -365,6 +395,44 @@ def test_term_weights_match_ordered_enumeration(name, order):
                 assert term_signature(ex.nodes[(r + 1, lab.canonical_tuple)]) == oracle.get(
                     lab.canonical_tuple, {}
                 )
+
+
+# worked_example builds: (Terms made, Fraction frequencies made) per order
+WORKED_BUILD_COUNTS = {5: (236, 42), 6: (690, 60), 7: (1954, 81)}
+
+
+@pytest.mark.parametrize("order", sorted(WORKED_BUILD_COUNTS))
+def test_build_makes_only_the_terms_and_frequencies_it_keeps(order, monkeypatch):
+    """Every Term made ends up in a node, and a Fraction frequency is summed
+    only for a new label: lookups use the finder's integer keys."""
+    made = {"terms": 0, "sigmas": 0}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            made[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(expansion_module, "Term", counting("terms", expansion_module.Term))
+    sigma_from_counts = counting("sigmas", freq_algebra_module._sigma_from_counts)
+    monkeypatch.setattr(freq_algebra_module, "_sigma_from_counts", sigma_from_counts)
+    ex = build_expansion(get_problem("worked_example").problem, order=order)
+    held = sum(len(node.terms) for node in ex.nodes.values())
+    assert (made["terms"], made["sigmas"]) == WORKED_BUILD_COUNTS[order]
+    assert held == made["terms"]
+    # one per label new since level 2, which equals level 1
+    assert made["sigmas"] == len(ex.index_sets[-1]) - len(ex.index_sets[2])
+
+
+def test_frequency_missing_from_the_next_set_is_an_error_at_the_top_too():
+    """Term assembly looks every multiset up, also where it keeps only p_R0."""
+    problem = get_problem("worked_example").problem
+    chain = freq_algebra_module.build_index_chain(problem.basis, problem.kappas, 4)
+    stale = chain[:4] + [chain[3]]  # level 3's set where level 4's belongs
+    for top in (False, True):
+        with pytest.raises(AssertionError, match=r"level-3 term frequency 3 missing from"):
+            expansion_module._level_terms(stale, 3, problem.basis, problem.kappas, top=top)
 
 
 # SHA-256 of dump_expansion for worked_example, built and not solved

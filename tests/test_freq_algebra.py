@@ -282,6 +282,49 @@ def test_float_mode_gives_the_exact_labels():
     ]
 
 
+# Fractional coordinates.  In exact mode the finder scales every coordinate by
+# the common denominator of all of them; a factor that is not a multiple of
+# every denominator would truncate distinct frequencies to one key.
+FRACTIONAL_BASES = {
+    # 1/2 + 1/3 - 5/6 = 0: a resonant triple, as in the worked example
+    "halves_thirds": ([1.0, SQRT2], [("1/2", 0), ("1/3", 1), ("-5/6", -1)]),
+    # scaled by the largest denominator, 6, rather than by 12, both 1/4 and
+    # 1/6 would truncate to 1 and collide
+    "quarter_sixth": ([1.0], [("1/4",), ("1/6",), ("-1",)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRACTIONAL_BASES))
+def test_fractional_coordinates_match_float_mode(name):
+    reals, coords = FRACTIONAL_BASES[name]
+    basis = FrequencyBasis(reals)
+    kappas = [BaseFrequency(m, basis, coords=c) for m, c in enumerate(coords, start=1)]
+    exact = build_index_chain(basis, kappas, 6)
+    floats = FrequencyBasis(mode="float", tolerance=1e-9)
+    floated = build_index_chain(
+        floats, [BaseFrequency(k.index, floats, value=k.value) for k in kappas], 6
+    )
+    assert [[lab.canonical_tuple for lab in s] for s in exact] == [
+        [lab.canonical_tuple for lab in s] for s in floated
+    ]
+    for index_set in exact[1:]:
+        sigmas = [lab.sigma for lab in index_set]
+        assert len(sigmas) == len(set(sigmas))
+
+
+def test_small_denominator_error_names_the_combination():
+    """The guard's error names the combination that made the small frequency."""
+    basis = FrequencyBasis([1.0, 1.0 - 1e-12], names=("1", "c"))
+    kappas = [
+        BaseFrequency(1, basis, coords=(1, 0)),
+        BaseFrequency(2, basis, coords=(0, -1)),
+    ]
+    with pytest.raises(SmallDenominatorError) as err:
+        build_index_chain(basis, kappas, 3)
+    assert err.value.label == (1, 2)
+    assert "1-c" in str(err.value)
+
+
 # -- multiplicities -----------------------------------------------------------
 
 
