@@ -122,7 +122,7 @@ def _cmd_solve(args):
     t_end = _t_end(args, registered)
     grid = uniform_grid(t_end, args.grid)
     expansion = build_expansion(registered.problem, order=order, delta_min=args.delta_min)
-    solve_nonoscillatory_chain(expansion, t_end, knots=grid)
+    solve_nonoscillatory_chain(expansion, t_end)
     table = expansion.table(grid, order)
     lines = ["t,omega,s,component,y_re,y_im"]
     for omega in args.omega:

@@ -7,32 +7,23 @@ which lower-level coefficients and their time derivatives appear divided by
 the label frequency; zero-frequency coefficients solve non-oscillatory ODEs
 whose initial conditions make all terms at the origin cancel level by level.
 
-Term assembly visits each multiset of (level, label) operands whose levels sum
-to the level once (``freq_algebra.operand_multisets``), with weight
-1/prod(m_i!), where m_i counts the repeats of one (level, label) pair.  That is
-the total weight 1/n! of the multiset's n!/prod(m_i!) orderings, so the
-classical multiplicity counts are built in, and the bookkeeping stays correct
-even when equal frequencies appear at different levels.
+A node is named by its key (level, label tuple).  Term assembly visits each
+multiset of operand keys whose levels sum to the level once
+(``freq_algebra.operand_multisets``), with weight 1/prod(m_i!), where m_i
+counts the repeats of one key.  That is the total weight 1/n! of the
+multiset's n!/prod(m_i!) orderings, so the classical multiplicity counts are
+built in, and the bookkeeping stays correct even when equal frequencies
+appear at different levels.
 
-Evaluation reads each node's derivatives as lists of term tuples.  A tuple
-(coef, n, args) stands for coef * f_n[args] at the base trajectory, and each
-entry of args is a (node key, order) pair naming a derivative of a
-coefficient.  One rule turns the list of order j into that of order j+1:
-(f_n[a_1..a_n])' = f_(n+1)[p_00', a_1..a_n] + sum_i f_n[.., a_i', ..].  An
-algebraic node also subtracts the matching derivative of the node one level
-down, over (i sigma).  The lists live only while a plan (``plan.Plan``) is
-compiled from them, in a dict the compile owns.  A plan is a straight-line
-program over integer slots whose steps are a forcing value, the field's
-point at the base state, or a term sum; it holds no value, and a call fills
-one fresh slot list per time.  The chain solve compiles one plan of every
-level's right-hand side, whose slots it seeds with the stage states, and
-one of every level's coefficients, which it keeps with the chain solution:
-seeded level by level it gives the initial values, and seeded from one
-sample of the stacked chain solution per time, the table.  A single
-coefficient or derivative compiles a plan of its own, so no evaluation
-changes the expansion.  No coefficient depends on omega: ``Expansion.table``
-keeps a grid's coefficients in a caller-owned ``CoefficientTable``
-(``coefficient_table``), whose truncated sums at any omega are numpy alone.
+Evaluation runs a plan (``plan.Plan``) compiled from the nodes' terms; the
+term-list format, with its derivative rule, belongs to ``plan``.  The chain
+solve keeps one plan of every level's coefficients with the chain solution:
+it gave the initial values, and ``Expansion.table`` runs it on one sample of
+the stacked chain solution per time.  A single coefficient or derivative
+compiles a plan of its own, so no evaluation changes the expansion.  No
+coefficient depends on omega: the table is a caller-owned
+``CoefficientTable`` (``coefficient_table``), whose truncated sums at any
+omega are numpy alone.
 """
 
 from __future__ import annotations
@@ -40,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -51,7 +43,7 @@ from .freq_algebra import (
     level_partitions,
     operand_multisets,
 )
-from .ode_core import DenseSolution, IvpSpec, integrate, sample
+from .ode_core import DenseSolution, IvpSpec, _check_finite_y0, integrate, sample
 
 __all__ = [
     "Problem",
@@ -76,6 +68,7 @@ class Problem:
         self.basis = basis
         if self.y0.shape != (vector_field.dimension,):
             raise ValueError("initial state dimension mismatch")
+        _check_finite_y0(self.y0)
         for pos, forcing in enumerate(self.forcings, start=1):
             shape = np.shape(forcing.derivative(0, 0.0))
             if shape != (vector_field.dimension,):
@@ -112,12 +105,12 @@ class Term:
 
     weight: Fraction
     n: int
-    operands: tuple  # sorted tuple of (level, FrequencyLabel)
+    operands: tuple  # sorted tuple of node keys (level, label tuple)
 
     def describe(self):
         if self.n == 0:
             return f"{self.weight} f[p(0,0)]"
-        ops = ", ".join(f"p({lev},{format_label(lab.canonical_tuple)})" for lev, lab in self.operands)
+        ops = ", ".join(f"p({lev},{format_label(tup)})" for lev, tup in self.operands)
         return f"{self.weight} f{self.n}[{ops}]"
 
 
@@ -138,49 +131,24 @@ class CoefficientNode:
     forcing_index: int = 0
     has_lower_derivative: bool = False
     solution: object = None
-    initial_value: object = None
 
 
 class Expansion:
     """Node table plus index sets; evaluable once the ODE chain is solved."""
-
-    # the stacked chain's DenseSolution, set by solve_nonoscillatory_chain
-    chain_solution = None
 
     def __init__(self, problem, order, index_sets, nodes):
         self.problem = problem
         self.order = order
         self.index_sets = index_sets  # levels 0..order+1
         self.nodes = nodes
-        # the plan of every level's coefficients, set with chain_solution
+        # the stacked chain's DenseSolution and the plan of every level's
+        # coefficients, both set by solve_nonoscillatory_chain
+        self.chain_solution = None
         self._levels_plan = None
 
     def labels_at(self, r):
-        return self.index_sets[r].labels
-
-    # -- internal evaluation ---------------------------------------------------
-
-    def _terms(self, key, order, lists):
-        """Terms of node ``key``'s order-th derivative; an ode node's start at
-        order 1.  ``lists[key]`` maps the orders made so far to their lists,
-        and gains every order up to this one; the caller owns ``lists``."""
-        node, made = self.nodes[key], lists.setdefault(key, {})
-        if not made:
-            ode = node.kind == "ode"
-            pref = 1.0 if ode else 1.0 / (1j * node.label.float_value)
-            made[int(ode)] = [
-                (
-                    pref * complex(term.weight),
-                    term.n,
-                    tuple(((lev, lab.canonical_tuple), 0) for lev, lab in term.operands),
-                )
-                for term in node.terms
-            ]
-        for j in range(max(k for k in made if k <= order), order):
-            made[j + 1] = _derivative(made[j])
-        return made[order]
-
-    # -- public evaluation -------------------------------------------------------
+        """Level r's labels; level 0 has the zero label alone."""
+        return self.index_sets[r].labels if r else [self.nodes[(0, ())].label]
 
     def coefficient_value(self, r, label, t):
         return self.coefficient_derivative(r, label, t, order=0)
@@ -224,8 +192,7 @@ class Expansion:
                 plan.run(plan.segments[r], t, slots)
                 for m, slot in enumerate(plan.targets[r]):
                     values[r][i, m] = slots[slot]
-        labels = [[self.nodes[(0, ())].label]] + [self.labels_at(r) for r in range(1, s + 1)]
-        sigmas = [np.array([label.float_value for label in level]) for level in labels]
+        sigmas = [np.array([lab.float_value for lab in self.labels_at(r)]) for r in range(s + 1)]
         return CoefficientTable(np.array(ts), sigmas, values)
 
     def evaluate_truncated(self, t, omega, s):
@@ -248,20 +215,6 @@ def _finite_time(t):
     if not math.isfinite(t):
         raise ValueError(f"t={t!r} must be finite")
     return t
-
-
-def _derivative(terms):
-    """The time derivative of a term list.
-
-    (coef * f_n[a_1..a_n])' is coef * f_(n+1)[p_00', a_1..a_n] plus, for
-    each i, coef * f_n[.., a_i', ..]; p_00' is the base trajectory's rate.
-    """
-    out = []
-    for coef, n, args in terms:
-        out.append((coef, n + 1, (((0, ()), 1),) + args))
-        for i, (key, order) in enumerate(args):
-            out.append((coef, n, args[:i] + ((key, order + 1),) + args[i + 1 :]))
-    return out
 
 
 # -- construction ---------------------------------------------------------------
@@ -371,12 +324,12 @@ def _level_terms(chain, r, basis, kappas, top=False):
             )
         if top and not target.is_zero:
             continue
-        operands = tuple(sorted(operands, key=lambda ol: (ol[0], ol[1].canonical_tuple)))
+        operands = tuple(sorted(operands))
         groups.setdefault(target.canonical_tuple, []).append(
             Term(weight=weight, n=len(operands), operands=operands)
         )
     for terms in groups.values():
-        terms.sort(key=lambda tm: (tm.n, tuple((lev, lab.canonical_tuple) for lev, lab in tm.operands)))
+        terms.sort(key=attrgetter("n", "operands"))
     return groups
 
 
@@ -395,11 +348,10 @@ def solve_nonoscillatory_chain(expansion, t_end, abs_tol=1e-12, rel_tol=1e-12, k
     """
     system = _ChainSystem(expansion)
     try:
-        ics = system.initial_values()
         solution = integrate(
             IvpSpec(
                 rhs=system,
-                y0=np.concatenate(ics),
+                y0=np.concatenate(system.initial_values()),
                 t_end=float(t_end),
                 abs_tol=abs_tol,
                 rel_tol=rel_tol,
@@ -413,18 +365,15 @@ def solve_nonoscillatory_chain(expansion, t_end, abs_tol=1e-12, rel_tol=1e-12, k
             err.add_note(f"while solving node (r={system.level}, m=0)")
         raise
     expansion.chain_solution, expansion._levels_plan = solution, system.levels_plan
-    for r, (ic, part) in enumerate(zip(ics, system.plan.parts)):
-        node = expansion.nodes[(r, ())]
-        node.solution = DenseSolution(
+    for r, part in enumerate(system.plan.parts):
+        expansion.nodes[(r, ())].solution = DenseSolution(
             ts=solution.ts,
             ys=solution.ys[:, part],
-            fs=solution.fs[:, part],
             dense=solution.dense[:, :, part],
             n_steps=solution.n_steps,
             n_accepted=solution.n_accepted,
             n_rhs_evals=solution.n_rhs_evals,
         )
-        node.initial_value = ic
     return expansion
 
 
@@ -437,39 +386,36 @@ class _ChainSystem:
     segments, one per level in increasing order; each level's derivative
     stays in its slot for the levels above.  The plan is compiled once per
     solve, and next to it ``levels_plan``, whose group r is every level-r
-    coefficient, label by label (level 0: p_00 alone): it gives the initial
-    values, and the solve keeps it for the table.  ``level`` is the level
-    being worked on, or None outside a call, so an error can name it.
+    coefficient, label by label: it gives the initial values, and the solve
+    keeps it for the table.  ``level`` is the level being worked on, or None
+    outside a call, so an error can name it.
     """
 
     def __init__(self, expansion):
         self.expansion = expansion
         from .plan import Plan
 
-        self.plan = Plan(expansion, [[((r, ()), 1)] for r in range(expansion.order + 1)])
-        levels = [[((0, ()), 0)]] + [
-            [((r, label.canonical_tuple), 0) for label in expansion.labels_at(r)]
-            for r in range(1, expansion.order + 1)
-        ]
-        self.levels_plan = Plan(expansion, levels)
+        levels = range(expansion.order + 1)
+        self.plan = Plan(expansion, [[((r, ()), 1)] for r in levels])
+        self.levels_plan = Plan(
+            expansion,
+            [[((r, label.canonical_tuple), 0) for label in expansion.labels_at(r)] for r in levels],
+        )
         self.level = None
 
     def initial_values(self):
         """Each level's value at t = 0, computed from the levels below it."""
-        expansion = self.expansion
+        expansion, y0 = self.expansion, self.expansion.problem.y0
         plan = self.levels_plan
         slots = plan.slots()
         ics = []
         for r, (segment, targets) in enumerate(zip(plan.segments, plan.targets)):
             self.level = r
-            if r == 0:
-                ic = expansion.problem.y0.astype(complex)
-            else:
-                plan.run(segment, 0.0, slots)
-                ic = np.zeros(plan.dimension, dtype=complex)
-                for label, slot in zip(expansion.labels_at(r), targets):
-                    if not label.is_zero:
-                        ic -= slots[slot]
+            plan.run(segment, 0.0, slots)
+            ic = np.zeros(plan.dimension, dtype=complex) if r else y0.astype(complex)
+            for label, slot in zip(expansion.labels_at(r), targets):
+                if not label.is_zero:
+                    ic -= slots[slot]
             slots[r] = ic
             ics.append(ic)
         self.level = None
@@ -498,9 +444,8 @@ def dump_expansion(expansion):
         f"expansion order={expansion.order} channels={len(expansion.problem.forcings)} "
         f"dimension={expansion.problem.dimension}"
     ]
-    for r in range(0, expansion.order + 1):
-        labels = expansion.labels_at(r) if r >= 1 else [expansion.index_sets[1].labels[0]]
-        for label in labels:
+    for r in range(expansion.order + 1):
+        for label in expansion.labels_at(r):
             node = expansion.nodes[(r, label.canonical_tuple)]
             sig = basis.sigma_string(label.sigma)
             lines.append(
@@ -523,7 +468,7 @@ def dump_expansion(expansion):
                         lines.append("  ic: original initial state")
                     else:
                         lines.append("  ic: -(sum of level-%d values at 0)" % r)
-                    if node.initial_value is not None:
-                        vals = ", ".join(_format_complex(z) for z in node.initial_value)
+                    if node.solution is not None:
+                        vals = ", ".join(_format_complex(z) for z in node.solution.ys[0])
                         lines.append(f"  ic value: [{vals}]")
     return "\n".join(lines) + "\n"

@@ -294,14 +294,16 @@ def level_partitions(r):
 
 
 def operand_multisets(index_set, partitions):
-    """Each multiset of ``(level, label)`` operands over ``partitions``, once.
+    """Each multiset of operands over ``partitions``, once.
 
     A run of ``k`` equal parts ``l`` draws ``k`` level-``l`` labels of
     ``index_set`` with replacement, in label order; runs combine as a
-    product.  Yields ``(operands, counts, weight)``: the operands, the sum of
-    their count vectors, and ``1/prod(m_i!)`` with ``m_i`` the repeats of
-    one pair, which is the total ``1/n!`` of the multiset's orderings.
-    Multisets with equal weights share one ``Fraction``.
+    product.  An operand is named by its node key ``(level, label tuple)``,
+    made once per run and shared by every multiset drawn from it.  Yields
+    ``(operands, counts, weight)``: the operand keys, the sum of their count
+    vectors, and ``1/prod(m_i!)`` with ``m_i`` the repeats of one key, which
+    is the total ``1/n!`` of the multiset's orderings.  Multisets with equal
+    weights share one ``Fraction``.
     """
     runs = {}
     weights = {}
@@ -309,9 +311,10 @@ def operand_multisets(index_set, partitions):
     def run(level, k):
         if (level, k) not in runs:
             pool = index_set.labels_at_level(level)
+            keys = [(level, label.canonical_tuple) for label in pool]
             runs[(level, k)] = [
                 (
-                    tuple((level, pool[i]) for i in picks),
+                    tuple(keys[i] for i in picks),
                     tuple(map(sum, zip(*(pool[i].counts for i in picks)))),
                     _repeat_factorials(picks),
                 )

@@ -225,11 +225,9 @@ def _rk_reference(registered, omega, grid, tol_abs, tol_rel):
     return np.array([sample(solution, float(t)) for t in grid]), solution
 
 
-def _build_solved(registered, order, t_end, grid, chain_abs, chain_rel, delta_min=None):
+def _build_solved(registered, order, t_end, chain_abs, chain_rel, delta_min=None):
     expansion = build_expansion(registered.problem, order=order, delta_min=delta_min)
-    solve_nonoscillatory_chain(
-        expansion, t_end, abs_tol=chain_abs, rel_tol=chain_rel, knots=grid
-    )
+    solve_nonoscillatory_chain(expansion, t_end, abs_tol=chain_abs, rel_tol=chain_rel)
     return expansion
 
 
@@ -262,7 +260,7 @@ def run_error_study(
     grid = uniform_grid(t_end, grid_n)
 
     if expansion is None:
-        expansion = _build_solved(registered, order, t_end, grid, chain_abs, chain_rel, delta_min)
+        expansion = _build_solved(registered, order, t_end, chain_abs, chain_rel, delta_min)
 
     table = expansion.table(grid, max(s_values))
     errors = {}
@@ -392,10 +390,10 @@ def compare_cost(
     grid = uniform_grid(t_end, grid_n)
 
     build_s, expansion = _timed(
-        lambda: _build_solved(registered, order, t_end, grid, 1e-12, 1e-12)
+        lambda: _build_solved(registered, order, t_end, 1e-12, 1e-12)
     )
     chain = expansion.chain_solution
-    chain_kb = _kb(chain.ts, chain.ys, chain.fs, chain.dense)
+    chain_kb = _kb(chain.ts, chain.ys, chain.dense)
     rows = [("expansion_build", float("nan"), build_s, chain_kb, 0)]
     # the first evaluation also pays for the table that serves every omega
     table_s, table = _timed(lambda: expansion.table(grid, s))
@@ -411,7 +409,7 @@ def compare_cost(
         if cache_dir is not None:
             path = _cache_path(cache_dir, registered, omega, tol_abs, tol_rel, grid)
             _write_cached(path, grid, values)
-        kb = _kb(solution.ts, solution.ys, solution.fs, values)
+        kb = _kb(solution.ts, solution.ys, values)
         rows.append(("rk_reference", omega, seconds, kb, grid.size))
     keys = ("method", "omega", "seconds", "peak_kb", "points")
     return CostReport(registered.name, s, [dict(zip(keys, row)) for row in rows])

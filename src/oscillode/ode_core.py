@@ -232,8 +232,8 @@ class IvpSpec:
 
     ``knots`` is an optional array of times, in any order, the integrator
     must land on exactly, so samples there carry no interpolation error.
-    ``t_end``, the tolerances and every knot must be finite, else the spec
-    raises ValueError.
+    ``y0``, ``t_end``, the tolerances and every knot must be finite, else
+    the spec raises ValueError.
 
     With ``dense_refine`` on, every accepted step is stored with the seven
     coefficients of its seventh-order interpolant in ``dense`` (three more
@@ -251,6 +251,7 @@ class IvpSpec:
     dense_refine: bool = True
 
     def __post_init__(self):
+        _check_finite_y0(self.y0)
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end={self.t_end!r} must be finite and positive")
         for name in ("abs_tol", "rel_tol"):
@@ -264,11 +265,20 @@ class IvpSpec:
                 raise ValueError(f"knot {bad[0]!r} is not finite; every knot must be")
 
 
+def _check_finite_y0(y0):
+    """ValueError naming the first component of ``y0`` that is not finite."""
+    # part by part: loading cmath, which nothing else here needs, costs
+    # about 0.1 MB of RSS
+    for i, z in enumerate(np.asarray(y0, dtype=complex).ravel().tolist()):
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(f"y0[{i}]={z!r} is not finite; every component of y0 must be")
+
+
 @dataclass
 class DenseSolution:
-    """Stored states with derivatives (without ``dense``, at t = 0, the knots
-    and t_end only), plus each step's interpolant if recorded.  ``n_steps``
-    counts attempted steps and ``n_accepted`` accepted ones.
+    """Stored states (without ``dense``, at t = 0, the knots and t_end
+    only), plus each step's interpolant if recorded.  ``n_steps`` counts
+    attempted steps and ``n_accepted`` accepted ones.
 
     ``dense[i]`` holds the seven coefficient vectors F_0..F_6 of the step
     from ``ts[i]``; at s = (t - ts[i]) / h and u = 1 - s the value there is
@@ -278,7 +288,6 @@ class DenseSolution:
 
     ts: np.ndarray
     ys: np.ndarray
-    fs: np.ndarray
     dense: np.ndarray | None = None
     n_steps: int = 0
     n_accepted: int = 0
@@ -325,7 +334,7 @@ def integrate(spec: IvpSpec) -> DenseSolution:
     knots = [tk for tk in sorted(knots) if 0.0 < tk < t_end]
     knot_pos = 0
 
-    ts, ys, fs = [0.0], [y.copy()], [f.copy()]
+    ts, ys = [0.0], [y.copy()]
     dense = [] if spec.dense_refine else None
 
     h = _initial_step(y, f, t_end, spec.abs_tol, spec.rel_tol)
@@ -381,7 +390,6 @@ def integrate(spec: IvpSpec) -> DenseSolution:
             if dense is not None or stop is not None:
                 ts.append(t)
                 ys.append(y)
-                fs.append(f)
 
         factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** (-_ORDER_EXP)
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
@@ -392,7 +400,6 @@ def integrate(spec: IvpSpec) -> DenseSolution:
     return DenseSolution(
         ts=np.array(ts),
         ys=np.array(ys),
-        fs=np.array(fs),
         dense=None if dense is None else np.array(dense),
         n_steps=n_steps,
         n_accepted=n_accepted,

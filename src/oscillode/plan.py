@@ -1,6 +1,14 @@
 """The evaluation plan: an expansion's term lists compiled into a
 straight-line program.
 
+This module owns the term-list format.  A node's derivatives are lists of
+term tuples (coef, n, args), each standing for coef * f_n[args] at the base
+trajectory, where each entry of args is a (node key, order) pair naming a
+derivative of a coefficient.  ``_terms`` makes them from a node's ``terms``
+and ``_derivative`` differentiates them; an algebraic node also subtracts
+the matching derivative of the node one level down, over (i sigma).  The
+lists live only while a plan is compiled, in a dict the compile owns.
+
 The compiling walk leaves out every term that is zero by the problem's
 structure.  A field may declare ``reads(n)``, the direction components that
 f_n can depend on, and a forcing ``support(j)``, the components in which its
@@ -28,6 +36,37 @@ FORCING, POINT, SUM = range(3)
 def _factor(coef):
     """A term's coefficient, or None for exactly 1, which multiplies nothing."""
     return None if coef == 1 else coef
+
+
+def _terms(nodes, key, order, lists):
+    """Terms of node ``key``'s order-th derivative; an ode node's start at
+    order 1.  ``lists[key]`` maps the orders made so far to their lists, and
+    gains every order up to this one; the caller owns ``lists``."""
+    node, made = nodes[key], lists.setdefault(key, {})
+    if not made:
+        ode = node.kind == "ode"
+        pref = 1.0 if ode else 1.0 / (1j * node.label.float_value)
+        made[int(ode)] = [
+            (pref * complex(term.weight), term.n, tuple((op, 0) for op in term.operands))
+            for term in node.terms
+        ]
+    for j in range(max(k for k in made if k <= order), order):
+        made[j + 1] = _derivative(made[j])
+    return made[order]
+
+
+def _derivative(terms):
+    """The time derivative of a term list.
+
+    (coef * f_n[a_1..a_n])' is coef * f_(n+1)[p_00', a_1..a_n] plus, for
+    each i, coef * f_n[.., a_i', ..]; p_00' is the base trajectory's rate.
+    """
+    out = []
+    for coef, n, args in terms:
+        out.append((coef, n + 1, (((0, ()), 1),) + args))
+        for i, (key, order) in enumerate(args):
+            out.append((coef, n, args[:i] + ((key, order + 1),) + args[i + 1 :]))
+    return out
 
 
 class Plan:
@@ -74,7 +113,7 @@ class Plan:
         # value -> the components in which it can be nonzero
         support = dict.fromkeys(slot_of, every)
         live = {}  # sum value -> (its lower-derivative value or None, its terms)
-        lists = {}  # the term lists, made for this compile alone (``Expansion._terms``)
+        lists = {}  # the term lists, made for this compile alone (``_terms``)
 
         def support_of(arg):
             if arg not in support:
@@ -105,7 +144,7 @@ class Plan:
                     if not support_of(lower):
                         lower = None
                 terms = []
-                for term in expansion._terms(key, order, lists):
+                for term in _terms(nodes, key, order, lists):
                     n = term[1]
                     if n not in reads:
                         reads[n] = every if declared_reads is None else frozenset(declared_reads(n))

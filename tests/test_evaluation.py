@@ -342,7 +342,7 @@ def test_a_field_that_hands_out_its_stored_arrays_keeps_them():
         table = ex.table([0.0, 0.3, 0.7])
         sums = [table.evaluate(omega, s) for omega in (250.0, 900.0) for s in range(4)]
         rate = ex.coefficient_derivative(1, (), 0.3)
-        result = [ex.chain_solution.ys, ex.chain_solution.fs, *table.values, *sums, rate.copy()]
+        result = [ex.chain_solution.ys, *table.values, *sums, rate.copy()]
         rate *= 2.0
         for now, then in zip(stored, before):
             assert np.array_equal(now, then)
@@ -427,9 +427,15 @@ def test_evaluation_repeats_the_chain_and_cancels_at_the_origin(problem, omega):
         reject()
     solve_nonoscillatory_chain(ex, t_end=0.5)
     # the chain's right-hand side and evaluation are one evaluator
+    system = expansion_module._ChainSystem(ex)
+    chain = ex.chain_solution
+    rates = [system(t, y) for t, y in zip(chain.ts, chain.ys)]
+    d = problem.dimension
     for r in range(3):
-        sol = ex.nodes[(r, ())].solution
-        assert np.array_equal(sol.fs, [ex.coefficient_derivative(r, (), t) for t in sol.ts])
+        assert np.array_equal(
+            [rate[r * d : (r + 1) * d] for rate in rates],
+            [ex.coefficient_derivative(r, (), t) for t in chain.ts],
+        )
     # every level's terms cancel at the origin
     for s in range(3):
         assert np.max(np.abs(ex.evaluate_truncated(0.0, omega, s) - problem.y0)) <= 1e-12

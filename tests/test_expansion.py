@@ -34,13 +34,7 @@ SQRT2 = math.sqrt(2.0)
 
 def term_signature(node):
     """Comparable form of a node's term list: (n, operands, weight)."""
-    return {
-        (
-            term.n,
-            tuple((lev, lab.canonical_tuple) for lev, lab in term.operands),
-        ): term.weight
-        for term in node.terms
-    }
+    return {(term.n, term.operands): term.weight for term in node.terms}
 
 
 def two_frequency_problem():
@@ -183,8 +177,8 @@ class TestTwoFrequencyStructure:
         for (r, tup), node in expansion.nodes.items():
             for term in node.terms:
                 sigma = basis.zero_sigma()
-                for _, lab in term.operands:
-                    sigma = basis.sigma_add(sigma, lab.sigma)
+                for key in term.operands:
+                    sigma = basis.sigma_add(sigma, expansion.nodes[key].label.sigma)
                 assert basis.sigma_equal(sigma, node.label.sigma)
 
 
@@ -484,10 +478,7 @@ def test_assembled_rhs_matches_raw_enumeration():
             zero_node = ex.nodes[(r, ())]
             total = np.zeros(problem.dimension, dtype=complex)
             for term in zero_node.terms:
-                dirs = [
-                    ex.coefficient_value(lev, lab.canonical_tuple, t)
-                    for lev, lab in term.operands
-                ]
+                dirs = [ex.coefficient_value(lev, tup, t) for lev, tup in term.operands]
                 total = total + complex(term.weight) * field.apply(term.n, base, dirs)
             assembled["0"] = total
             if r + 1 <= ex.order:
@@ -497,10 +488,7 @@ def test_assembled_rhs_matches_raw_enumeration():
                     node = ex.nodes[(r + 1, lab.canonical_tuple)]
                     total = np.zeros(problem.dimension, dtype=complex)
                     for term in node.terms:
-                        dirs = [
-                            ex.coefficient_value(lv, lb.canonical_tuple, t)
-                            for lv, lb in term.operands
-                        ]
+                        dirs = [ex.coefficient_value(lv, tp, t) for lv, tp in term.operands]
                         total = total + complex(term.weight) * field.apply(term.n, base, dirs)
                     assembled[basis.sigma_string(lab.sigma)] = total
             for key, val in assembled.items():
@@ -643,6 +631,44 @@ def test_dump_expansion_mentions_key_structure():
     assert "ic value:" in text
 
 
+def test_every_operand_is_a_node_key():
+    ex = build_expansion(get_problem("worked_example").problem, order=5)
+    operands = {op for node in ex.nodes.values() for term in node.terms for op in term.operands}
+    assert len(operands) > 1
+    assert operands <= ex.nodes.keys()
+
+
+def test_level_zero_is_the_zero_label_alone(memristor_solved):
+    ex = memristor_solved
+    assert ex.labels_at(0) == [ex.nodes[(0, ())].label]
+    table = ex.table([0.0, 0.5])
+    assert table.sigmas[0].tolist() == [0.0]
+    assert [len(sigmas) for sigmas in table.sigmas] == [
+        len(ex.labels_at(r)) for r in range(ex.order + 1)
+    ]
+
+
+def test_a_solve_keeps_its_initial_values_only_in_the_chain_solution():
+    ex = build_expansion(get_problem("worked_example").problem, order=3)
+    solve_nonoscillatory_chain(ex, t_end=1.0)
+    want = []
+    for r in range(ex.order + 1):
+        node = ex.nodes[(r, ())]
+        assert not hasattr(node, "initial_value")
+        vals = ", ".join("%.12g%+.12gj" % (z.real, z.imag) for z in node.solution.ys[0])
+        want.append(f"  ic value: [{vals}]")
+    lines = dump_expansion(ex).splitlines()
+    assert [line for line in lines if line.startswith("  ic value: ")] == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 0.0)])
+def test_problem_rejects_a_non_finite_initial_state(bad):
+    basis = FrequencyBasis([1.0], names=("1",))
+    forcing = constant_amplitude(BaseFrequency(1, basis, coords=(1,)), [1.0, 0.0])
+    with pytest.raises(ValueError, match=r"y0\[1\]=.* is not finite"):
+        Problem(linear_field(np.eye(2)), [forcing], y0=[0.0, bad], basis=basis)
+
+
 class _NeedsCode(Exception):
     """An error type whose constructor takes more than a message."""
 
@@ -707,13 +733,9 @@ def test_declared_sparsity_gives_the_same_expansion_with_fewer_calls(name, order
         table = ex.table(np.linspace(0.0, 1.0, 7))
         built.append((ex, [table.evaluate(omega, order) for omega in (150.0, 2000.0)]))
     (declared, declared_sums), (plain, plain_sums) = built
-    for attribute in ("ts", "ys", "fs", "dense"):
+    for attribute in ("ts", "ys", "dense"):
         assert np.array_equal(
             getattr(declared.chain_solution, attribute), getattr(plain.chain_solution, attribute)
-        )
-    for r in range(order + 1):
-        assert np.array_equal(
-            declared.nodes[(r, ())].initial_value, plain.nodes[(r, ())].initial_value
         )
     assert np.array_equal(declared_sums, plain_sums)
     assert counted[id(base)] < counted[id(plain_field)]
@@ -765,14 +787,18 @@ def test_chain_levels_share_one_step_sequence_and_match_their_derivatives(make_p
     solve_nonoscillatory_chain(ex, t_end=1.0)
     solutions = [ex.nodes[(r, ())].solution for r in range(order + 1)]
     # one integration for every level, and nothing cached by the solve: it
-    # adds the chain solution alone
+    # fills in attributes the build already made, and adds none
     assert all(sol.ts is solutions[0].ts for sol in solutions)
-    assert set(vars(ex)) == attributes | {"chain_solution"}
-    # every stored derivative is the level's right-hand side at that node
+    assert set(vars(ex)) == attributes
+    # the chain's right-hand side at every stored node is each level's derivative
+    system = expansion_module._ChainSystem(ex)
+    chain = ex.chain_solution
+    rates = np.array([system(t, y) for t, y in zip(chain.ts, chain.ys)])
     for r, sol in enumerate(solutions):
         want = np.array([ex.coefficient_derivative(r, (), t) for t in sol.ts])
         scale = max(float(np.max(np.abs(want))), 1e-300)
-        assert float(np.max(np.abs(sol.fs - want))) <= 1e-10 * scale
+        got = rates[:, r * ex.problem.dimension : (r + 1) * ex.problem.dimension]
+        assert float(np.max(np.abs(got - want))) <= 1e-10 * scale
 
 
 def test_memristor_chain_on_its_knots_is_not_slowed_by_them():

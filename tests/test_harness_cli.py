@@ -361,11 +361,11 @@ def test_compare_cost_chain_row_counts_the_dense_output(monkeypatch):
 
     monkeypatch.setattr(harness, "_build_solved", build_and_keep)
     report = compare_cost("linear_example", (40.0,), 1, grid_n=5, t_end=0.5, order=2)
-    # the stacked chain of levels 0-2: step ends, their derivatives, and
-    # each step's seven interpolant coefficients
+    # the stacked chain of levels 0-2: step ends and each step's seven
+    # interpolant coefficients
     chain = built[0].chain_solution
     assert chain.dense.shape == (chain.ts.size - 1, 7, chain.ys.shape[1])
-    arrays = (chain.ts, chain.ys, chain.fs, chain.dense)
+    arrays = (chain.ts, chain.ys, chain.dense)
     assert report.rows[0]["method"] == "expansion_build"
     assert report.rows[0]["peak_kb"] == sum(a.nbytes for a in arrays) / 1024.0
 

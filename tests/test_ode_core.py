@@ -158,6 +158,15 @@ def test_a_non_finite_knot_is_rejected(bad):
         IvpSpec(rhs=lambda t, y: -y, y0=[1.0], t_end=1.0, knots=[0.25, bad, 0.75])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_a_non_finite_initial_state_is_rejected(bad):
+    # named as y0's, not reported as a non-finite right-hand side
+    calls = []
+    with pytest.raises(ValueError, match=r"y0\[1\]=.* is not finite"):
+        IvpSpec(rhs=lambda t, y: calls.append(t) or -y, y0=[1.0, bad], t_end=1.0)
+    assert calls == []
+
+
 def test_a_knot_just_past_a_step_end_does_not_shrink_the_steps_after_it():
     plain = integrate(IvpSpec(rhs=_lotka_volterra, y0=[1.5, 0.7], t_end=3.0))
     # the step from ts[3] is cut to a millionth of itself to land on the knot;
@@ -222,8 +231,7 @@ def test_tableau_meets_its_order_conditions():
     first, end = np.eye(16)[0], np.eye(16)[12]
     coefficients = np.array([b, first - b, 2 * b - end - first, *ode_core._D])
     unit_step = ode_core.DenseSolution(
-        ts=np.array([0.0, 1.0]), ys=np.zeros((2, 16)), fs=np.zeros((2, 16)),
-        dense=coefficients[None],
+        ts=np.array([0.0, 1.0]), ys=np.zeros((2, 16)), dense=coefficients[None],
     )
     for theta in (0.1, 0.3, 0.5, 0.77, 0.95):
         weights = sample(unit_step, theta).real
@@ -294,7 +302,6 @@ def test_without_dense_output_only_the_knots_are_kept():
     for i, t in enumerate(kept):
         j = dense.ts.tolist().index(t)
         assert np.array_equal(sol.ys[i], dense.ys[j])
-        assert np.array_equal(sol.fs[i], dense.fs[j])
         # sampling at a stored time gives the stored state, bit for bit
         assert np.array_equal(sample(sol, t), sol.ys[i])
 
