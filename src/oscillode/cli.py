@@ -25,17 +25,34 @@ from .problems import get_problem, load_problem_config, problem_names
 from .svg import emit_svg
 
 
-def _add_common(parser):
-    parser.add_argument("--problem", default="linear_example", help="registered problem name")
-    parser.add_argument("--config", default=None, help="JSON problem config file")
-    parser.add_argument("--t-end", type=float, default=None)
-    parser.add_argument("--grid", type=int, default=512, help="uniform grid size")
-    parser.add_argument("--out", default=None, help="output file or directory")
-    parser.add_argument("--tol-abs", type=float, default=1e-10)
-    parser.add_argument("--tol-rel", type=float, default=1e-10)
-    parser.add_argument("--delta-min", type=float, default=None,
-                        help="small-denominator guard threshold")
-    parser.add_argument("--cache-dir", default=None, help="reference cache directory")
+# every flag that several subcommands share, in the order --help lists them
+_SHARED_FLAGS = {
+    "--problem": dict(default="linear_example", help="registered problem name"),
+    "--config": dict(default=None, help="JSON problem config file"),
+    "--t-end": dict(type=float, default=None),
+    "--grid": dict(type=int, default=512, help="uniform grid size"),
+    "--out": dict(default=None, help="output file or directory"),
+    "--tol-abs": dict(type=float, default=1e-10),
+    "--tol-rel": dict(type=float, default=1e-10),
+    "--delta-min": dict(type=float, default=None, help="small-denominator guard threshold"),
+    "--cache-dir": dict(default=None, help="reference cache directory"),
+}
+_PROBLEM = ("--problem", "--config")
+_GRID = ("--t-end", "--grid")
+_REFERENCE = ("--tol-abs", "--tol-rel", "--cache-dir")
+_GUARD = ("--delta-min",)
+_OUTPUT = ("--out",)
+
+
+def _subcommand(sub, name, handler, *groups):
+    """Subcommand ``name``, run by ``handler`` and described by its docstring,
+    with the shared flags of ``groups``: the ones the handler reads, no others."""
+    parser = sub.add_parser(name, help=handler.__doc__)
+    parser.set_defaults(handler=handler)
+    for flag, spec in _SHARED_FLAGS.items():
+        if any(flag in group for group in groups):
+            parser.add_argument(flag, **spec)
+    return parser
 
 
 def _registered(args):
@@ -67,46 +84,40 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", help="build the expansion and print its node table")
-    _add_common(p)
+    p = _subcommand(sub, "expand", _cmd_expand, _PROBLEM, ("--t-end",), _GUARD, _OUTPUT)
     p.add_argument("--order", type=int, default=None)
 
-    p = sub.add_parser("solve", help="evaluate the truncated expansion on a grid")
-    _add_common(p)
+    p = _subcommand(sub, "solve", _cmd_solve, _PROBLEM, _GRID, _GUARD, _OUTPUT)
     p.add_argument("--omega", type=float, action="append", required=True)
     p.add_argument("--order", type=int, default=None, help="truncation level s")
 
-    p = sub.add_parser("reference", help="reference solution on a grid")
-    _add_common(p)
+    p = _subcommand(sub, "reference", _cmd_reference, _PROBLEM, _GRID, _REFERENCE, _OUTPUT)
     p.add_argument("--omega", type=float, action="append", required=True)
 
-    p = sub.add_parser("errors", help="truncation-error study")
-    _add_common(p)
+    p = _subcommand(sub, "errors", _cmd_errors, _PROBLEM, _GRID, _REFERENCE, _GUARD, _OUTPUT)
     p.add_argument("--omega", type=float, action="append", default=None)
     p.add_argument("--order", type=int, action="append", default=None,
                    help="truncation level s (repeatable)")
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
 
-    p = sub.add_parser("table", help="index-set table with frequencies and multiplicities")
-    _add_common(p)
+    p = _subcommand(sub, "table", _cmd_table, _PROBLEM, _GUARD, _OUTPUT)
     p.add_argument("-r", "--level", type=int, default=4)
 
-    p = sub.add_parser("bench", help="expansion vs reference cost comparison")
-    _add_common(p)
+    p = _subcommand(sub, "bench", _cmd_bench, _PROBLEM, _GRID, _REFERENCE, _OUTPUT)
     p.add_argument("--omega", type=float, action="append", required=True)
     p.add_argument("--order", type=int, default=3, help="truncation level s")
 
-    p = sub.add_parser("slope", help="fit error decay against omega and check the rate")
-    _add_common(p)
+    p = _subcommand(sub, "slope", _cmd_slope, _PROBLEM, _GRID, ("--cache-dir",))
     p.add_argument("--omega", type=float, action="append", default=None)
     p.add_argument("--order", type=int, action="append", default=None)
     p.add_argument("--slope-tolerance", type=float, default=0.25)
 
-    p = sub.add_parser("problems", help="list registered problems")
+    _subcommand(sub, "problems", _cmd_problems)
     return parser
 
 
 def _cmd_expand(args):
+    """build the expansion and print its node table"""
     registered = _registered(args)
     order = args.order if args.order is not None else registered.default_order
     t_end = _t_end(args, registered)
@@ -117,6 +128,7 @@ def _cmd_expand(args):
 
 
 def _cmd_solve(args):
+    """evaluate the truncated expansion on a grid"""
     registered = _registered(args)
     order = args.order if args.order is not None else registered.default_order
     t_end = _t_end(args, registered)
@@ -137,6 +149,7 @@ def _cmd_solve(args):
 
 
 def _cmd_reference(args):
+    """reference solution on a grid"""
     registered = _registered(args)
     t_end = _t_end(args, registered)
     grid = uniform_grid(t_end, args.grid)
@@ -156,6 +169,7 @@ def _cmd_reference(args):
 
 
 def _cmd_errors(args):
+    """truncation-error study"""
     registered = _registered(args)
     report = run_error_study(
         registered,
@@ -179,6 +193,7 @@ def _cmd_errors(args):
 
 
 def _cmd_table(args):
+    """index-set table with frequencies and multiplicities"""
     registered = _registered(args)
     problem = registered.problem
     chain = build_index_chain(
@@ -191,6 +206,7 @@ def _cmd_table(args):
 
 
 def _cmd_bench(args):
+    """expansion vs reference cost comparison"""
     registered = _registered(args)
     report = compare_cost(
         registered,
@@ -207,6 +223,7 @@ def _cmd_bench(args):
 
 
 def _cmd_slope(args):
+    """fit error decay against omega and check the rate"""
     registered = _registered(args)
     report, slopes, verdicts = run_slope_study(
         registered,
@@ -229,27 +246,16 @@ def _cmd_slope(args):
 
 
 def _cmd_problems(args):
+    """list registered problems"""
     for name in problem_names():
         sys.stdout.write(name + "\n")
     return 0
 
 
-_COMMANDS = {
-    "expand": _cmd_expand,
-    "solve": _cmd_solve,
-    "reference": _cmd_reference,
-    "errors": _cmd_errors,
-    "table": _cmd_table,
-    "bench": _cmd_bench,
-    "slope": _cmd_slope,
-    "problems": _cmd_problems,
-}
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ValueError, OscillodeError) as err:
         sys.stderr.write(f"oscillode: error: {err}\n")
         return 2

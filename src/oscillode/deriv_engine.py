@@ -146,12 +146,19 @@ def _richardson_fd(fld, n, y, directions, h):
     return (4.0 * fine - coarse) / 3.0
 
 
-def validate_field(fld, samples, h=1e-3, threshold=1e-5):
+# validate_field's first-order difference step, and the relative deviation
+# from the difference oracle above which a differential fails
+VALIDATION_STEP = 1e-3
+VALIDATION_THRESHOLD = 1e-5
+
+
+def validate_field(fld, samples):
     """Check the declared differentials against the finite-difference oracle.
 
     ``samples`` is a list of (y, directions) pairs; each is tested at every
-    order up to ``max_order``.  Deviations above ``threshold`` (relative to
-    the larger of the two results and 1) raise ValidationFailed.  The step is
+    order up to ``max_order``.  Deviations above ``VALIDATION_THRESHOLD``
+    (relative to the larger of the two results and 1) raise
+    ValidationFailed.  The step, ``VALIDATION_STEP`` at first order, is
     widened with the order to balance truncation against the eps / h^n
     roundoff amplification of nested differences.  A field that declares
     ``reads`` must also give exactly 0 whenever one direction is zeroed on
@@ -173,11 +180,11 @@ def validate_field(fld, samples, h=1e-3, threshold=1e-5):
                     failures.append((n, y, dev))
                     misread.add(n)
             exact = fld.apply(n, y, dirs)
-            approx = _richardson_fd(fld, n, y, dirs, h * 2.0 ** (n - 1))
+            approx = _richardson_fd(fld, n, y, dirs, VALIDATION_STEP * 2.0 ** (n - 1))
             scale = max(1.0, float(np.max(np.abs(exact))), float(np.max(np.abs(approx))))
             dev = float(np.max(np.abs(exact - approx))) / scale
             report.append((n, dev))
-            if dev > threshold:
+            if dev > VALIDATION_THRESHOLD:
                 failures.append((n, y, dev))
     if failures:
         worst = ", ".join(f"order {n}: dev {dev:.2e}" for n, _, dev in failures[:5])
@@ -316,7 +323,6 @@ def constant_amplitude(kappa, vector):
     return ForcingTerm(
         kappa=kappa,
         amplitude_derivative=lambda j, t: vec if j == 0 else zero,
-        max_derivative_order=None,
         support=lambda j: np.flatnonzero(vec).tolist() if j == 0 else [],
     )
 
@@ -349,7 +355,6 @@ def polynomial_amplitude(kappa, coefficients):
     return ForcingTerm(
         kappa=kappa,
         amplitude_derivative=derivative,
-        max_derivative_order=None,
         # row by row: np.any over an axis of a complex array adds 128 KiB to peak RSS
         support=lambda j: sorted({int(c) for row in coeffs[j:] for c in np.flatnonzero(row)}),
     )

@@ -404,11 +404,14 @@ class _ChainSystem:
         self.level = None
 
     def initial_values(self):
-        """Each level's value at t = 0, computed from the levels below it."""
+        """Each level's value at t = 0, computed from the levels below it.
+
+        A value that is not finite raises ``ValueError`` while ``level``
+        still names its level.
+        """
         expansion, y0 = self.expansion, self.expansion.problem.y0
         plan = self.levels_plan
         slots = plan.slots()
-        ics = []
         for r, (segment, targets) in enumerate(zip(plan.segments, plan.targets)):
             self.level = r
             plan.run(segment, 0.0, slots)
@@ -416,10 +419,15 @@ class _ChainSystem:
             for label, slot in zip(expansion.labels_at(r), targets):
                 if not label.is_zero:
                     ic -= slots[slot]
+            (bad,) = np.nonzero(~np.isfinite(ic))
+            if bad.size:
+                raise ValueError(
+                    f"the level-{r} initial value is not finite: component {bad[0]} "
+                    f"is {complex(ic[bad[0]])!r}"
+                )
             slots[r] = ic
-            ics.append(ic)
         self.level = None
-        return ics
+        return slots[: len(plan.segments)]
 
     def __call__(self, t, y):
         plan = self.plan

@@ -47,6 +47,11 @@ REFERENCE_SAFETY = 50.0
 _CACHE_FORMAT = "reference-v2"
 # field probes: fixed offsets from y0, scaled by 1 + |y0|
 _PROBE_OFFSETS = (0.0, 0.25, -0.5)
+# chain tolerances of a slope study: the level-0 trajectory's numerical
+# error is the study's noise floor at large omega
+SLOPE_CHAIN_TOL = 3e-15
+# largest deviation check_reference_consistency allows
+CONSISTENCY_BOUND = 1e-8
 
 
 def uniform_grid(t_end, grid_n):
@@ -246,10 +251,17 @@ def run_error_study(
     cache_dir=None,
     expansion=None,
 ):
-    """Truncation-error samples for each (s, omega) pair on a uniform grid."""
+    """Truncation-error samples for each (s, omega) pair on a uniform grid.
+
+    A given ``expansion`` sets ``order``; an ``order`` that differs from its
+    built order raises ``ValueError``.
+    """
     registered = _resolve(problem)
     omegas = tuple(float(w) for w in (registered.omegas if omegas is None else omegas))
-    order = order if order is not None else registered.default_order
+    if expansion is not None and order not in (None, expansion.order):
+        raise ValueError(f"order={order} differs from the expansion's order {expansion.order}")
+    if order is None:
+        order = registered.default_order if expansion is None else expansion.order
     s_values = tuple(range(order + 1) if s_values is None else s_values)
     for name, values in (("omegas", omegas), ("s_values", s_values)):
         if not values:
@@ -314,35 +326,27 @@ def run_slope_study(
     s_values=None,
     grid_n=512,
     t_end=None,
-    order=None,
     tolerance=0.25,
-    chain_abs=3e-15,
-    chain_rel=3e-15,
     cache_dir=None,
-    **kwargs,
 ):
     """Error study plus slope fit; flags s values off the expected decay rate.
 
-    The chain tolerances default much tighter than usual because the level-0
-    trajectory's numerical error is the study's noise floor at large omega.
-    By default only levels below the built order are fitted: the top level's
-    own error has no next level to cancel against and saturates first.
+    The expansion is built to the problem's default order, and its chain is
+    solved at ``SLOPE_CHAIN_TOL``, much tighter than usual.  By default only
+    levels below the built order are fitted: the top level's own error has
+    no next level to cancel against and saturates first.
     """
     if s_values is None:
-        registered = _resolve(problem)
-        top = order if order is not None else registered.default_order
-        s_values = tuple(range(top))
+        s_values = tuple(range(_resolve(problem).default_order))
     report = run_error_study(
         problem,
         omegas=omegas,
         s_values=s_values,
         grid_n=grid_n,
         t_end=t_end,
-        order=order,
-        chain_abs=chain_abs,
-        chain_rel=chain_rel,
+        chain_abs=SLOPE_CHAIN_TOL,
+        chain_rel=SLOPE_CHAIN_TOL,
         cache_dir=cache_dir,
-        **kwargs,
     )
     slopes = fit_slopes(report)
     verdicts = {
@@ -425,13 +429,13 @@ def cost_report_csv(report):
     return "\n".join(lines) + "\n"
 
 
-def check_reference_consistency(problem, omega, grid_n=129, t_end=None, bound=1e-8):
-    """Guard against oracle drift: adaptive reference vs exact linear solution."""
+def check_reference_consistency(problem, omega, grid_n=129):
+    """Guard against oracle drift: adaptive reference vs exact linear solution,
+    over the problem's horizon, within ``CONSISTENCY_BOUND``."""
     registered = _resolve(problem)
     if registered.linear is None:
         raise ValueError("consistency check needs a linear problem")
-    t_end = float(t_end if t_end is not None else registered.t_end)
-    grid = uniform_grid(t_end, grid_n)
+    grid = uniform_grid(float(registered.t_end), grid_n)
     exact = np.array(
         [exact_linear_solution(registered.linear, omega)(float(t)) for t in grid]
     )
@@ -439,7 +443,7 @@ def check_reference_consistency(problem, omega, grid_n=129, t_end=None, bound=1e
     tol = 1e-12 * REFERENCE_SAFETY
     rk, _ = _rk_reference(registered, omega, grid, tol, tol)
     worst = float(np.max(np.abs(rk - exact)))
-    if worst > bound:
+    if worst > CONSISTENCY_BOUND:
         raise AssertionError(
             f"adaptive reference deviates from the exact solution by {worst:.3e}"
         )

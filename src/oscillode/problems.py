@@ -187,7 +187,6 @@ class RegisteredProblem:
     t_end: float
     omegas: tuple
     default_order: int
-    notes: str = ""
 
 
 def _standard_basis():
@@ -227,7 +226,6 @@ def _linear_example():
         t_end=5.0,
         omegas=(250.0, 500.0, 1000.0, 2000.0, 4000.0),
         default_order=4,
-        notes="damped oscillator with t and t^2 amplitudes; exact solution available",
     )
 
 
@@ -258,7 +256,6 @@ def _memristor(amp=0.1, a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
         t_end=3.0,
         omegas=(100.0, 1000.0),
         default_order=3,
-        notes="two-memristor circuit driven by two sine pairs",
     )
 
 
@@ -300,7 +297,6 @@ def _worked_example():
         t_end=5.0,
         omegas=(200.0, 400.0),
         default_order=3,
-        notes="three frequencies with a zero triple sum; field is pluggable",
     )
 
 
@@ -421,5 +417,4 @@ def load_problem_config(path, name=None):
         t_end=float(cfg["t_end"]),
         omegas=tuple(float(w) for w in cfg.get("omegas", (500.0,))),
         default_order=int(cfg.get("order", 3)),
-        notes=f"loaded from {path}",
     )

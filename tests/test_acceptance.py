@@ -190,10 +190,8 @@ def test_criterion_4_linear_oracle_equivalence(capsys, linear_setup):
     table = linear_coefficients(registered.linear, 4)
     worst = 0.0
     for r in range(0, 5):
-        for lab in expansion.labels_at(r) if r >= 1 else [expansion.index_sets[1].labels[0]]:
+        for lab in expansion.labels_at(r):
             tup = lab.canonical_tuple
-            if r == 0 and tup != ():
-                continue
             for t in grid[::8]:
                 got = expansion.coefficient_value(r, tup, float(t))
                 if len(tup) <= 1:

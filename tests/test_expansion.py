@@ -694,6 +694,25 @@ def test_chain_error_keeps_original_exception():
     assert info.value.__notes__ == ["while solving node (r=0, m=0)"]
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")  # as a user runs it
+def test_a_non_finite_chain_initial_value_is_named_by_its_level():
+    # the amplitude is infinite at t = 0, so level 1's oscillatory values
+    # there, and so level 1's initial value, are not finite
+    basis = FrequencyBasis([1.0], names=("1",))
+
+    def amplitude(j, t):
+        return np.array([1.0, math.inf if t == 0.0 else 1.0], dtype=complex)
+
+    forcing = ForcingTerm(BaseFrequency(1, basis, coords=(1,)), amplitude)
+    problem = Problem(linear_field(-np.eye(2), max_order=4), [forcing], y0=[1.0, 0.5],
+                      basis=basis)
+    ex = build_expansion(problem, order=2)
+    with pytest.raises(ValueError, match=r"^the level-1 initial value is not finite: "
+                       r"component 1 is \(nan\+infj\)") as info:
+        solve_nonoscillatory_chain(ex, t_end=1.0)
+    assert info.value.__notes__ == ["while solving node (r=1, m=0)"]
+
+
 def test_problem_rejects_amplitude_dimension_mismatch():
     basis = FrequencyBasis([1.0], names=("1",))
     kappa = BaseFrequency(1, basis, coords=(1,))

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from oscillode import harness
+from oscillode.cli import build_parser
 from oscillode.cli import main as cli_main
+from oscillode.expansion import build_expansion, dump_expansion, solve_nonoscillatory_chain
 from oscillode.harness import (
     check_reference_consistency,
     compare_cost,
@@ -234,6 +236,18 @@ def test_a_consistency_check_needs_a_grid_of_two_points():
         check_reference_consistency("linear_example", 300.0, grid_n=1)
 
 
+def test_an_error_study_takes_its_order_from_a_given_expansion():
+    registered = get_problem("linear_example")
+    expansion = build_expansion(registered.problem, order=2)
+    solve_nonoscillatory_chain(expansion, 0.5)
+    report = run_error_study(registered, omegas=(300.0,), grid_n=9, t_end=0.5,
+                             expansion=expansion)
+    assert report.s_values == (0, 1, 2)
+    with pytest.raises(ValueError, match="order=4 differs from the expansion's order 2"):
+        run_error_study(registered, omegas=(300.0,), grid_n=9, t_end=0.5, order=4,
+                        expansion=expansion)
+
+
 @pytest.mark.parametrize("omegas", [(500.0,), (500.0, 500.0)])
 def test_a_slope_needs_two_distinct_omegas(omegas, capsys):
     report = run_error_study("linear_example", omegas=omegas, s_values=(0,), grid_n=9, order=1)
@@ -424,6 +438,78 @@ def test_cli_problems_lists_builtins(capsys):
         assert name in out
 
 
+# each subcommand's options: exactly the flags its handler reads
+CLI_FLAGS = {
+    "expand": {"--problem", "--config", "--t-end", "--out", "--delta-min", "--order"},
+    "solve": {"--problem", "--config", "--t-end", "--grid", "--out", "--delta-min",
+              "--omega", "--order"},
+    "reference": {"--problem", "--config", "--t-end", "--grid", "--out", "--tol-abs",
+                  "--tol-rel", "--cache-dir", "--omega"},
+    "errors": {"--problem", "--config", "--t-end", "--grid", "--out", "--tol-abs",
+               "--tol-rel", "--delta-min", "--cache-dir", "--omega", "--order", "--format"},
+    "table": {"--problem", "--config", "--out", "--delta-min", "-r"},
+    "bench": {"--problem", "--config", "--t-end", "--grid", "--out", "--tol-abs",
+              "--tol-rel", "--cache-dir", "--omega", "--order"},
+    "slope": {"--problem", "--config", "--t-end", "--grid", "--cache-dir", "--omega",
+              "--order", "--slope-tolerance"},
+    "problems": set(),
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    flags = {
+        name: {a.option_strings[0] for a in parser._actions if a.dest != "help"}
+        for name, parser in subparsers.choices.items()
+    }
+    assert flags == CLI_FLAGS
+    assert sum(map(len, flags.values())) == 58
+
+
+# a valid invocation of each subcommand, small enough for a test
+CLI_VALID = {
+    "expand": ["expand", "--problem", "worked_example", "--order", "1", "--t-end", "0.5"],
+    "solve": ["solve", "--problem", "worked_example", "--omega", "100", "--order", "1",
+              "--t-end", "0.5", "--grid", "5"],
+    "reference": ["reference", "--problem", "linear_example", "--omega", "100",
+                  "--t-end", "0.5", "--grid", "5"],
+    "table": ["table", "--problem", "worked_example", "-r", "2"],
+    "bench": ["bench", "--problem", "linear_example", "--omega", "100", "--order", "1",
+              "--t-end", "0.5", "--grid", "5"],
+    "slope": ["slope", "--problem", "linear_example", "--omega", "250", "--omega", "4000",
+              "--order", "0", "--grid", "65"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("expand", "--grid", "9"), ("expand", "--tol-abs", "1e-3"),
+        ("expand", "--tol-rel", "1e-3"), ("expand", "--cache-dir", "cache"),
+        ("solve", "--tol-abs", "1e-3"), ("solve", "--tol-rel", "1e-3"),
+        ("solve", "--cache-dir", "cache"),
+        ("reference", "--delta-min", "0.01"),
+        ("table", "--t-end", "nan"), ("table", "--grid", "1"), ("table", "--tol-abs", "-5"),
+        ("table", "--tol-rel", "-5"), ("table", "--cache-dir", "cache"),
+        ("bench", "--delta-min", "0.01"),
+        ("slope", "--out", "f"), ("slope", "--tol-abs", "1e-3"),
+        ("slope", "--tol-rel", "1e-3"), ("slope", "--delta-min", "0.01"),
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_is_rejected(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli_main(CLI_VALID[command] + [flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(CLI_VALID))
+def test_the_valid_invocations_exit_0(command):
+    assert cli_main(CLI_VALID[command]) == 0
+
+
 # -- config loading --------------------------------------------------------------
 
 
@@ -445,8 +531,6 @@ def test_load_problem_config(tmp_path):
     assert problem.dimension == 2
     assert problem.kappas[2].value == pytest.approx(-0.5 + math.sqrt(2.0))
     assert problem.y0[1] == 0.2j
-
-    from oscillode.expansion import build_expansion, solve_nonoscillatory_chain
 
     ex = build_expansion(problem, order=2)
     solve_nonoscillatory_chain(ex, registered.t_end)
@@ -473,8 +557,6 @@ def test_cli_accepts_config(tmp_path, capsys):
 
 
 def test_expansion_dump_golden_files():
-    from oscillode.expansion import build_expansion, dump_expansion, solve_nonoscillatory_chain
-
     for name, t_end in (("worked_example", 5.0), ("memristor", 3.0)):
         reg = get_problem(name)
         ex = build_expansion(reg.problem, order=3)
