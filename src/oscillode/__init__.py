@@ -63,7 +63,7 @@ from .linear_closed_form import (
     matrix_exponential,
 )
 from .ode_core import DenseSolution, IvpSpec, integrate, sample
-from .problems import get_problem, load_problem_config, problem_names, register_problem
+from .problems import get_problem, load_problem_config, problem_names
 from .svg import emit_svg
 
 __version__ = "0.1.0"

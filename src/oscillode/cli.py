@@ -6,7 +6,6 @@ Subcommands: expand, solve, reference, errors, table, bench, slope.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .errors import OscillodeError
@@ -21,6 +20,7 @@ from .harness import (
     run_slope_study,
     uniform_grid,
 )
+from .ode_core import _finite_positive
 from .problems import get_problem, load_problem_config, problem_names
 from .svg import emit_svg
 
@@ -63,10 +63,7 @@ def _registered(args):
 
 def _t_end(args, registered):
     """--t-end, or the problem's horizon, checked before any grid is built on it."""
-    t_end = args.t_end if args.t_end is not None else registered.t_end
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end={t_end!r} must be finite and positive")
-    return t_end
+    return _finite_positive("t_end", args.t_end if args.t_end is not None else registered.t_end)
 
 
 def _write_or_print(text, out):
@@ -170,6 +167,8 @@ def _cmd_reference(args):
 
 def _cmd_errors(args):
     """truncation-error study"""
+    if args.format == "svg" and not args.out:
+        raise ValueError("--format svg needs --out DIRECTORY")
     registered = _registered(args)
     report = run_error_study(
         registered,
@@ -183,8 +182,6 @@ def _cmd_errors(args):
         cache_dir=args.cache_dir,
     )
     if args.format == "svg":
-        if not args.out:
-            raise SystemExit("--format svg needs --out DIRECTORY")
         paths = emit_svg(report, args.out)
         sys.stderr.write(f"wrote {len(paths)} svg files\n")
     else:

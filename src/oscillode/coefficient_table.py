@@ -1,8 +1,8 @@
 """The coefficients of an expansion on a time grid, summed at any omega."""
 
-import math
-
 import numpy as np
+
+from .ode_core import _finite_positive
 
 
 class CoefficientTable:
@@ -20,9 +20,7 @@ class CoefficientTable:
         top = len(self.values) - 1
         if not 0 <= s <= top:
             raise ValueError(f"s={s} is outside 0..{top}, the levels of the table")
-        omega = float(omega)
-        if not (math.isfinite(omega) and omega > 0):
-            raise ValueError(f"omega={omega!r} must be finite and positive")
+        omega = _finite_positive("omega", float(omega))
         y = self.values[0][:, 0].copy()
         for r in range(1, s + 1):
             # ((i sigma_m) omega) t: the products in the order of a per-point sum

@@ -39,12 +39,12 @@ class StepUnderflow(OscillodeError):
     """The adaptive integrator could not make progress at the requested tolerance."""
 
 
-class NonFiniteRHS(StepUnderflow):
+class NonFiniteRHS(OscillodeError):
     """A step's stages produced a NaN or infinite value.
 
     Shrinking the step cannot cure a right-hand side that is not finite, so
     the integrator stops at the first such step; ``t`` is where it started.
-    It subclasses StepUnderflow because that is what callers caught before.
+    It is not a StepUnderflow: a blow-up is not a step too small to take.
     """
 
     def __init__(self, message, t=None):
@@ -53,7 +53,7 @@ class NonFiniteRHS(StepUnderflow):
 
 
 class MaxStepsExceeded(OscillodeError):
-    """The adaptive integrator exhausted its step budget."""
+    """The adaptive integrator exhausted its step budget, ``ode_core.MAX_STEPS``."""
 
 
 class SingularResolvent(OscillodeError):

@@ -150,10 +150,8 @@ class Expansion:
         """Level r's labels; level 0 has the zero label alone."""
         return self.index_sets[r].labels if r else [self.nodes[(0, ())].label]
 
-    def coefficient_value(self, r, label, t):
-        return self.coefficient_derivative(r, label, t, order=0)
-
-    def coefficient_derivative(self, r, label, t, order=1):
+    def coefficient_value(self, r, label, t, order=0):
+        """The order-th time derivative of coefficient (r, label) at t."""
         if not float(order).is_integer() or order < 0:
             raise ValueError(f"derivative order={order!r} must be a nonnegative integer")
         t = _finite_time(t)

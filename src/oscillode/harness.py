@@ -24,7 +24,7 @@ import numpy as np
 
 from .expansion import build_expansion, solve_nonoscillatory_chain
 from .linear_closed_form import exact_linear_solution
-from .ode_core import IvpSpec, integrate, sample
+from .ode_core import IvpSpec, _finite_positive, integrate, sample
 from .problems import RegisteredProblem, get_problem
 
 __all__ = [
@@ -190,9 +190,7 @@ def reference_values(
     ``method="rk"`` forces the integrator, also for a linear problem.  An
     ``omega`` that is not finite and positive raises ``ValueError`` first.
     """
-    omega = float(omega)
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega={omega!r} must be finite and positive")
+    omega = _finite_positive("omega", float(omega))
     registered = _resolve(registered)
     grid = np.asarray(grid, dtype=float)
     if method == "auto" and registered.linear is not None:

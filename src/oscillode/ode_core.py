@@ -224,6 +224,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = 0.125  # 1/8
+MAX_STEPS = 10_000_000  # attempted steps per integrate call
 
 
 @dataclass
@@ -233,7 +234,8 @@ class IvpSpec:
     ``knots`` is an optional array of times, in any order, the integrator
     must land on exactly, so samples there carry no interpolation error.
     ``y0``, ``t_end``, the tolerances and every knot must be finite, else
-    the spec raises ValueError.
+    the spec raises ValueError.  The step budget is ``MAX_STEPS``, the same
+    for every spec.
 
     With ``dense_refine`` on, every accepted step is stored with the seven
     coefficients of its seventh-order interpolant in ``dense`` (three more
@@ -246,23 +248,25 @@ class IvpSpec:
     t_end: float
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_steps: int = 10_000_000
     knots: object = None
     dense_refine: bool = True
 
     def __post_init__(self):
         _check_finite_y0(self.y0)
-        if not (math.isfinite(self.t_end) and self.t_end > 0):
-            raise ValueError(f"t_end={self.t_end!r} must be finite and positive")
-        for name in ("abs_tol", "rel_tol"):
-            tol = getattr(self, name)
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValueError(f"{name}={tol!r} must be finite and positive")
+        for name in ("t_end", "abs_tol", "rel_tol"):
+            _finite_positive(name, getattr(self, name))
         if self.knots is not None:
             knots = np.asarray(self.knots, dtype=float).ravel().tolist()
             bad = [tk for tk in knots if not math.isfinite(tk)]
             if bad:
                 raise ValueError(f"knot {bad[0]!r} is not finite; every knot must be")
+
+
+def _finite_positive(name, x):
+    """``x``, after a ValueError naming it unless it is finite and positive."""
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name}={x!r} must be finite and positive")
+    return x
 
 
 def _check_finite_y0(y0):
@@ -319,7 +323,9 @@ def integrate(spec: IvpSpec) -> DenseSolution:
     The per-step error estimate is kept below ``abs_tol + rel_tol * |y|``
     componentwise; the step controller uses safety factor 0.9, exponent 1/8
     and growth clamped to [0.2, 5].  A NaN or infinite stage value raises
-    NonFiniteRHS at the step where it appears, before the next stage.
+    NonFiniteRHS at the step where it appears, before the next stage; a
+    step too small to move ``t`` raises StepUnderflow, and attempting more
+    than ``MAX_STEPS`` steps raises MaxStepsExceeded.
     """
     rhs = spec.rhs
     y = np.asarray(spec.y0, dtype=complex).copy()
@@ -349,8 +355,8 @@ def integrate(spec: IvpSpec) -> DenseSolution:
             )
 
     while t < t_end:
-        if n_steps >= spec.max_steps:
-            raise MaxStepsExceeded(f"exceeded {spec.max_steps} steps at t={t:.6g}")
+        if n_steps >= MAX_STEPS:
+            raise MaxStepsExceeded(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
         # a step cut to end on a knot or on t_end ends there exactly; the
         # controller's step from before the cut is kept for the next step
         h_kept = h

@@ -1,4 +1,4 @@
-"""Built-in problems, problem registry, and config-file loading.
+"""Built-in problems and config-file loading.
 
 Vector fields and their differentials are registered in code; config files
 only carry the numeric skeleton of a problem (dimension, frequency basis,
@@ -29,7 +29,6 @@ __all__ = [
     "RegisteredProblem",
     "memristor_field",
     "get_problem",
-    "register_problem",
     "problem_names",
     "register_field_bundle",
     "load_problem_config",
@@ -42,7 +41,10 @@ SQRT2 = math.sqrt(2.0)
 
 # Two-memristor circuit: components 1 and 5 are linear, 2 and 4 are a linear
 # voltage difference times a rational function of y2, component 3 adds a
-# bilinear y3 * (quadratic in y1) piece.
+# bilinear y3 * (quadratic in y1) piece.  The circuit's constants a..e, and
+# the amplitude of the voltage source that drives it:
+_A, _B, _C, _D, _E = 8.0, 10.0, 0.0, 2.0, 0.1
+_DRIVE = 0.1
 
 
 def _reciprocal_derivs(x, e):
@@ -95,19 +97,22 @@ def _direction_products(comps):
     return prefix[-1], rests
 
 
-def memristor_field(a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
+def memristor_field():
     """The five-state memristor circuit field with differentials to order 4.
 
     With g = 1 / ((1 + e) + 3 e y2^2) and h = (1 + 3 y2^2) g, the rows are
     y3, (y4 - y3) g, a y3 phi(y1) - a (y3 - y4) h, (y3 - y4) h + y5 and
-    -b y4 - c y5, where phi(y1) = d - (1 + 3 y1^2).  ``evaluate`` and a point
-    unpack y into plain Python complex numbers, which cost less per operation
-    than numpy scalars; a point also holds the derivatives of g, h and phi
-    at its y2 and y1, each already multiplied by the linear factor it
-    meets.  Orders 1 and 2 take closed forms that make the general
-    formula's products and sums in its order, so every order gives the same
-    bits as the general formula.
+    -b y4 - c y5, where phi(y1) = d - (1 + 3 y1^2) and a..e are the
+    module's circuit constants.  ``evaluate`` and a point unpack y into
+    plain Python complex numbers, which cost less per operation than numpy
+    scalars; a point also holds the derivatives of g, h and phi at its y2
+    and y1, each already multiplied by the linear factor it meets.  Orders
+    1 and 2 take closed forms that make the general formula's products and
+    sums in its order, so every order gives the same bits as the general
+    formula.
     """
+    # locals, so the closures below read them as cell variables
+    a, b, c, d, e = _A, _B, _C, _D, _E
 
     def evaluate(y):
         y1, y2, y3, y4, y5 = np.asarray(y).tolist()
@@ -229,7 +234,7 @@ def _linear_example():
     )
 
 
-def _memristor(amp=0.1, a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
+def _memristor():
     basis = _standard_basis()
     kappas = [
         BaseFrequency(1, basis, coords=(1, 0)),
@@ -237,14 +242,14 @@ def _memristor(amp=0.1, a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
         BaseFrequency(3, basis, coords=(0, 1)),
         BaseFrequency(4, basis, coords=(0, -1)),
     ]
-    drive = amp * b / 2j
+    drive = _DRIVE * _B / 2j
     signs = (1.0, -1.0, 1.0, -1.0)
     forcings = [
         constant_amplitude(kappa, [0.0, 0.0, 0.0, 0.0, sign * drive])
         for kappa, sign in zip(kappas, signs)
     ]
     problem = Problem(
-        vector_field=memristor_field(a=a, b=b, c=c, d=d, e=e),
+        vector_field=memristor_field(),
         forcings=forcings,
         y0=[-0.8, -0.4, 0.0, 1e-4, 0.0],
         basis=basis,
@@ -305,30 +310,20 @@ _BUILTIN_FACTORIES = {
     "memristor": _memristor,
     "worked_example": _worked_example,
 }
-_REGISTRY: dict = {}
+_REGISTRY: dict = {}  # the built-ins made so far, each made once
 
 
 def get_problem(name) -> RegisteredProblem:
-    if name in _REGISTRY:
-        return _REGISTRY[name]
-    factory = _BUILTIN_FACTORIES.get(name)
-    if factory is None:
-        raise KeyError(
-            f"unknown problem {name!r}; known: {sorted(set(_BUILTIN_FACTORIES) | set(_REGISTRY))}"
-        )
-    _REGISTRY[name] = factory()
+    if name not in _REGISTRY:
+        factory = _BUILTIN_FACTORIES.get(name)
+        if factory is None:
+            raise KeyError(f"unknown problem {name!r}; known: {problem_names()}")
+        _REGISTRY[name] = factory()
     return _REGISTRY[name]
 
 
-def register_problem(registered: RegisteredProblem):
-    if registered.name in _REGISTRY or registered.name in _BUILTIN_FACTORIES:
-        raise ValueError(f"problem {registered.name!r} already registered")
-    _REGISTRY[registered.name] = registered
-    return registered
-
-
 def problem_names():
-    return sorted(set(_BUILTIN_FACTORIES) | set(_REGISTRY))
+    return sorted(_BUILTIN_FACTORIES)
 
 
 # -- config files --------------------------------------------------------------------

@@ -370,7 +370,7 @@ def test_criterion_8_property_suites(capsys, memristor_setup):
         for lab in mem_ex.labels_at(r):
             tup = lab.canonical_tuple
             for t in (0.8, 2.2):
-                got = mem_ex.coefficient_derivative(r, tup, t)
+                got = mem_ex.coefficient_value(r, tup, t, order=1)
                 fd = (
                     mem_ex.coefficient_value(r, tup, t + h)
                     - mem_ex.coefficient_value(r, tup, t - h)

@@ -39,7 +39,7 @@ def test_fd_linear_field_first_order_exact():
 
 def test_memristor_second_differential_component3():
     # mixed y1/y3 curvature of the third row is -6 a y1
-    fld = memristor_field(a=8.0)
+    fld = memristor_field()
     rng = np.random.default_rng(1)
     y = rng.normal(size=5) + 0j
     e1 = np.eye(5)[0]

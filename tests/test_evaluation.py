@@ -53,7 +53,7 @@ def test_coefficient_at_a_level_above_the_built_order_is_rejected():
     with pytest.raises(ValueError, match=r"r=5 is outside 0\.\.2, the built order"):
         ex.coefficient_value(5, (1,), 0.5)
     with pytest.raises(ValueError, match=r"r=-1 is outside 0\.\.2"):
-        ex.coefficient_derivative(-1, (), 0.5)
+        ex.coefficient_value(-1, (), 0.5, order=1)
 
 
 def test_coefficient_with_a_label_outside_the_index_set_is_rejected():
@@ -62,7 +62,7 @@ def test_coefficient_with_a_label_outside_the_index_set_is_rejected():
         ex.coefficient_value(2, (9,), 0.5)
     assert str(info.value).endswith("its labels are 0, 1, 2, 3")
     with pytest.raises(ValueError, match=r"label 1 is not in level 0's index set") as info:
-        ex.coefficient_derivative(0, (1,), 0.5)
+        ex.coefficient_value(0, (1,), 0.5, order=1)
     assert str(info.value).endswith("its labels are 0")
 
 
@@ -101,13 +101,13 @@ def test_no_evaluation_changes_the_expansion():
     raised = 0
     for order in range(5):
         for r, label in ex.nodes:
-            ex.coefficient_derivative(r, label, 0.4, order=order)
+            ex.coefficient_value(r, label, 0.4, order=order)
             try:  # past the chain's end: raises if the coefficient reads the chain
-                ex.coefficient_derivative(r, label, 7.0, order=order)
+                ex.coefficient_value(r, label, 7.0, order=order)
             except OutOfDomain:
                 raised += 1
         with pytest.raises(ValueError):
-            ex.coefficient_derivative(3, (9,), 0.4, order=order)
+            ex.coefficient_value(3, (9,), 0.4, order=order)
     for s in range(ex.order + 1):
         ex.table([0.1, 0.5, 0.9], s).evaluate(100.0, s)
         ex.evaluate_truncated(0.3, 250.0, s)
@@ -141,7 +141,7 @@ def test_a_non_finite_time_is_rejected_before_any_sample(t, monkeypatch):
     with pytest.raises(ValueError, match="must be finite"):
         ex.coefficient_value(0, (), t)
     with pytest.raises(ValueError, match="must be finite"):
-        ex.coefficient_derivative(2, (1,), t)
+        ex.coefficient_value(2, (1,), t, order=1)
     for _ in range(3):
         with pytest.raises(ValueError, match="must be finite"):
             ex.evaluate_truncated(t, 100.0, 2)
@@ -262,7 +262,7 @@ def test_one_field_point_per_cold_evaluation_and_none_when_warm(count_points):
     assert len(count_points) == len(ts) + 1
     ex.coefficient_value(3, (1, 1), 0.37)
     assert len(count_points) == len(ts) + 2
-    ex.coefficient_derivative(3, (1, 1), 0.61, order=2)
+    ex.coefficient_value(3, (1, 1), 0.61, order=2)
     assert len(count_points) == len(ts) + 3
 
 
@@ -341,7 +341,7 @@ def test_a_field_that_hands_out_its_stored_arrays_keeps_them():
         solve_nonoscillatory_chain(ex, t_end=1.0)
         table = ex.table([0.0, 0.3, 0.7])
         sums = [table.evaluate(omega, s) for omega in (250.0, 900.0) for s in range(4)]
-        rate = ex.coefficient_derivative(1, (), 0.3)
+        rate = ex.coefficient_value(1, (), 0.3, order=1)
         result = [ex.chain_solution.ys, *table.values, *sums, rate.copy()]
         rate *= 2.0
         for now, then in zip(stored, before):
@@ -434,7 +434,7 @@ def test_evaluation_repeats_the_chain_and_cancels_at_the_origin(problem, omega):
     for r in range(3):
         assert np.array_equal(
             [rate[r * d : (r + 1) * d] for rate in rates],
-            [ex.coefficient_derivative(r, (), t) for t in chain.ts],
+            [ex.coefficient_value(r, (), t, order=1) for t in chain.ts],
         )
     # every level's terms cancel at the origin
     for s in range(3):

@@ -266,11 +266,11 @@ class TestMemristorStructure:
             assert float(np.max(np.abs(total))) <= 1e-12
 
     def test_forcing_derivative_is_zero(self, solved):
-        assert np.allclose(solved.coefficient_derivative(1, (1,), 0.9), 0.0)
+        assert np.allclose(solved.coefficient_value(1, (1,), 0.9, order=1), 0.0)
 
     def test_base_derivative_is_field_value(self, solved):
         t = 1.7
-        got = solved.coefficient_derivative(0, (), t)
+        got = solved.coefficient_value(0, (), t, order=1)
         expect = solved.problem.field(solved.coefficient_value(0, (), t))
         assert np.allclose(got, expect, atol=1e-13)
 
@@ -289,7 +289,7 @@ def test_coefficient_derivative_matches_fd():
             tup = lab.canonical_tuple
             for t in rng.uniform(0.2, 2.8, size=2):
                 t = float(t)
-                got = ex.coefficient_derivative(r, tup, t)
+                got = ex.coefficient_value(r, tup, t, order=1)
                 fd = (
                     ex.coefficient_value(r, tup, t + h)
                     - ex.coefficient_value(r, tup, t - h)
@@ -307,7 +307,7 @@ def test_linear_coefficient_derivative_matches_fd():
         for lab in ex.labels_at(r):
             tup = lab.canonical_tuple
             for t in (0.9, 3.3):
-                got = ex.coefficient_derivative(r, tup, t)
+                got = ex.coefficient_value(r, tup, t, order=1)
                 fd = (
                     ex.coefficient_value(r, tup, t + h)
                     - ex.coefficient_value(r, tup, t - h)
@@ -597,13 +597,13 @@ def test_evaluate_truncated_rejects_bad_omega(memristor_solved, omega):
 @pytest.mark.parametrize("r, label", [(1, (1,)), (2, (1,))], ids=["forcing", "algebraic"])
 def test_coefficient_derivative_rejects_negative_order(memristor_solved, r, label):
     with pytest.raises(ValueError, match="order=-1"):
-        memristor_solved.coefficient_derivative(r, label, 1.0, order=-1)
+        memristor_solved.coefficient_value(r, label, 1.0, order=-1)
 
 
 @pytest.mark.parametrize("order", [0.5, 1.5, math.inf, math.nan])
 def test_coefficient_derivative_rejects_a_fractional_order(memristor_solved, order):
     with pytest.raises(ValueError, match=f"order={order!r} must be a nonnegative integer"):
-        memristor_solved.coefficient_derivative(1, (1,), 0.5, order=order)
+        memristor_solved.coefficient_value(1, (1,), 0.5, order=order)
 
 
 def test_duplicate_frequencies_rejected():
@@ -814,7 +814,7 @@ def test_chain_levels_share_one_step_sequence_and_match_their_derivatives(make_p
     chain = ex.chain_solution
     rates = np.array([system(t, y) for t, y in zip(chain.ts, chain.ys)])
     for r, sol in enumerate(solutions):
-        want = np.array([ex.coefficient_derivative(r, (), t) for t in sol.ts])
+        want = np.array([ex.coefficient_value(r, (), t, order=1) for t in sol.ts])
         scale = max(float(np.max(np.abs(want))), 1e-300)
         got = rates[:, r * ex.problem.dimension : (r + 1) * ex.problem.dimension]
         assert float(np.max(np.abs(got - want))) <= 1e-10 * scale

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscillode import harness
+from oscillode import cli, harness
 from oscillode.cli import build_parser
 from oscillode.cli import main as cli_main
 from oscillode.expansion import build_expansion, dump_expansion, solve_nonoscillatory_chain
@@ -330,6 +330,18 @@ def test_cli_errors_csv_and_svg(tmp_path):
     )
     assert rc == 0
     assert len(list(svg_dir.glob("*.svg"))) == 1
+
+
+def test_cli_errors_svg_without_out_is_rejected_before_the_study(monkeypatch, capsys):
+    studies = []
+    monkeypatch.setattr(cli, "run_error_study", lambda *a, **k: studies.append(a))
+    rc = cli_main(
+        ["errors", "--problem", "linear_example", "--omega", "300",
+         "--order", "0", "--grid", "9", "--format", "svg"]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "oscillode: error: --format svg needs --out DIRECTORY\n"
+    assert studies == []
 
 
 def test_cli_bench_csv(tmp_path):

@@ -96,22 +96,32 @@ def test_complex_matches_real_reformulation():
     assert abs(zc.imag - zr[1].real) < 1e-12
 
 
-def test_max_steps_exceeded():
+def test_max_steps_exceeded(monkeypatch):
+    monkeypatch.setattr(ode_core, "MAX_STEPS", 3)
     with pytest.raises(MaxStepsExceeded):
-        integrate(IvpSpec(rhs=lambda t, y: -y, y0=[1.0], t_end=10.0, max_steps=3))
+        integrate(IvpSpec(rhs=lambda t, y: -y, y0=[1.0], t_end=10.0))
 
 
 def test_step_underflow_at_bad_region():
-    # every step into t > 0.3 is rejected, so the step size collapses
+    # a finite jump at t = 0.3: every step into t > 0.3 is rejected, so the
+    # step size collapses until it no longer moves t
     def rhs(t, y):
         if t > 0.3:
-            return np.full_like(y, np.nan)
+            return np.full_like(y, 1e30)
         return -y
 
-    with pytest.raises(StepUnderflow):
+    with pytest.raises(StepUnderflow, match=r"step size underflow at t=0\.3 "):
         integrate(
             IvpSpec(rhs=rhs, y0=[1.0], t_end=1.0, abs_tol=1e-10, rel_tol=1e-10)
         )
+
+    # a NaN there is a blow-up, not an underflow
+    def nan_rhs(t, y):
+        return np.full_like(y, np.nan) if t > 0.3 else -y
+
+    with pytest.raises(NonFiniteRHS) as info:
+        integrate(IvpSpec(rhs=nan_rhs, y0=[1.0], t_end=1.0, abs_tol=1e-10, rel_tol=1e-10))
+    assert not isinstance(info.value, StepUnderflow)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
