@@ -44,7 +44,6 @@ from .freq_algebra import (
     canonicalize,
     extend_index_set,
     format_index_table,
-    ordered_partitions,
     rho,
 )
 from .harness import (

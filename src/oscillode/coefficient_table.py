@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .ode_core import _finite_positive
+from .ode_core import _finite_positive, _nonnegative_integer
 
 
 class CoefficientTable:
@@ -20,6 +20,7 @@ class CoefficientTable:
         top = len(self.values) - 1
         if not 0 <= s <= top:
             raise ValueError(f"s={s} is outside 0..{top}, the levels of the table")
+        s = _nonnegative_integer("s", s)
         omega = _finite_positive("omega", float(omega))
         y = self.values[0][:, 0].copy()
         for r in range(1, s + 1):

@@ -40,10 +40,16 @@ from .freq_algebra import (
     _sigma_from_counts,
     build_index_chain,
     format_label,
-    level_partitions,
     operand_multisets,
 )
-from .ode_core import DenseSolution, IvpSpec, _check_finite_y0, integrate, sample
+from .ode_core import (
+    DenseSolution,
+    IvpSpec,
+    _check_finite_y0,
+    _nonnegative_integer,
+    integrate,
+    sample,
+)
 
 __all__ = [
     "Problem",
@@ -151,14 +157,19 @@ class Expansion:
         return self.index_sets[r].labels if r else [self.nodes[(0, ())].label]
 
     def coefficient_value(self, r, label, t, order=0):
-        """The order-th time derivative of coefficient (r, label) at t."""
-        if not float(order).is_integer() or order < 0:
-            raise ValueError(f"derivative order={order!r} must be a nonnegative integer")
+        """The order-th time derivative of coefficient (r, label) at t.
+
+        The solved chain is sampled at t for every coefficient, a forcing
+        one too, so before a solve, or at a t outside the solved span, this
+        raises OutOfDomain.
+        """
+        order = _nonnegative_integer("derivative order", order)
         t = _finite_time(t)
         key = (r, label.canonical_tuple if hasattr(label, "canonical_tuple") else tuple(label))
         if key not in self.nodes:
             if not 0 <= r <= self.order:
                 raise ValueError(f"r={r} is outside 0..{self.order}, the built order")
+            _nonnegative_integer("r", r)
             present = sorted(tup for lev, tup in self.nodes if lev == r)
             raise ValueError(
                 f"label {format_label(key[1])} is not in level {r}'s index set; its labels "
@@ -166,8 +177,8 @@ class Expansion:
             )
         from .plan import Plan
 
-        plan = Plan(self, [[(key, int(order))]])
-        slots = plan.slots(sample(self._solved_chain(), t)) if plan.reads_chain else plan.slots()
+        plan = Plan(self, [[(key, order)]])
+        slots = plan.slots(sample(self._solved_chain(), t))
         plan.run(plan.segments[0], t, slots)
         # a copy: a sum's value may be an array that the field returned
         return slots[plan.targets[0][0]].copy()
@@ -180,6 +191,7 @@ class Expansion:
         s = self.order if s is None else s
         if not 0 <= s <= self.order:
             raise ValueError(f"s={s} is outside 0..{self.order}, the built order")
+        s = _nonnegative_integer("s", s)
         ts = [_finite_time(t) for t in np.ravel(ts)]
         chain, plan = self._solved_chain(), self._levels_plan
         d = self.problem.dimension
@@ -253,6 +265,7 @@ def build_expansion(problem, order=4, delta_min=None):
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    order = _nonnegative_integer("order", order)
     _check_orders(problem, order)
     basis = problem.basis
     kappas = problem.kappas
@@ -312,7 +325,7 @@ def _level_terms(chain, r, basis, kappas, top=False):
     """
     resolve = chain[r + 1].finder(basis, kappas)
     groups = {}
-    for operands, counts, weight in operand_multisets(chain[r], level_partitions(r)):
+    for operands, counts, weight in operand_multisets(chain, r):
         _, target = resolve(counts)
         if target is None:
             sigma = _sigma_from_counts(counts, basis, kappas)

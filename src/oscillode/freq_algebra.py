@@ -21,15 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SmallDenominatorError
+from .ode_core import _nonnegative_integer
 
 __all__ = [
     "FrequencyBasis",
     "BaseFrequency",
     "FrequencyLabel",
     "IndexSet",
-    "Partition",
     "MultiplicityRecord",
-    "ordered_partitions",
     "level_partitions",
     "operand_multisets",
     "canonicalize",
@@ -206,9 +205,14 @@ def format_label(tup):
 
 
 def _counts_from_tuple(tup, m_count):
-    """Count vector of a tuple of indices over ``{0..M}``; index 0 counts nowhere."""
+    """Count vector of a tuple of indices over ``{0..M}``; index 0 counts nowhere.
+
+    An index outside ``0..M`` raises ``ValueError``.
+    """
     counts = [0] * (m_count + 1)
     for m in tup:
+        if not 0 <= m <= m_count:
+            raise ValueError(f"index {m} outside 0..{m_count}")
         counts[m] += 1
     return tuple(counts[1:])
 
@@ -243,23 +247,10 @@ def canonicalize(indices, basis, kappas):
 
     Zeros are stripped, the remaining indices sorted, and the frequency
     computed.  A tuple whose frequency sum is exactly zero collapses to the
-    zero label regardless of its indices.
+    zero label regardless of its indices.  An index outside ``0..M`` raises
+    ``ValueError``.
     """
-    m_count = len(kappas)
-    stripped = sorted(m for m in indices if m != 0)
-    for m in stripped:
-        if not 1 <= m <= m_count:
-            raise ValueError(f"index {m} outside 0..{m_count}")
-    counts = _counts_from_tuple(stripped, m_count)
-    return _label_from_counts(counts, basis, kappas)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Nondecreasing parts summing to a level, with permutation multiplicity."""
-
-    parts: tuple
-    theta: int
+    return _label_from_counts(_counts_from_tuple(indices, len(kappas)), basis, kappas)
 
 
 def _repeat_factorials(tup):
@@ -274,31 +265,24 @@ def _multiset_permutations_count(tup):
     return math.factorial(len(tup)) // _repeat_factorials(tup)
 
 
-def ordered_partitions(n, r):
-    """All nondecreasing ``n``-tuples of positive integers summing to ``r``.
-
-    Each partition carries the number of distinct orderings it represents.
-    """
-    if n < 1 or n > r:
-        raise ValueError(f"need 1 <= n <= r, got n={n}, r={r}")
+def level_partitions(r):
+    """Partitions of ``r``: nondecreasing tuples of positive parts summing to
+    ``r``, by number of parts, each number's lexicographic."""
     return [
-        Partition(parts, _multiset_permutations_count(parts))
+        parts
+        for n in range(1, r + 1)
         for parts in itertools.combinations_with_replacement(range(1, r - n + 2), n)
         if sum(parts) == r
     ]
 
 
-def level_partitions(r):
-    """Partitions of ``r`` into any number of parts, by number of parts."""
-    return [p for n in range(1, r + 1) for p in ordered_partitions(n, r)]
+def operand_multisets(chain, r):
+    """Each multiset of level-``r`` operands, once.
 
-
-def operand_multisets(index_set, partitions):
-    """Each multiset of operands over ``partitions``, once.
-
-    A run of ``k`` equal parts ``l`` draws ``k`` level-``l`` labels of
-    ``index_set`` with replacement, in label order; runs combine as a
-    product.  An operand is named by its node key ``(level, label tuple)``,
+    The operands of a partition of ``r`` (``level_partitions``) are drawn
+    from the index chain: a run of ``k`` equal parts ``l`` draws ``k``
+    labels of ``chain[l]`` with replacement, in label order; runs combine as
+    a product.  An operand is named by its node key ``(level, label tuple)``,
     made once per run and shared by every multiset drawn from it.  Yields
     ``(operands, counts, weight)``: the operand keys, the sum of their count
     vectors, and ``1/prod(m_i!)`` with ``m_i`` the repeats of one key, which
@@ -310,7 +294,7 @@ def operand_multisets(index_set, partitions):
 
     def run(level, k):
         if (level, k) not in runs:
-            pool = index_set.labels_at_level(level)
+            pool = chain[level].labels
             keys = [(level, label.canonical_tuple) for label in pool]
             runs[(level, k)] = [
                 (
@@ -322,8 +306,8 @@ def operand_multisets(index_set, partitions):
             ]
         return runs[(level, k)]
 
-    for part in partitions:
-        pieces = [run(level, len(list(group))) for level, group in itertools.groupby(part.parts)]
+    for parts in level_partitions(r):
+        pieces = [run(level, len(list(group))) for level, group in itertools.groupby(parts)]
         for combo in itertools.product(*pieces):
             operands, counts, denominators = zip(*combo)
             den = math.prod(denominators)
@@ -334,9 +318,9 @@ def operand_multisets(index_set, partitions):
 
 @dataclass(frozen=True)
 class MultiplicityRecord:
-    """Resonance count: ordered rearrangements of a source tuple hitting a target."""
+    """Resonance count: ordered rearrangements of a source tuple hitting the
+    frequency of the label whose row holds the record."""
 
-    target: FrequencyLabel
     source_tuple: tuple
     rho: int
 
@@ -356,31 +340,19 @@ class IndexSet:
     Labels are kept in the natural order: the zero label, then singletons,
     then pairs, then triplets, each group lexicographic.  Because every
     extension only appends, the labels of level ``k`` form a prefix of the
-    labels of any later level; ``prefix_sizes`` records those prefix lengths
-    for levels ``1..r`` so earlier sets can be sliced out of this one.
+    labels of any later level; a lower level's labels are read from its own
+    set in the index chain (``build_index_chain``), not sliced out of this one.
     """
 
-    def __init__(self, r, labels, prefix_sizes):
+    def __init__(self, r, labels):
         self.r = int(r)
         self.labels = list(labels)
-        self.prefix_sizes = tuple(prefix_sizes)
-        if self.r >= 1:
-            if len(self.prefix_sizes) != self.r:
-                raise ValueError("prefix_sizes must cover levels 1..r")
-            if self.prefix_sizes[-1] != len(self.labels):
-                raise ValueError("last prefix size must equal the label count")
 
     def __len__(self):
         return len(self.labels)
 
     def __iter__(self):
         return iter(self.labels)
-
-    def labels_at_level(self, k):
-        """Labels of the level-``k`` subset (``1 <= k <= r``)."""
-        if not 1 <= k <= self.r:
-            raise ValueError(f"level {k} not in 1..{self.r}")
-        return self.labels[: self.prefix_sizes[k - 1]]
 
     def finder(self, basis, kappas):
         """Function ``counts -> (key, label)``: a count vector's frequency in
@@ -434,27 +406,30 @@ def base_index_set(basis, kappas):
         labels.append(
             FrequencyLabel(counts, kappa.sigma, basis.sigma_float(kappa.sigma), (kappa.index,))
         )
-    return IndexSet(0, labels, ())
+    return IndexSet(0, labels)
 
 
 def first_index_set(basis, kappas):
     """Level-1 index set: the zero label followed by the base frequencies."""
     labels = [_zero_label(basis, len(kappas))] + list(base_index_set(basis, kappas))
-    return IndexSet(1, labels, (len(labels),))
+    return IndexSet(1, labels)
 
 
-def extend_index_set(index_set, partitions, basis, kappas, delta_min=None):
-    """Build the next index set from level-``r`` combinations of lower labels.
+def extend_index_set(chain, basis, kappas, delta_min=None):
+    """The index set after ``chain[-1]``, from level-``r`` combinations of the
+    chain's labels, where ``r`` is the level of ``chain[-1]``.
 
-    Every operand multiset over the given partitions (``operand_multisets``)
-    is reduced to the sum of its count vectors; the frequency of each
-    distinct sum is either matched to an existing label or appended as a
-    new one (shortest representative tuple, lexicographic within a length).
+    ``chain`` holds the sets of levels ``0..r`` (``build_index_chain``).
+    Every level-``r`` operand multiset (``operand_multisets``) is reduced to
+    the sum of its count vectors; the frequency of each distinct sum is
+    either matched to an existing label or appended as a new one (shortest
+    representative tuple, lexicographic within a length).
     Frequencies are compared by the finder's key (``IndexSet.finder``); in
     exact mode a ``Fraction`` frequency is made only for each new label.
     A new nonzero frequency smaller in magnitude than ``delta_min`` aborts
     with a diagnostic naming the offending combination.
     """
+    index_set = chain[-1]
     if index_set.r < 1 or not index_set.labels or not index_set.labels[0].is_zero:
         raise ValueError("extension starts from a level >= 1 set containing the zero label")
     if delta_min is None:
@@ -462,7 +437,7 @@ def extend_index_set(index_set, partitions, basis, kappas, delta_min=None):
     m_count = len(kappas)
     resolve = index_set.finder(basis, kappas)
     new = {}  # key -> shortest tuple, in order of first appearance
-    for counts in dict.fromkeys(c for _, c, _ in operand_multisets(index_set, partitions)):
+    for counts in dict.fromkeys(c for _, c, _ in operand_multisets(chain, index_set.r)):
         key, label = resolve(counts)
         if label is not None:
             continue
@@ -488,19 +463,19 @@ def extend_index_set(index_set, partitions, basis, kappas, delta_min=None):
         new_labels.append(FrequencyLabel(counts, sigma, fv, tup))
     new_labels.sort(key=lambda lab: (len(lab.canonical_tuple), lab.canonical_tuple))
 
-    labels = index_set.labels + new_labels
-    return IndexSet(index_set.r + 1, labels, index_set.prefix_sizes + (len(labels),))
+    return IndexSet(index_set.r + 1, index_set.labels + new_labels)
 
 
 def build_index_chain(basis, kappas, r_max, delta_min=None):
     """Index sets for levels ``0..r_max`` (``U_2`` always equals ``U_1``)."""
     if r_max < 0:
         raise ValueError(f"level r_max={r_max} must be nonnegative")
+    r_max = _nonnegative_integer("level r_max", r_max)
     chain = [base_index_set(basis, kappas)]
     if r_max >= 1:
         chain.append(first_index_set(basis, kappas))
-    for r in range(1, r_max):
-        chain.append(extend_index_set(chain[-1], level_partitions(r), basis, kappas, delta_min))
+    for _ in range(1, r_max):
+        chain.append(extend_index_set(chain, basis, kappas, delta_min))
     return chain
 
 
@@ -526,7 +501,7 @@ def index_table_records(index_set, basis, kappas):
     rows = []
     for label in index_set.labels:
         records = [
-            MultiplicityRecord(label, src, _multiset_permutations_count(src))
+            MultiplicityRecord(src, _multiset_permutations_count(src))
             for src in sources.get(label.canonical_tuple, ())
         ]
         rows.append((label, basis.sigma_string(label.sigma), label.float_value, records))
@@ -540,7 +515,7 @@ def format_index_table(index_set, basis, kappas):
         rho_cell = ", ".join(
             "rho^{%s}_{%s} = %d"
             % (
-                ",".join(str(m) for m in rec.target.canonical_tuple) or "0",
+                ",".join(str(m) for m in label.canonical_tuple) or "0",
                 ",".join(str(m) for m in rec.source_tuple),
                 rec.rho,
             )

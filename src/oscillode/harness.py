@@ -434,12 +434,10 @@ def check_reference_consistency(problem, omega, grid_n=129):
     if registered.linear is None:
         raise ValueError("consistency check needs a linear problem")
     grid = uniform_grid(float(registered.t_end), grid_n)
-    exact = np.array(
-        [exact_linear_solution(registered.linear, omega)(float(t)) for t in grid]
-    )
-    # a local tolerance of 1e-12, as _rk_reference divides by the safety factor
+    exact, _ = reference_values(registered, omega, grid)
+    # a local tolerance of 1e-12, as the integrator divides by the safety factor
     tol = 1e-12 * REFERENCE_SAFETY
-    rk, _ = _rk_reference(registered, omega, grid, tol, tol)
+    rk, _ = reference_values(registered, omega, grid, tol, tol, method="rk")
     worst = float(np.max(np.abs(rk - exact)))
     if worst > CONSISTENCY_BOUND:
         raise AssertionError(

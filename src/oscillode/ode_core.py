@@ -269,6 +269,14 @@ def _finite_positive(name, x):
     return x
 
 
+def _nonnegative_integer(name, x):
+    """``x`` as an int, after a ValueError naming it unless it is a
+    nonnegative integer; a float such as 2.0 passes."""
+    if not (float(x).is_integer() and x >= 0):
+        raise ValueError(f"{name}={x!r} must be a nonnegative integer")
+    return int(x)
+
+
 def _check_finite_y0(y0):
     """ValueError naming the first component of ``y0`` that is not finite."""
     # part by part: loading cmath, which nothing else here needs, costs

@@ -105,7 +105,6 @@ class Plan:
         slot_of = {((r, ()), 0): r for r in range(len(self.parts))}
         self.size = len(slot_of)
         self.point = None
-        self.reads_chain = False
 
         every = frozenset(range(d))
         declared_reads = self.field.reads
@@ -156,7 +155,6 @@ class Plan:
         def walk(arg, steps):
             slot = slot_of.get(arg)
             if slot is not None:
-                self.reads_chain |= slot < len(self.parts)
                 return slot
             key, order = arg
             node = nodes[key]
@@ -169,7 +167,6 @@ class Plan:
                 if below is not None:
                     lower = (_factor(-(1.0 / (1j * node.label.float_value))), walk(below, steps))
                 if terms and self.point is None:
-                    self.reads_chain = True
                     self.point = self._new_slot()
                     steps.append((POINT, self.point))
                 terms = tuple(

@@ -17,7 +17,7 @@ from oscillode import plan as plan_module
 from oscillode.deriv_engine import VectorField, constant_amplitude, polynomial_field
 from oscillode.errors import OutOfDomain, SmallDenominatorError
 from oscillode.expansion import Problem, build_expansion, solve_nonoscillatory_chain
-from oscillode.freq_algebra import BaseFrequency, FrequencyBasis
+from oscillode.freq_algebra import BaseFrequency, FrequencyBasis, build_index_chain
 from oscillode.ode_core import sample
 from oscillode.problems import get_problem
 
@@ -64,6 +64,40 @@ def test_coefficient_with_a_label_outside_the_index_set_is_rejected():
     with pytest.raises(ValueError, match=r"label 1 is not in level 0's index set") as info:
         ex.coefficient_value(0, (1,), 0.5, order=1)
     assert str(info.value).endswith("its labels are 0")
+
+
+NON_INTEGER_CALLS = {
+    "table": (lambda ex: ex.table([0.5], 1.5), "s=1.5"),
+    "evaluate_truncated": (lambda ex: ex.evaluate_truncated(0.5, 100.0, 1.5), "s=1.5"),
+    "CoefficientTable.evaluate": (lambda ex: ex.table([0.5]).evaluate(100.0, 1.5), "s=1.5"),
+    "coefficient_value": (lambda ex: ex.coefficient_value(1.5, (1,), 0.5), "r=1.5"),
+    "build_expansion": (lambda ex: build_expansion(ex.problem, order=2.5), "order=2.5"),
+    "build_index_chain": (
+        lambda ex: build_index_chain(ex.problem.basis, ex.problem.kappas, 2.5),
+        "level r_max=2.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_CALLS))
+def test_a_non_integer_level_or_order_is_rejected(name):
+    call, named = NON_INTEGER_CALLS[name]
+    ex = solved_worked_example(order=2)
+    with pytest.raises(ValueError) as info:
+        call(ex)
+    assert str(info.value) == f"{named} must be a nonnegative integer"
+
+
+def test_a_forcing_coefficient_is_out_of_domain_off_the_solved_chain():
+    ex = build_expansion(get_problem("worked_example").problem, order=2)
+    for order in (0, 1):
+        with pytest.raises(OutOfDomain, match="run solve_nonoscillatory_chain first"):
+            ex.coefficient_value(1, (1,), 0.5, order=order)
+    solve_nonoscillatory_chain(ex, t_end=1.0)
+    for order in (0, 1):
+        assert np.all(np.isfinite(ex.coefficient_value(1, (1,), 0.5, order=order)))
+        with pytest.raises(OutOfDomain, match="outside solved span"):
+            ex.coefficient_value(1, (1,), 7.0, order=order)
 
 
 def _state(ex):

@@ -18,7 +18,7 @@ from oscillode.freq_algebra import (
     format_index_table,
     format_label,
     index_table_records,
-    ordered_partitions,
+    level_partitions,
     rho,
 )
 
@@ -64,40 +64,40 @@ def brute_force_rho(target, source_tuple, basis, kappas):
 # -- partitions ---------------------------------------------------------------
 
 
+def theta(parts):
+    """Distinct orderings of a partition's parts: n! / prod(m_i!) over runs."""
+    repeats = math.prod(math.factorial(len(list(g))) for _, g in itertools.groupby(parts))
+    return math.factorial(len(parts)) // repeats
+
+
+def n_part_partitions(n, r):
+    return [parts for parts in level_partitions(r) if len(parts) == n]
+
+
 def test_partitions_two_of_three():
-    parts = ordered_partitions(2, 3)
-    assert [(p.parts, p.theta) for p in parts] == [((1, 2), 2)]
+    parts = n_part_partitions(2, 3)
+    assert [(p, theta(p)) for p in parts] == [((1, 2), 2)]
 
 
 def test_partitions_single_part():
-    parts = ordered_partitions(1, 1)
-    assert [(p.parts, p.theta) for p in parts] == [((1,), 1)]
+    parts = n_part_partitions(1, 1)
+    assert [(p, theta(p)) for p in parts] == [((1,), 1)]
 
 
 def test_partitions_level_four_multiplicities():
-    table = {}
-    for n in range(1, 5):
-        for p in ordered_partitions(n, 4):
-            table[p.parts] = p.theta
-    assert table == {
-        (4,): 1,
-        (1, 3): 2,
-        (2, 2): 1,
-        (1, 1, 2): 3,
-        (1, 1, 1, 1): 1,
-    }
-
-
-@pytest.mark.parametrize("n,r", [(0, 3), (4, 3), (-1, 2)])
-def test_partitions_invalid_range(n, r):
-    with pytest.raises(ValueError):
-        ordered_partitions(n, r)
+    assert [(p, theta(p)) for p in level_partitions(4)] == [
+        ((4,), 1),
+        ((1, 3), 2),
+        ((2, 2), 1),
+        ((1, 1, 2), 3),
+        ((1, 1, 1, 1), 1),
+    ]
 
 
 @given(st.integers(min_value=1, max_value=9))
 def test_partition_theta_sums_to_composition_count(r):
     for n in range(1, r + 1):
-        total = sum(p.theta for p in ordered_partitions(n, r))
+        total = sum(theta(p) for p in n_part_partitions(n, r))
         assert total == math.comb(r - 1, n - 1)
 
 
@@ -125,6 +125,18 @@ def test_canonicalize_empty():
     basis = worked_basis()
     label = canonicalize((), basis, worked_kappas(basis))
     assert label.is_zero and label.float_value == 0.0
+
+
+@pytest.mark.parametrize("index", [-1, 4])
+def test_index_outside_range_is_rejected_by_rho_and_canonicalize(index):
+    # -1 once wrapped around to count as base frequency 3 in rho
+    basis = worked_basis()
+    kappas = worked_kappas(basis)
+    target = canonicalize((3,), basis, kappas)
+    with pytest.raises(ValueError, match=f"^index {index} outside 0..3$"):
+        rho(target, (index,), basis, kappas)
+    with pytest.raises(ValueError, match=f"^index {index} outside 0..3$"):
+        canonicalize((index,), basis, kappas)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), max_size=5))
@@ -224,7 +236,6 @@ def test_prefix_property_and_zero_membership():
     for r in range(1, 5):
         lower, upper = chain[r], chain[r + 1]
         assert upper.labels[: len(lower)] == lower.labels
-        assert upper.labels_at_level(r) == lower.labels
         assert lower.labels[0].is_zero
 
 
@@ -239,9 +250,9 @@ def test_sigma_injective_exact():
 def test_extend_requires_zero_label():
     basis = worked_basis()
     kappas = worked_kappas(basis)
-    base = build_index_chain(basis, kappas, 0)[0]
+    chain = build_index_chain(basis, kappas, 0)
     with pytest.raises(ValueError):
-        extend_index_set(base, ordered_partitions(1, 1), basis, kappas)
+        extend_index_set(chain, basis, kappas)
 
 
 def test_small_denominator_guard():
