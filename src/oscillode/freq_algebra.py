@@ -8,6 +8,12 @@ present at each amplitude level.  Arithmetic on frequencies is exact in the
 default mode, so statements like "these three frequencies sum to zero" are
 decided by integer arithmetic rather than floating-point comparison.
 
+The index chain is a closed form: ``U_1 = U_2`` are the zero label and the
+base frequencies, and ``U_{r+1}`` is ``U_r`` followed by the frequencies of
+the size-``r`` multisets of base indices that ``U_r`` lacks, each labelled by
+its lexicographically first multiset.  The operand multisets of a level
+(``operand_multisets``) serve term assembly in ``expansion``.
+
 A float mode with an absolute tolerance is available for frequencies whose
 rational structure is unknown.
 """
@@ -174,8 +180,8 @@ class FrequencyLabel:
     ``counts[m-1]`` is the number of occurrences of base frequency ``m``.
     The zero label has all counts zero and frequency exactly zero.  Within an
     index set, labels are deduplicated by frequency value, so the stored
-    counts are those of the representative multiset that first produced the
-    value.
+    counts are those of the value's representative multiset: the shortest
+    one, and among those the lexicographically smallest.
     """
 
     counts: tuple
@@ -207,13 +213,17 @@ def format_label(tup):
 def _counts_from_tuple(tup, m_count):
     """Count vector of a tuple of indices over ``{0..M}``; index 0 counts nowhere.
 
-    An index outside ``0..M`` raises ``ValueError``.
+    An index outside ``0..M``, or one that is not an integer (an integral
+    float such as ``2.0`` is one), raises ``ValueError``.
     """
     counts = [0] * (m_count + 1)
     for m in tup:
         if not 0 <= m <= m_count:
             raise ValueError(f"index {m} outside 0..{m_count}")
-        counts[m] += 1
+        i = int(m)
+        if i != m:
+            raise ValueError(f"index {m} is not an integer")
+        counts[i] += 1
     return tuple(counts[1:])
 
 
@@ -230,13 +240,6 @@ def _tuple_from_counts(counts):
     return tuple(m for m, c in enumerate(counts, start=1) for _ in range(c))
 
 
-def _label_from_counts(counts, basis, kappas):
-    sigma = _sigma_from_counts(counts, basis, kappas)
-    if basis.sigma_is_zero(sigma):
-        return _zero_label(basis, len(kappas))
-    return FrequencyLabel(tuple(counts), sigma, basis.sigma_float(sigma), _tuple_from_counts(counts))
-
-
 def _zero_label(basis, m_count):
     zero = basis.zero_sigma()
     return FrequencyLabel((0,) * m_count, zero, 0.0, ())
@@ -250,7 +253,11 @@ def canonicalize(indices, basis, kappas):
     zero label regardless of its indices.  An index outside ``0..M`` raises
     ``ValueError``.
     """
-    return _label_from_counts(_counts_from_tuple(indices, len(kappas)), basis, kappas)
+    counts = _counts_from_tuple(indices, len(kappas))
+    sigma = _sigma_from_counts(counts, basis, kappas)
+    if basis.sigma_is_zero(sigma):
+        return _zero_label(basis, len(kappas))
+    return FrequencyLabel(counts, sigma, basis.sigma_float(sigma), _tuple_from_counts(counts))
 
 
 def _repeat_factorials(tup):
@@ -337,7 +344,9 @@ def rho(target, source_tuple, basis, kappas):
 class IndexSet:
     """Ordered labels present at one amplitude level.
 
-    Labels are kept in the natural order: the zero label, then singletons,
+    At level ``r >= 1`` the labels are the zero label and one label per
+    distinct nonzero frequency of a multiset of at most ``max(r - 1, 1)``
+    base indices, in the natural order: the zero label, then singletons,
     then pairs, then triplets, each group lexicographic.  Because every
     extension only appends, the labels of level ``k`` form a prefix of the
     labels of any later level; a lower level's labels are read from its own
@@ -415,54 +424,45 @@ def first_index_set(basis, kappas):
     return IndexSet(1, labels)
 
 
-def extend_index_set(chain, basis, kappas, delta_min=None):
-    """The index set after ``chain[-1]``, from level-``r`` combinations of the
-    chain's labels, where ``r`` is the level of ``chain[-1]``.
+def extend_index_set(index_set, basis, kappas, delta_min=None):
+    """The index set of level ``r + 1``, where ``r >= 1`` is the level of
+    ``index_set``: its labels, then the frequencies of the size-``r``
+    multisets of base indices that it lacks.
 
-    ``chain`` holds the sets of levels ``0..r`` (``build_index_chain``).
-    Every level-``r`` operand multiset (``operand_multisets``) is reduced to
-    the sum of its count vectors; the frequency of each distinct sum is
-    either matched to an existing label or appended as a new one (shortest
-    representative tuple, lexicographic within a length).
-    Frequencies are compared by the finder's key (``IndexSet.finder``); in
-    exact mode a ``Fraction`` frequency is made only for each new label.
-    A new nonzero frequency smaller in magnitude than ``delta_min`` aborts
-    with a diagnostic naming the offending combination.
+    ``U_r`` already holds every frequency of a multiset of fewer than ``r``
+    base indices, so each new frequency has no shorter representative; its
+    label is the lexicographically first size-``r`` multiset with that
+    frequency, and the new labels come in that order.  Frequencies are
+    compared by the finder's key (``IndexSet.finder``); in exact mode a
+    ``Fraction`` frequency is made only for each new label.  A new nonzero
+    frequency smaller in magnitude than ``delta_min`` aborts with a
+    diagnostic naming the offending multiset.
     """
-    index_set = chain[-1]
     if index_set.r < 1 or not index_set.labels or not index_set.labels[0].is_zero:
         raise ValueError("extension starts from a level >= 1 set containing the zero label")
     if delta_min is None:
         delta_min = default_delta_min(kappas)
     m_count = len(kappas)
     resolve = index_set.finder(basis, kappas)
-    new = {}  # key -> shortest tuple, in order of first appearance
-    for counts in dict.fromkeys(c for _, c, _ in operand_multisets(chain, index_set.r)):
-        key, label = resolve(counts)
+    new = {}  # key -> lexicographically first multiset with that frequency
+    for tup in itertools.combinations_with_replacement(range(1, m_count + 1), index_set.r):
+        key, label = resolve(_counts_from_tuple(tup, m_count))
         if label is not None:
             continue
         if basis.mode == "float":
             key = next((s for s in new if basis.sigma_equal(s, key)), key)
-        tup = _tuple_from_counts(counts)
-        prev = new.get(key)
-        if prev is None or (len(tup), tup) < (len(prev), prev):
-            new[key] = tup
+        new.setdefault(key, tup)
 
-    new_labels = []
-    for key, tup in new.items():
-        counts = _counts_from_tuple(tup, m_count)
-        sigma = _sigma_from_counts(counts, basis, kappas) if basis.mode == "exact" else key
-        fv = basis.sigma_float(sigma)
-        if abs(fv) < delta_min:
+    new_labels = [canonicalize(tup, basis, kappas) for tup in new.values()]
+    for label in new_labels:
+        if abs(label.float_value) < delta_min:
             raise SmallDenominatorError(
-                f"generated frequency {basis.sigma_string(sigma)} ~ {fv:.3e} from "
-                f"combination {format_label(tup)} is below delta_min={delta_min:.3e}",
-                label=tup,
-                sigma=fv,
+                f"generated frequency {basis.sigma_string(label.sigma)} ~ {label.float_value:.3e} "
+                f"from combination {format_label(label.canonical_tuple)} is below "
+                f"delta_min={delta_min:.3e}",
+                label=label.canonical_tuple,
+                sigma=label.float_value,
             )
-        new_labels.append(FrequencyLabel(counts, sigma, fv, tup))
-    new_labels.sort(key=lambda lab: (len(lab.canonical_tuple), lab.canonical_tuple))
-
     return IndexSet(index_set.r + 1, index_set.labels + new_labels)
 
 
@@ -475,7 +475,7 @@ def build_index_chain(basis, kappas, r_max, delta_min=None):
     if r_max >= 1:
         chain.append(first_index_set(basis, kappas))
     for _ in range(1, r_max):
-        chain.append(extend_index_set(chain, basis, kappas, delta_min))
+        chain.append(extend_index_set(chain[-1], basis, kappas, delta_min))
     return chain
 
 

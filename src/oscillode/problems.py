@@ -24,6 +24,7 @@ from .deriv_engine import (
 from .expansion import Problem
 from .freq_algebra import BaseFrequency, FrequencyBasis
 from .linear_closed_form import LinearForcing, LinearProblem
+from .ode_core import _nonnegative_integer
 
 __all__ = [
     "RegisteredProblem",
@@ -373,12 +374,14 @@ def load_problem_config(path, name=None):
 
     Keys: ``dimension``, ``basis`` (list of reals, optionally with
     ``basis_names``), ``kappa`` (one rational coordinate vector per channel,
-    entries are ints or strings like ``"-1/2"``), ``y0``, ``t_end``, and
-    ``field`` (bundle name, default ``cubic_demo``).
+    entries are ints or strings like ``"-1/2"``), ``y0``, ``t_end``,
+    ``field`` (bundle name, default ``cubic_demo``) and ``order`` (default
+    build order, 3).  ``dimension`` and ``order`` must be nonnegative
+    integers, or a ``ValueError`` names the key.
     """
     with open(path) as fh:
         cfg = json.load(fh)
-    dimension = int(cfg["dimension"])
+    dimension = _nonnegative_integer("dimension", cfg["dimension"])
     basis = FrequencyBasis(
         cfg["basis"],
         names=cfg.get("basis_names"),
@@ -411,5 +414,5 @@ def load_problem_config(path, name=None):
         linear=None,
         t_end=float(cfg["t_end"]),
         omegas=tuple(float(w) for w in cfg.get("omegas", (500.0,))),
-        default_order=int(cfg.get("order", 3)),
+        default_order=_nonnegative_integer("order", cfg.get("order", 3)),
     )

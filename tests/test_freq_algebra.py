@@ -127,15 +127,19 @@ def test_canonicalize_empty():
     assert label.is_zero and label.float_value == 0.0
 
 
-@pytest.mark.parametrize("index", [-1, 4])
-def test_index_outside_range_is_rejected_by_rho_and_canonicalize(index):
+@pytest.mark.parametrize(
+    "index, message",
+    [(-1, "outside 0..3"), (4, "outside 0..3"), (1.5, "is not an integer")],
+    ids=["-1", "4", "1.5"],
+)
+def test_index_outside_range_is_rejected_by_rho_and_canonicalize(index, message):
     # -1 once wrapped around to count as base frequency 3 in rho
     basis = worked_basis()
     kappas = worked_kappas(basis)
     target = canonicalize((3,), basis, kappas)
-    with pytest.raises(ValueError, match=f"^index {index} outside 0..3$"):
+    with pytest.raises(ValueError, match=f"^index {index} {message}$"):
         rho(target, (index,), basis, kappas)
-    with pytest.raises(ValueError, match=f"^index {index} outside 0..3$"):
+    with pytest.raises(ValueError, match=f"^index {index} {message}$"):
         canonicalize((index,), basis, kappas)
 
 
@@ -252,7 +256,47 @@ def test_extend_requires_zero_label():
     kappas = worked_kappas(basis)
     chain = build_index_chain(basis, kappas, 0)
     with pytest.raises(ValueError):
-        extend_index_set(chain, basis, kappas)
+        extend_index_set(chain[-1], basis, kappas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_index_chain_is_the_closed_form(data):
+    """With distinct base frequencies, level ``r`` lists the distinct
+    frequencies of all multisets of at most ``max(r - 1, 1)`` base indices,
+    each once, under its shortest and then lexicographically smallest
+    multiset, the zero label first and the rest ordered by
+    ``(len, tuple)``; checked against a brute-force enumeration."""
+    dimension = data.draw(st.integers(min_value=1, max_value=2))
+    m_count = data.draw(st.integers(min_value=1, max_value=4))
+    r_max = data.draw(st.integers(min_value=0, max_value=6))
+    coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coords = data.draw(
+        st.lists(
+            st.tuples(*[coordinate] * dimension).filter(any),
+            min_size=m_count,
+            max_size=m_count,
+            unique=True,
+        )
+    )
+    basis = FrequencyBasis([1.0, SQRT2][:dimension])
+    kappas = [BaseFrequency(m, basis, coords=c) for m, c in enumerate(coords, start=1)]
+    chain = build_index_chain(basis, kappas, r_max)
+
+    def sigma(tup):
+        return tuple(
+            sum((kappas[m - 1].coords[j] for m in tup), Fraction(0)) for j in range(dimension)
+        )
+
+    assert [lab.canonical_tuple for lab in chain[0]] == [(m,) for m in range(1, m_count + 1)]
+    for r in range(1, r_max + 1):
+        first = {sigma(()): ()}
+        for size in range(1, max(r - 1, 1) + 1):
+            for tup in itertools.combinations_with_replacement(range(1, m_count + 1), size):
+                first.setdefault(sigma(tup), tup)
+        tuples = [lab.canonical_tuple for lab in chain[r]]
+        assert tuples == sorted(first.values(), key=lambda tup: (len(tup), tup))
+        assert [lab.sigma for lab in chain[r]] == [sigma(tup) for tup in tuples]
 
 
 def test_small_denominator_guard():

@@ -264,11 +264,12 @@ def test_a_slope_needs_two_distinct_omegas(omegas, capsys):
 # -- CLI ----------------------------------------------------------------------
 
 
-def test_cli_table_matches_golden(tmp_path, capsys):
-    rc = cli_main(["table", "--problem", "worked_example", "-r", "4"])
+@pytest.mark.parametrize("problem, r", [("worked_example", 4), ("memristor", 6)])
+def test_cli_table_matches_golden(problem, r, capsys):
+    rc = cli_main(["table", "--problem", problem, "-r", str(r)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert out == (GOLDEN / "worked_example_table_r4.txt").read_text()
+    assert out == (GOLDEN / f"{problem}_table_r{r}.txt").read_text()
 
 
 def test_cli_table_memristor_r3(capsys):
@@ -548,6 +549,22 @@ def test_load_problem_config(tmp_path):
     solve_nonoscillatory_chain(ex, registered.t_end)
     y = ex.evaluate_truncated(1.0, 300.0, 2)
     assert np.all(np.isfinite(y))
+
+
+@pytest.mark.parametrize("key, value", [("dimension", 2.7), ("order", 2.5)])
+def test_load_problem_config_rejects_a_fractional_size(tmp_path, key, value):
+    cfg = {
+        "dimension": 2,
+        "basis": [1.0],
+        "kappa": [["1"], ["3/2"]],
+        "y0": [0.05, 0.05],
+        "t_end": 1.0,
+        key: value,
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=f"^{key}={value} must be a nonnegative integer$"):
+        load_problem_config(path)
 
 
 def test_cli_accepts_config(tmp_path, capsys):
