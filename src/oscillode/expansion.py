@@ -9,11 +9,15 @@ whose initial conditions make all terms at the origin cancel level by level.
 
 A node is named by its key (level, label tuple).  Term assembly visits each
 multiset of operand keys whose levels sum to the level once
-(``freq_algebra.operand_multisets``), with weight 1/prod(m_i!), where m_i
+(``freq_algebra.OperandMultisets``), with weight 1/prod(m_i!), where m_i
 counts the repeats of one key.  That is the total weight 1/n! of the
 multiset's n!/prod(m_i!) orderings, so the classical multiplicity counts are
 built in, and the bookkeeping stays correct even when equal frequencies
-appear at different levels.
+appear at different levels.  A multiset's frequency is the sum of its
+operands' integer keys, and names its group.  The top level keeps only the
+zero group, so it checks the next index set against the sums of each
+partition's distinct piece keys and then walks only the multisets of zero
+frequency.
 
 Evaluation runs a plan (``plan.Plan``) compiled from the nodes' terms; the
 term-list format, with its derivative rule, belongs to ``plan``.  The chain
@@ -36,12 +40,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import OutOfDomain, UnsupportedOrder
-from .freq_algebra import (
-    _sigma_from_counts,
-    build_index_chain,
-    format_label,
-    operand_multisets,
-)
+from .freq_algebra import OperandMultisets, build_index_chain, format_label
 from .ode_core import (
     DenseSolution,
     IvpSpec,
@@ -270,6 +269,7 @@ def build_expansion(problem, order=4, delta_min=None):
     basis = problem.basis
     kappas = problem.kappas
     chain = build_index_chain(basis, kappas, max(order + 1, 1), delta_min)
+    multisets = OperandMultisets(chain, basis, kappas)
 
     nodes = {}
     zero_label = chain[1].labels[0]
@@ -289,7 +289,7 @@ def build_expansion(problem, order=4, delta_min=None):
             )
 
     for r in range(1, order + 1):
-        groups = _level_terms(chain, r, basis, kappas, top=r == order)
+        groups = _level_terms(multisets, r, top=r == order)
         upper = chain[r + 1]
         current_tuples = {lab.canonical_tuple for lab in chain[r].labels}
 
@@ -312,30 +312,20 @@ def build_expansion(problem, order=4, delta_min=None):
     return Expansion(problem, order, chain[: order + 2], nodes)
 
 
-def _level_terms(chain, r, basis, kappas, top=False):
+def _level_terms(multisets, r, top=False):
     """Terms of the level-r equation, grouped by frequency label.
 
-    One term per operand multiset (``operand_multisets``), with weight
-    1/prod(m_i!).  A multiset's frequency, looked up in the next index set
-    once per distinct count vector by the finder's integer key
-    (``IndexSet.finder``), names its group; every group frequency must
-    already be present there.  At the top level (``top``) only the zero
-    group, p_R0's terms, is kept: a nonzero group there would feed a node
-    one level above the build.  Every multiset is still looked up.
+    One term per operand multiset (``OperandMultisets.level``), with weight
+    1/prod(m_i!), in the group of the next index set's label with its
+    frequency; every group frequency must already be present there.  At the
+    top level (``top``) only the zero group, p_R0's terms, is made: a
+    nonzero group there would feed a node one level above the build.  So
+    the top level walks only the zero-frequency multisets, after checking
+    the next set against every frequency that the level's partitions can
+    sum to.
     """
-    resolve = chain[r + 1].finder(basis, kappas)
     groups = {}
-    for operands, counts, weight in operand_multisets(chain, r):
-        _, target = resolve(counts)
-        if target is None:
-            sigma = _sigma_from_counts(counts, basis, kappas)
-            raise AssertionError(
-                f"level-{r} term frequency {basis.sigma_string(sigma)} missing from "
-                "the next index set"
-            )
-        if top and not target.is_zero:
-            continue
-        operands = tuple(sorted(operands))
+    for operands, target, weight in multisets.level(r, zero_only=top):
         groups.setdefault(target.canonical_tuple, []).append(
             Term(weight=weight, n=len(operands), operands=operands)
         )

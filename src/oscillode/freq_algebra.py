@@ -4,18 +4,16 @@ Everything in this module is about bookkeeping of frequencies: base
 frequencies are linear combinations (with exact rational coordinates) of a
 user-declared basis of rationally independent reals, labels are multisets of
 base-frequency indices, and index sets are the ordered collections of labels
-present at each amplitude level.  Arithmetic on frequencies is exact in the
-default mode, so statements like "these three frequencies sum to zero" are
-decided by integer arithmetic rather than floating-point comparison.
+present at each amplitude level.  Arithmetic on frequencies is exact, so
+statements like "these three frequencies sum to zero" are decided by integer
+arithmetic rather than floating-point comparison: a frequency's lookup key
+is an integer tuple (``_FrequencyKey``).
 
 The index chain is a closed form: ``U_1 = U_2`` are the zero label and the
 base frequencies, and ``U_{r+1}`` is ``U_r`` followed by the frequencies of
 the size-``r`` multisets of base indices that ``U_r`` lacks, each labelled by
-its lexicographically first multiset.  The operand multisets of a level
-(``operand_multisets``) serve term assembly in ``expansion``.
-
-A float mode with an absolute tolerance is available for frequencies whose
-rational structure is unknown.
+its lexicographically first multiset.  The operand multisets of each level
+(``OperandMultisets``) serve term assembly in ``expansion``.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ __all__ = [
     "IndexSet",
     "MultiplicityRecord",
     "level_partitions",
-    "operand_multisets",
+    "OperandMultisets",
     "canonicalize",
     "extend_index_set",
     "rho",
@@ -62,66 +60,48 @@ def _fraction(x) -> Fraction:
 class FrequencyBasis:
     """Basis of rationally independent reals over which frequencies live.
 
-    In ``exact`` mode every base frequency must be given as a rational
-    coordinate vector over this basis and frequency equality is exact
-    coordinate equality.  In ``float`` mode frequencies are plain floats and
-    equality means agreement within ``tolerance``.
+    Every base frequency is a rational coordinate vector over this basis,
+    and frequency equality is exact coordinate equality.  Frequencies with
+    no known rational relation are declared as one basis real each, with
+    unit coordinates.
     """
 
-    def __init__(self, basis_reals=(1.0,), names=None, mode="exact", tolerance=1e-9):
-        if mode not in ("exact", "float"):
-            raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    def __init__(self, basis_reals=(1.0,), names=None):
         self.basis_reals = tuple(float(b) for b in basis_reals)
-        if mode == "exact" and len(self.basis_reals) < 1:
-            raise ValueError("exact mode needs at least one basis real")
+        if len(self.basis_reals) < 1:
+            raise ValueError("a frequency basis needs at least one real")
         if names is None:
             names = tuple(f"b{k + 1}" for k in range(len(self.basis_reals)))
         self.names = tuple(names)
-        if mode == "exact" and len(self.names) != len(self.basis_reals):
+        if len(self.names) != len(self.basis_reals):
             raise ValueError("one name per basis real required")
-        self.mode = mode
-        self.tolerance = float(tolerance)
-        if mode == "float" and self.tolerance <= 0:
-            raise ValueError("float mode requires a positive tolerance")
 
     @property
     def dimension(self):
         return len(self.basis_reals)
 
-    # -- operations on sigma values (coordinate tuples or floats) ------------
+    # -- operations on sigma values (coordinate tuples) ----------------------
 
     def zero_sigma(self):
-        if self.mode == "exact":
-            return (Fraction(0),) * self.dimension
-        return 0.0
+        return (Fraction(0),) * self.dimension
 
     def sigma_add(self, a, b):
-        if self.mode == "exact":
-            return tuple(x + y for x, y in zip(a, b))
-        return a + b
+        return tuple(x + y for x, y in zip(a, b))
 
     def sigma_scale(self, a, n):
-        if self.mode == "exact":
-            return tuple(x * n for x in a)
-        return a * n
+        return tuple(x * n for x in a)
 
     def sigma_equal(self, a, b):
-        if self.mode == "exact":
-            return a == b
-        return abs(a - b) <= self.tolerance
+        return a == b
 
     def sigma_is_zero(self, a):
         return self.sigma_equal(a, self.zero_sigma())
 
     def sigma_float(self, a):
-        if self.mode == "exact":
-            return math.fsum(float(q) * b for q, b in zip(a, self.basis_reals))
-        return float(a)
+        return math.fsum(float(q) * b for q, b in zip(a, self.basis_reals))
 
     def sigma_string(self, a):
         """Render a sigma value as a compact exact expression, e.g. ``-1-2*sqrt(2)``."""
-        if self.mode == "float":
-            return "%.17g" % a
         parts = []
         for q, name in zip(a, self.names):
             if q == 0:
@@ -143,31 +123,21 @@ class FrequencyBasis:
 
 
 class BaseFrequency:
-    """One base frequency: an index plus its exact (or float) value."""
+    """One base frequency: an index plus its rational coordinates."""
 
-    def __init__(self, index, basis, coords=None, value=None):
+    def __init__(self, index, basis, coords):
         self.index = int(index)
         self.basis = basis
-        if basis.mode == "exact":
-            if coords is None:
-                raise ValueError("exact mode requires rational coordinates")
-            self.coords = tuple(_fraction(c) for c in coords)
-            if len(self.coords) != basis.dimension:
-                raise ValueError("coordinate vector length must match basis dimension")
-            if all(c == 0 for c in self.coords):
-                raise ValueError(f"base frequency {index} must be nonzero")
-            self.value = basis.sigma_float(self.coords)
-        else:
-            if value is None:
-                raise ValueError("float mode requires a numeric value")
-            self.coords = None
-            self.value = float(value)
-            if abs(self.value) <= basis.tolerance:
-                raise ValueError(f"base frequency {index} must be nonzero")
+        self.coords = tuple(_fraction(c) for c in coords)
+        if len(self.coords) != basis.dimension:
+            raise ValueError("coordinate vector length must match basis dimension")
+        if all(c == 0 for c in self.coords):
+            raise ValueError(f"base frequency {index} must be nonzero")
+        self.value = basis.sigma_float(self.coords)
 
     @property
     def sigma(self):
-        return self.coords if self.basis.mode == "exact" else self.value
+        return self.coords
 
     def __repr__(self):
         return f"BaseFrequency({self.index}, {self.value:g})"
@@ -185,7 +155,7 @@ class FrequencyLabel:
     """
 
     counts: tuple
-    sigma: object
+    sigma: tuple
     float_value: float
     canonical_tuple: tuple
 
@@ -283,44 +253,135 @@ def level_partitions(r):
     ]
 
 
-def operand_multisets(chain, r):
-    """Each multiset of level-``r`` operands, once.
+class _FrequencyKey:
+    """A count vector's frequency as an integer tuple: its lookup key.
+
+    The base frequencies' coordinates are scaled once by the common
+    denominator of all of them, so a key is one integer dot product per
+    basis real, and two count vectors have the same frequency exactly when
+    they have the same key; no ``Fraction`` is made.  Keys add as the
+    frequencies do.
+    """
+
+    def __init__(self, kappas):
+        self.scale = math.lcm(*(q.denominator for kappa in kappas for q in kappa.coords))
+        self.columns = list(zip(*((int(q * self.scale) for q in kappa.coords) for kappa in kappas)))
+
+    def __call__(self, counts):
+        return tuple(sum(map(operator.mul, counts, column)) for column in self.columns)
+
+    def sigma(self, key):
+        """The frequency whose key is ``key``, as a coordinate tuple."""
+        return tuple(Fraction(k, self.scale) for k in key)
+
+
+class OperandMultisets:
+    """The operand multisets of each level of one index chain.
 
     The operands of a partition of ``r`` (``level_partitions``) are drawn
-    from the index chain: a run of ``k`` equal parts ``l`` draws ``k``
-    labels of ``chain[l]`` with replacement, in label order; runs combine as
-    a product.  An operand is named by its node key ``(level, label tuple)``,
-    made once per run and shared by every multiset drawn from it.  Yields
-    ``(operands, counts, weight)``: the operand keys, the sum of their count
-    vectors, and ``1/prod(m_i!)`` with ``m_i`` the repeats of one key, which
-    is the total ``1/n!`` of the multiset's orderings.  Multisets with equal
-    weights share one ``Fraction``.
+    from the chain: a run of ``k`` equal parts ``l`` draws ``k`` labels of
+    ``chain[l]`` with replacement; runs combine as a product.  A run's
+    entries are made once, on first use, and serve every level that draws
+    the run.  An entry holds its operands' node keys ``(level, label
+    tuple)``, the sum of their frequency keys (``_FrequencyKey``), and
+    ``prod(m_i!)`` with ``m_i`` the repeats of one operand.  Pools are in
+    canonical-tuple order and a partition's parts are nondecreasing, so a
+    multiset's operands come out sorted.  A build makes one instance and
+    drops it, with its run lists, when it returns.
     """
-    runs = {}
-    weights = {}
 
-    def run(level, k):
-        if (level, k) not in runs:
-            pool = chain[level].labels
-            keys = [(level, label.canonical_tuple) for label in pool]
-            runs[(level, k)] = [
+    def __init__(self, chain, basis, kappas):
+        self.chain = chain
+        self.basis = basis
+        self.key_of = _FrequencyKey(kappas)
+        self._pools = {}
+        self._runs = {}
+        self._by_key = {}
+        self._weights = {}
+
+    def _pool(self, level):
+        """``chain[level]``'s labels in canonical-tuple order, with node and frequency keys."""
+        if level not in self._pools:
+            labels = sorted(self.chain[level].labels, key=operator.attrgetter("canonical_tuple"))
+            names = [(level, label.canonical_tuple) for label in labels]
+            self._pools[level] = labels, names, [self.key_of(label.counts) for label in labels]
+        return self._pools[level]
+
+    def _run(self, level, k):
+        if (level, k) not in self._runs:
+            _, names, keys = self._pool(level)
+            self._runs[(level, k)] = [
                 (
-                    tuple(keys[i] for i in picks),
-                    tuple(map(sum, zip(*(pool[i].counts for i in picks)))),
+                    tuple(map(names.__getitem__, picks)),
+                    tuple(map(sum, zip(*map(keys.__getitem__, picks)))),
                     _repeat_factorials(picks),
                 )
-                for picks in itertools.combinations_with_replacement(range(len(pool)), k)
+                for picks in itertools.combinations_with_replacement(range(len(names)), k)
             ]
-        return runs[(level, k)]
+        return self._runs[(level, k)]
 
-    for parts in level_partitions(r):
-        pieces = [run(level, len(list(group))) for level, group in itertools.groupby(parts)]
-        for combo in itertools.product(*pieces):
-            operands, counts, denominators = zip(*combo)
-            den = math.prod(denominators)
-            if den not in weights:
-                weights[den] = Fraction(1, den)
-            yield sum(operands, ()), tuple(map(sum, zip(*counts))), weights[den]
+    def _keyed(self, level, k):
+        """A run's entries by frequency key, the keys in order of first entry."""
+        if (level, k) not in self._by_key:
+            index = {}
+            for entry in self._run(level, k):
+                index.setdefault(entry[1], []).append(entry)
+            self._by_key[(level, k)] = index
+        return self._by_key[(level, k)]
+
+    def level(self, r, zero_only=False):
+        """Yield ``(operands, label, weight)`` for each level-``r`` multiset:
+        its sorted operand keys, the label of ``chain[r + 1]`` with its
+        frequency, and ``1/prod(m_i!)``, the total ``1/n!`` of the
+        multiset's orderings.  Multisets with equal weights share one
+        ``Fraction``.
+
+        With ``zero_only``, only the multisets of zero frequency are walked.
+        For each partition the next set is first checked against every sum
+        of one distinct key per piece.  Then, for each product of all but
+        the last piece, the last piece's entries with the negated key are
+        looked up.  A frequency missing from the next set raises
+        ``AssertionError`` naming it: the first multiset's, or with
+        ``zero_only`` the first sum's, in walk order.
+        """
+        labels, _, keys = self._pool(r + 1)
+        find = dict(zip(keys, labels)).get
+        zero = (0,) * len(self.key_of.columns)
+        for parts in level_partitions(r):
+            *head, last = [(level, len(list(group))) for level, group in itertools.groupby(parts)]
+            if zero_only:
+                sums = {zero: None}
+                for piece in head + [last]:
+                    pairs = itertools.product(sums, self._keyed(*piece))
+                    sums = dict.fromkeys(tuple(map(operator.add, s, k)) for s, k in pairs)
+                for key in sums:
+                    if find(key) is None:
+                        raise self._missing(r, key)
+            partials = [((), zero, 1)]
+            for piece in head:
+                partials = [
+                    (names + more, tuple(map(operator.add, key, add)), den * d)
+                    for names, key, den in partials
+                    for more, add, d in self._run(*piece)
+                ]
+            for names, key, den in partials:
+                if zero_only:
+                    tail = self._keyed(*last).get(tuple(-k for k in key), ())
+                else:
+                    tail = self._run(*last)
+                for more, add, d in tail:
+                    total = tuple(map(operator.add, key, add))
+                    label = find(total)
+                    if label is None:
+                        raise self._missing(r, total)
+                    weight = self._weights.get(den * d)
+                    if weight is None:
+                        weight = self._weights[den * d] = Fraction(1, den * d)
+                    yield names + more, label, weight
+
+    def _missing(self, r, key):
+        sigma = self.basis.sigma_string(self.key_of.sigma(key))
+        return AssertionError(f"level-{r} term frequency {sigma} missing from the next index set")
 
 
 @dataclass(frozen=True)
@@ -363,40 +424,10 @@ class IndexSet:
     def __iter__(self):
         return iter(self.labels)
 
-    def finder(self, basis, kappas):
-        """Function ``counts -> (key, label)``: a count vector's frequency in
-        lookup form, computed once per vector, and this set's label with that
-        frequency, or None.
-
-        In exact mode the key is an integer tuple: the base frequencies'
-        coordinates are scaled once by the common denominator of all of them,
-        so a count vector's key is an integer dot product and the lookup is a
-        dict lookup; no ``Fraction`` is made.  In float mode the key is the
-        float frequency itself, matched by a tolerance scan.
-        """
-        if basis.mode == "exact":
-            scale = math.lcm(*(q.denominator for kappa in kappas for q in kappa.coords))
-            columns = list(zip(*((int(q * scale) for q in kappa.coords) for kappa in kappas)))
-
-            def key_of(counts):
-                return tuple(sum(map(operator.mul, counts, column)) for column in columns)
-
-            find = {key_of(label.counts): label for label in self.labels}.get
-        else:
-            def key_of(counts):
-                return _sigma_from_counts(counts, basis, kappas)
-
-            def find(sigma):
-                return next((lab for lab in self.labels if basis.sigma_equal(lab.sigma, sigma)), None)
-        known = {}
-
-        def resolve(counts):
-            if counts not in known:
-                key = key_of(counts)
-                known[counts] = (key, find(key))
-            return known[counts]
-
-        return resolve
+    def finder(self, key_of):
+        """Function ``key -> label``: this set's label whose frequency key,
+        by ``key_of`` (a ``_FrequencyKey``), is ``key``, or None."""
+        return {key_of(label.counts): label for label in self.labels}.get
 
     def __repr__(self):
         return f"IndexSet(r={self.r}, {[format_label(l.canonical_tuple) for l in self.labels]})"
@@ -433,8 +464,8 @@ def extend_index_set(index_set, basis, kappas, delta_min=None):
     base indices, so each new frequency has no shorter representative; its
     label is the lexicographically first size-``r`` multiset with that
     frequency, and the new labels come in that order.  Frequencies are
-    compared by the finder's key (``IndexSet.finder``); in exact mode a
-    ``Fraction`` frequency is made only for each new label.  A new nonzero
+    compared by their integer keys (``IndexSet.finder``); a ``Fraction``
+    frequency is made only for each new label.  A new nonzero
     frequency smaller in magnitude than ``delta_min`` aborts with a
     diagnostic naming the offending multiset.
     """
@@ -443,15 +474,13 @@ def extend_index_set(index_set, basis, kappas, delta_min=None):
     if delta_min is None:
         delta_min = default_delta_min(kappas)
     m_count = len(kappas)
-    resolve = index_set.finder(basis, kappas)
+    key_of = _FrequencyKey(kappas)
+    find = index_set.finder(key_of)
     new = {}  # key -> lexicographically first multiset with that frequency
     for tup in itertools.combinations_with_replacement(range(1, m_count + 1), index_set.r):
-        key, label = resolve(_counts_from_tuple(tup, m_count))
-        if label is not None:
-            continue
-        if basis.mode == "float":
-            key = next((s for s in new if basis.sigma_equal(s, key)), key)
-        new.setdefault(key, tup)
+        key = key_of(_counts_from_tuple(tup, m_count))
+        if find(key) is None:
+            new.setdefault(key, tup)
 
     new_labels = [canonicalize(tup, basis, kappas) for tup in new.values()]
     for label in new_labels:
@@ -492,10 +521,11 @@ def index_table_records(index_set, basis, kappas):
     """
     m_count = len(kappas)
     src_len = max(index_set.r - 1, 0)
-    resolve = index_set.finder(basis, kappas)
+    key_of = _FrequencyKey(kappas)
+    find = index_set.finder(key_of)
     sources = {}
     for src in itertools.combinations_with_replacement(range(m_count + 1), src_len) if src_len else ():
-        _, label = resolve(_counts_from_tuple(src, m_count))
+        label = find(key_of(_counts_from_tuple(src, m_count)))
         if label is not None:
             sources.setdefault(label.canonical_tuple, []).append(src)
     rows = []

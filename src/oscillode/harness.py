@@ -120,9 +120,9 @@ def _cache_path(cache_dir, registered, omega, tol_abs, tol_rel, grid):
         h.update(repr(parts).encode())
 
     add(_CACHE_FORMAT, float(omega), float(tol_abs), float(tol_rel), REFERENCE_SAFETY)
-    add(basis.mode, basis.basis_reals, basis.tolerance)
+    add(basis.basis_reals)
     for kappa in problem.kappas:
-        add(kappa.index, tuple(map(str, kappa.coords or ())), float(kappa.value))
+        add(kappa.index, tuple(map(str, kappa.coords)), float(kappa.value))
     y0 = np.asarray(problem.y0, dtype=complex)
     h.update(y0.tobytes())
     h.update(np.ascontiguousarray(grid, dtype=float).tobytes())

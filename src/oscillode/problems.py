@@ -377,27 +377,24 @@ def load_problem_config(path, name=None):
     entries are ints or strings like ``"-1/2"``), ``y0``, ``t_end``,
     ``field`` (bundle name, default ``cubic_demo``) and ``order`` (default
     build order, 3).  ``dimension`` and ``order`` must be nonnegative
-    integers, or a ``ValueError`` names the key.
+    integers, or a ``ValueError`` names the key.  Frequencies are exact: a
+    ``mode`` other than ``"exact"`` raises a ``ValueError`` that says how to
+    declare unrelated frequencies.
     """
     with open(path) as fh:
         cfg = json.load(fh)
     dimension = _nonnegative_integer("dimension", cfg["dimension"])
-    basis = FrequencyBasis(
-        cfg["basis"],
-        names=cfg.get("basis_names"),
-        mode=cfg.get("mode", "exact"),
-        tolerance=cfg.get("tolerance", 1e-9),
-    )
-    if basis.mode == "exact":
-        kappas = [
-            BaseFrequency(m, basis, coords=[str(q) for q in coords])
-            for m, coords in enumerate(cfg["kappa"], start=1)
-        ]
-    else:
-        kappas = [
-            BaseFrequency(m, basis, value=float(value))
-            for m, value in enumerate(cfg["kappa"], start=1)
-        ]
+    if cfg.get("mode", "exact") != "exact":
+        raise ValueError(
+            f"mode {cfg['mode']!r} is not supported; frequencies are exact. Give each "
+            "frequency with no known rational relation a basis real of its own, with unit "
+            'coordinates: "basis": [1.0, 1.4142135623730951], "kappa": [[1, 0], [0, 1]]'
+        )
+    basis = FrequencyBasis(cfg["basis"], names=cfg.get("basis_names"))
+    kappas = [
+        BaseFrequency(m, basis, coords=[str(q) for q in coords])
+        for m, coords in enumerate(cfg["kappa"], start=1)
+    ]
     bundle_name = cfg.get("field", "cubic_demo")
     if bundle_name not in _FIELD_BUNDLES:
         raise KeyError(f"unknown field bundle {bundle_name!r}")

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillode.deriv_engine import (
     ForcingTerm,
@@ -391,8 +393,44 @@ def assert_terms_match_ordered_enumeration(problem, order):
                 )
 
 
+@st.composite
+def resonant_problems(draw):
+    """2-4 distinct base frequencies with small integer coordinates over a
+    basis of 1-2 reals, the first two a resonant pair (kappa, -kappa), and a
+    build order of 1-4."""
+    dimension = draw(st.integers(min_value=1, max_value=2))
+    coordinate = st.tuples(*[st.integers(-3, 3)] * dimension).filter(any)
+    first = draw(coordinate)
+    pair = [first, tuple(-c for c in first)]
+    rest = draw(
+        st.lists(
+            coordinate.filter(lambda c: c not in pair), min_size=0, max_size=2, unique=True
+        )
+    )
+    basis = FrequencyBasis([1.0, SQRT2][:dimension])
+    kappas = [BaseFrequency(m, basis, coords=c) for m, c in enumerate(pair + rest, start=1)]
+    field = polynomial_field(2, [{(0, 1): 1.0, (2, 1): 0.1}, {(1, 0): -1.0}], max_order=4)
+    forcings = [constant_amplitude(k, [0.3, 0.1 * k.index]) for k in kappas]
+    problem = Problem(field, forcings, y0=[0.1, 0.0], basis=basis)
+    return problem, draw(st.integers(min_value=1, max_value=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(resonant_problems())
+def test_term_assembly_matches_ordered_enumeration(problem_and_order):
+    """Every level's grouped terms, the top level's zero group included,
+    equal the ordered enumeration, which sums frequencies as Fractions and
+    neither draws operand multisets nor uses an integer key."""
+    problem, order = problem_and_order
+    assert_terms_match_ordered_enumeration(problem, order)
+    if order >= 2:
+        # the resonant pair gives the top zero group a term with no zero operand
+        top = build_expansion(problem, order=order).nodes[(order, ())].terms
+        assert any(all(tup for _, tup in term.operands) for term in top)
+
+
 # worked_example builds: (Terms made, Fraction frequencies made) per order
-WORKED_BUILD_COUNTS = {5: (236, 42), 6: (690, 60), 7: (1954, 81)}
+WORKED_BUILD_COUNTS = {5: (236, 42), 6: (690, 60), 7: (1954, 81), 8: (5377, 105)}
 
 
 @pytest.mark.parametrize("order", sorted(WORKED_BUILD_COUNTS))
@@ -424,9 +462,10 @@ def test_frequency_missing_from_the_next_set_is_an_error_at_the_top_too():
     problem = get_problem("worked_example").problem
     chain = freq_algebra_module.build_index_chain(problem.basis, problem.kappas, 4)
     stale = chain[:4] + [chain[3]]  # level 3's set where level 4's belongs
+    multisets = freq_algebra_module.OperandMultisets(stale, problem.basis, problem.kappas)
     for top in (False, True):
         with pytest.raises(AssertionError, match=r"level-3 term frequency 3 missing from"):
-            expansion_module._level_terms(stale, 3, problem.basis, problem.kappas, top=top)
+            expansion_module._level_terms(multisets, 3, top=top)
 
 
 # SHA-256 of dump_expansion for worked_example, built and not solved
@@ -434,6 +473,7 @@ WORKED_DUMP_SHA256 = {
     5: "5d25ee7353f4d367fa43f6e4ed4a45239355f00582fcf69d4ddc56539917b062",
     6: "a03fa8bb8762b4c1b92ed744fc4c8819648dc0d16ef73eb4da9089d186f1e016",
     7: "43b1f06fc17caa8078148fe9eda20aead65da8c9960138da3150f78f77915622",
+    8: "30c9f1fa52c67dffd05997ad43b2b981eb234d208983a0b700e9debf5be347e6",
 }
 
 

@@ -61,6 +61,23 @@ def brute_force_rho(target, source_tuple, basis, kappas):
     return count
 
 
+def fraction_sum(kappas, tup):
+    """Frequency of a tuple of base indices, summed as ``Fraction`` coordinates."""
+    dimension = len(kappas[0].coords)
+    return tuple(sum((kappas[m - 1].coords[j] for m in tup), Fraction(0)) for j in range(dimension))
+
+
+def first_multisets(kappas, size):
+    """Brute force: each distinct frequency of a multiset of at most ``size``
+    base indices, the empty one included, with its first multiset in
+    ``(len, tuple)`` order."""
+    first = {}
+    for n in range(size + 1):
+        for tup in itertools.combinations_with_replacement(range(1, len(kappas) + 1), n):
+            first.setdefault(fraction_sum(kappas, tup), tup)
+    return first
+
+
 # -- partitions ---------------------------------------------------------------
 
 
@@ -283,20 +300,12 @@ def test_index_chain_is_the_closed_form(data):
     kappas = [BaseFrequency(m, basis, coords=c) for m, c in enumerate(coords, start=1)]
     chain = build_index_chain(basis, kappas, r_max)
 
-    def sigma(tup):
-        return tuple(
-            sum((kappas[m - 1].coords[j] for m in tup), Fraction(0)) for j in range(dimension)
-        )
-
     assert [lab.canonical_tuple for lab in chain[0]] == [(m,) for m in range(1, m_count + 1)]
     for r in range(1, r_max + 1):
-        first = {sigma(()): ()}
-        for size in range(1, max(r - 1, 1) + 1):
-            for tup in itertools.combinations_with_replacement(range(1, m_count + 1), size):
-                first.setdefault(sigma(tup), tup)
+        first = first_multisets(kappas, max(r - 1, 1))
         tuples = [lab.canonical_tuple for lab in chain[r]]
         assert tuples == sorted(first.values(), key=lambda tup: (len(tup), tup))
-        assert [lab.sigma for lab in chain[r]] == [sigma(tup) for tup in tuples]
+        assert [lab.sigma for lab in chain[r]] == [fraction_sum(kappas, tup) for tup in tuples]
 
 
 def test_small_denominator_guard():
@@ -311,35 +320,9 @@ def test_small_denominator_guard():
     assert err.value.sigma == pytest.approx(eps, rel=1e-3)
 
 
-def test_float_mode_dedup_and_tolerance():
-    basis = FrequencyBasis(mode="float", tolerance=1e-9)
-    kappas = [
-        BaseFrequency(1, basis, value=1.0),
-        BaseFrequency(2, basis, value=-1.0 + 1e-12),
-        BaseFrequency(3, basis, value=SQRT2),
-    ]
-    chain = build_index_chain(basis, kappas, 3)
-    tuples = {lab.canonical_tuple for lab in chain[3]}
-    # 1 + kappa_2 is zero within tolerance, so no (1, 2) label
-    assert (1, 2) not in tuples
-
-
-def test_float_mode_gives_the_exact_labels():
-    """The float path (tolerance scan) reproduces the exact index chain."""
-    exact = build_index_chain(worked_basis(), worked_kappas(), 6)
-    basis = FrequencyBasis(mode="float", tolerance=1e-9)
-    kappas = [
-        BaseFrequency(m, basis, value=v) for m, v in enumerate((1.0, SQRT2, -1.0 - SQRT2), start=1)
-    ]
-    floated = build_index_chain(basis, kappas, 6)
-    assert [[lab.canonical_tuple for lab in s] for s in floated] == [
-        [lab.canonical_tuple for lab in s] for s in exact
-    ]
-
-
-# Fractional coordinates.  In exact mode the finder scales every coordinate by
-# the common denominator of all of them; a factor that is not a multiple of
-# every denominator would truncate distinct frequencies to one key.
+# Fractional coordinates.  The finder scales every coordinate by the common
+# denominator of all of them; a factor that is not a multiple of every
+# denominator would truncate distinct frequencies to one key.
 FRACTIONAL_BASES = {
     # 1/2 + 1/3 - 5/6 = 0: a resonant triple, as in the worked example
     "halves_thirds": ([1.0, SQRT2], [("1/2", 0), ("1/3", 1), ("-5/6", -1)]),
@@ -350,21 +333,17 @@ FRACTIONAL_BASES = {
 
 
 @pytest.mark.parametrize("name", sorted(FRACTIONAL_BASES))
-def test_fractional_coordinates_match_float_mode(name):
+def test_fractional_coordinates_match_fraction_enumeration(name):
     reals, coords = FRACTIONAL_BASES[name]
     basis = FrequencyBasis(reals)
     kappas = [BaseFrequency(m, basis, coords=c) for m, c in enumerate(coords, start=1)]
-    exact = build_index_chain(basis, kappas, 6)
-    floats = FrequencyBasis(mode="float", tolerance=1e-9)
-    floated = build_index_chain(
-        floats, [BaseFrequency(k.index, floats, value=k.value) for k in kappas], 6
-    )
-    assert [[lab.canonical_tuple for lab in s] for s in exact] == [
-        [lab.canonical_tuple for lab in s] for s in floated
-    ]
-    for index_set in exact[1:]:
-        sigmas = [lab.sigma for lab in index_set]
-        assert len(sigmas) == len(set(sigmas))
+    chain = build_index_chain(basis, kappas, 6)
+    for r, index_set in enumerate(chain[1:], start=1):
+        first = first_multisets(kappas, max(r - 1, 1))
+        assert [lab.canonical_tuple for lab in index_set] == sorted(
+            first.values(), key=lambda tup: (len(tup), tup)
+        )
+        assert {lab.sigma: lab.canonical_tuple for lab in index_set} == first
 
 
 def test_small_denominator_error_names_the_combination():

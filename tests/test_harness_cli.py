@@ -567,6 +567,23 @@ def test_load_problem_config_rejects_a_fractional_size(tmp_path, key, value):
         load_problem_config(path)
 
 
+def test_load_problem_config_rejects_float_mode(tmp_path):
+    """A float-mode config is refused with the exact declaration to use."""
+    cfg = {
+        "dimension": 2,
+        "basis": [1.0],
+        "mode": "float",
+        "tolerance": 1e-9,
+        "kappa": [1.0, 1.4142135623730951],
+        "y0": [0.05, 0.05],
+        "t_end": 1.0,
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=r"mode 'float' is not supported.*a basis real of its own"):
+        load_problem_config(path)
+
+
 def test_cli_accepts_config(tmp_path, capsys):
     cfg = {
         "dimension": 2,
