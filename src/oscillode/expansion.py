@@ -89,7 +89,7 @@ class Problem:
         sigmas = [f.kappa.sigma for f in self.forcings]
         for i in range(len(sigmas)):
             for j in range(i + 1, len(sigmas)):
-                if basis.sigma_equal(sigmas[i], sigmas[j]):
+                if sigmas[i] == sigmas[j]:
                     raise ValueError(
                         f"base frequencies {i + 1} and {j + 1} coincide; merge "
                         "those forcing channels first"

@@ -4,10 +4,12 @@ Everything in this module is about bookkeeping of frequencies: base
 frequencies are linear combinations (with exact rational coordinates) of a
 user-declared basis of rationally independent reals, labels are multisets of
 base-frequency indices, and index sets are the ordered collections of labels
-present at each amplitude level.  Arithmetic on frequencies is exact, so
-statements like "these three frequencies sum to zero" are decided by integer
-arithmetic rather than floating-point comparison: a frequency's lookup key
-is an integer tuple (``_FrequencyKey``).
+present at each amplitude level.  Frequency arithmetic is exact and has
+one form: a count vector's frequency is an integer tuple (``_FrequencyKey``),
+and every sum, equality and zero test, such as "these three frequencies sum
+to zero", is decided on those keys, never by floating-point comparison.
+``Fraction`` coordinates are only a label's stored and printed value; a
+nonzero label's are made from its key (``_FrequencyKey.sigma``).
 
 The index chain is a closed form: ``U_1 = U_2`` are the zero label and the
 base frequencies, and ``U_{r+1}`` is ``U_r`` followed by the frequencies of
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SmallDenominatorError
-from .ode_core import _nonnegative_integer
+from .ode_core import _finite_positive, _nonnegative_integer
 
 __all__ = [
     "FrequencyBasis",
@@ -60,10 +62,11 @@ def _fraction(x) -> Fraction:
 class FrequencyBasis:
     """Basis of rationally independent reals over which frequencies live.
 
-    Every base frequency is a rational coordinate vector over this basis,
-    and frequency equality is exact coordinate equality.  Frequencies with
-    no known rational relation are declared as one basis real each, with
-    unit coordinates.
+    Every base frequency is a rational coordinate vector over this basis.
+    Frequencies with no known rational relation are declared as one basis
+    real each, with unit coordinates.  The basis only evaluates and prints
+    coordinate tuples; frequencies are summed and compared on their integer
+    keys (``_FrequencyKey``).
     """
 
     def __init__(self, basis_reals=(1.0,), names=None):
@@ -79,23 +82,6 @@ class FrequencyBasis:
     @property
     def dimension(self):
         return len(self.basis_reals)
-
-    # -- operations on sigma values (coordinate tuples) ----------------------
-
-    def zero_sigma(self):
-        return (Fraction(0),) * self.dimension
-
-    def sigma_add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sigma_scale(self, a, n):
-        return tuple(x * n for x in a)
-
-    def sigma_equal(self, a, b):
-        return a == b
-
-    def sigma_is_zero(self, a):
-        return self.sigma_equal(a, self.zero_sigma())
 
     def sigma_float(self, a):
         return math.fsum(float(q) * b for q, b in zip(a, self.basis_reals))
@@ -127,17 +113,12 @@ class BaseFrequency:
 
     def __init__(self, index, basis, coords):
         self.index = int(index)
-        self.basis = basis
-        self.coords = tuple(_fraction(c) for c in coords)
-        if len(self.coords) != basis.dimension:
+        self.sigma = tuple(_fraction(c) for c in coords)
+        if len(self.sigma) != basis.dimension:
             raise ValueError("coordinate vector length must match basis dimension")
-        if all(c == 0 for c in self.coords):
+        if all(c == 0 for c in self.sigma):
             raise ValueError(f"base frequency {index} must be nonzero")
-        self.value = basis.sigma_float(self.coords)
-
-    @property
-    def sigma(self):
-        return self.coords
+        self.value = basis.sigma_float(self.sigma)
 
     def __repr__(self):
         return f"BaseFrequency({self.index}, {self.value:g})"
@@ -162,10 +143,6 @@ class FrequencyLabel:
     @property
     def is_zero(self):
         return self.canonical_tuple == ()
-
-    @property
-    def order(self):
-        return len(self.canonical_tuple)
 
     def __repr__(self):
         return f"Label{format_label(self.canonical_tuple)}"
@@ -197,37 +174,33 @@ def _counts_from_tuple(tup, m_count):
     return tuple(counts[1:])
 
 
-def _sigma_from_counts(counts, basis, kappas):
-    """Frequency of the multiset with ``counts[m-1]`` copies of base frequency ``m``."""
-    sigma = basis.zero_sigma()
-    for c, kappa in zip(counts, kappas):
-        if c:
-            sigma = basis.sigma_add(sigma, basis.sigma_scale(kappa.sigma, c))
-    return sigma
-
-
 def _tuple_from_counts(counts):
     return tuple(m for m, c in enumerate(counts, start=1) for _ in range(c))
 
 
 def _zero_label(basis, m_count):
-    zero = basis.zero_sigma()
-    return FrequencyLabel((0,) * m_count, zero, 0.0, ())
+    return FrequencyLabel((0,) * m_count, (Fraction(0),) * basis.dimension, 0.0, ())
+
+
+def _label(counts, key, key_of, basis):
+    """The label of the count vector ``counts``, whose frequency key is ``key``:
+    the zero label when ``key`` is zero."""
+    if not any(key):
+        return _zero_label(basis, len(counts))
+    sigma = key_of.sigma(key)
+    return FrequencyLabel(counts, sigma, basis.sigma_float(sigma), _tuple_from_counts(counts))
 
 
 def canonicalize(indices, basis, kappas):
     """Reduce an index tuple over ``{0..M}`` to its canonical frequency label.
 
-    Zeros are stripped, the remaining indices sorted, and the frequency
-    computed.  A tuple whose frequency sum is exactly zero collapses to the
-    zero label regardless of its indices.  An index outside ``0..M`` raises
-    ``ValueError``.
+    Zeros are stripped and the remaining indices sorted.  A tuple whose
+    frequency sum is exactly zero collapses to the zero label regardless of
+    its indices.  An index outside ``0..M`` raises ``ValueError``.
     """
     counts = _counts_from_tuple(indices, len(kappas))
-    sigma = _sigma_from_counts(counts, basis, kappas)
-    if basis.sigma_is_zero(sigma):
-        return _zero_label(basis, len(kappas))
-    return FrequencyLabel(counts, sigma, basis.sigma_float(sigma), _tuple_from_counts(counts))
+    key_of = _FrequencyKey(kappas)
+    return _label(counts, key_of(counts), key_of, basis)
 
 
 def _repeat_factorials(tup):
@@ -259,13 +232,15 @@ class _FrequencyKey:
     The base frequencies' coordinates are scaled once by the common
     denominator of all of them, so a key is one integer dot product per
     basis real, and two count vectors have the same frequency exactly when
-    they have the same key; no ``Fraction`` is made.  Keys add as the
-    frequencies do.
+    they have the same key; a frequency is zero exactly when its key is.
+    Keys add as the frequencies do.  This is the module's one frequency
+    arithmetic: ``sigma`` only turns a key into the ``Fraction``
+    coordinates a label stores and prints.
     """
 
     def __init__(self, kappas):
-        self.scale = math.lcm(*(q.denominator for kappa in kappas for q in kappa.coords))
-        self.columns = list(zip(*((int(q * self.scale) for q in kappa.coords) for kappa in kappas)))
+        self.scale = math.lcm(*(q.denominator for kappa in kappas for q in kappa.sigma))
+        self.columns = list(zip(*((int(q * self.scale) for q in kappa.sigma) for kappa in kappas)))
 
     def __call__(self, counts):
         return tuple(sum(map(operator.mul, counts, column)) for column in self.columns)
@@ -396,8 +371,8 @@ class MultiplicityRecord:
 def rho(target, source_tuple, basis, kappas):
     """Number of ordered rearrangements of ``source_tuple`` whose frequency sum
     equals the target's frequency (index 0 contributes zero)."""
-    sigma = _sigma_from_counts(_counts_from_tuple(source_tuple, len(kappas)), basis, kappas)
-    if not basis.sigma_equal(sigma, target.sigma):
+    key_of = _FrequencyKey(kappas)
+    if key_of(_counts_from_tuple(source_tuple, len(kappas))) != key_of(target.counts):
         return 0
     return _multiset_permutations_count(tuple(sorted(source_tuple)))
 
@@ -438,6 +413,14 @@ def default_delta_min(kappas):
     return 1e-8 * max(abs(k.value) for k in kappas)
 
 
+def _resolve_delta_min(delta_min, kappas):
+    """``default_delta_min`` for None; otherwise ``delta_min``, after a
+    ValueError unless it is finite and positive."""
+    if delta_min is None:
+        return default_delta_min(kappas)
+    return _finite_positive("delta_min", delta_min)
+
+
 def base_index_set(basis, kappas):
     """Level-0 index set: the base frequencies themselves, no zero label."""
     labels = []
@@ -464,25 +447,26 @@ def extend_index_set(index_set, basis, kappas, delta_min=None):
     base indices, so each new frequency has no shorter representative; its
     label is the lexicographically first size-``r`` multiset with that
     frequency, and the new labels come in that order.  Frequencies are
-    compared by their integer keys (``IndexSet.finder``); a ``Fraction``
-    frequency is made only for each new label.  A new nonzero
-    frequency smaller in magnitude than ``delta_min`` aborts with a
-    diagnostic naming the offending multiset.
+    compared by their integer keys (``IndexSet.finder``), and each new
+    label is made from its count vector and key.  ``delta_min`` (None for
+    ``default_delta_min``) must be finite and positive, or a ``ValueError``
+    names it; a new frequency smaller in magnitude aborts with a diagnostic
+    naming the offending multiset.
     """
     if index_set.r < 1 or not index_set.labels or not index_set.labels[0].is_zero:
         raise ValueError("extension starts from a level >= 1 set containing the zero label")
-    if delta_min is None:
-        delta_min = default_delta_min(kappas)
+    delta_min = _resolve_delta_min(delta_min, kappas)
     m_count = len(kappas)
     key_of = _FrequencyKey(kappas)
     find = index_set.finder(key_of)
-    new = {}  # key -> lexicographically first multiset with that frequency
+    new = {}  # key -> count vector of the first multiset with that frequency
     for tup in itertools.combinations_with_replacement(range(1, m_count + 1), index_set.r):
-        key = key_of(_counts_from_tuple(tup, m_count))
+        counts = _counts_from_tuple(tup, m_count)
+        key = key_of(counts)
         if find(key) is None:
-            new.setdefault(key, tup)
+            new.setdefault(key, counts)
 
-    new_labels = [canonicalize(tup, basis, kappas) for tup in new.values()]
+    new_labels = [_label(counts, key, key_of, basis) for key, counts in new.items()]
     for label in new_labels:
         if abs(label.float_value) < delta_min:
             raise SmallDenominatorError(
@@ -496,10 +480,12 @@ def extend_index_set(index_set, basis, kappas, delta_min=None):
 
 
 def build_index_chain(basis, kappas, r_max, delta_min=None):
-    """Index sets for levels ``0..r_max`` (``U_2`` always equals ``U_1``)."""
+    """Index sets for levels ``0..r_max`` (``U_2`` always equals ``U_1``);
+    ``delta_min`` is as for ``extend_index_set``."""
     if r_max < 0:
         raise ValueError(f"level r_max={r_max} must be nonnegative")
     r_max = _nonnegative_integer("level r_max", r_max)
+    delta_min = _resolve_delta_min(delta_min, kappas)
     chain = [base_index_set(basis, kappas)]
     if r_max >= 1:
         chain.append(first_index_set(basis, kappas))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .expansion import build_expansion, solve_nonoscillatory_chain
 from .linear_closed_form import exact_linear_solution
-from .ode_core import IvpSpec, _finite_positive, integrate, sample
+from .ode_core import IvpSpec, _finite_positive, _nonnegative_integer, integrate, sample
 from .problems import RegisteredProblem, get_problem
 
 __all__ = [
@@ -56,7 +56,7 @@ CONSISTENCY_BOUND = 1e-8
 
 def uniform_grid(t_end, grid_n):
     """``grid_n`` evenly spaced times from 0 to ``t_end``, both included."""
-    grid_n = int(grid_n)
+    grid_n = _nonnegative_integer("grid_n", grid_n)
     if grid_n < 2:
         raise ValueError(f"a grid needs at least 2 points, at 0 and t_end, not {grid_n}")
     return np.linspace(0.0, t_end, grid_n)
@@ -122,7 +122,7 @@ def _cache_path(cache_dir, registered, omega, tol_abs, tol_rel, grid):
     add(_CACHE_FORMAT, float(omega), float(tol_abs), float(tol_rel), REFERENCE_SAFETY)
     add(basis.basis_reals)
     for kappa in problem.kappas:
-        add(kappa.index, tuple(map(str, kappa.coords)), float(kappa.value))
+        add(kappa.index, tuple(map(str, kappa.sigma)), float(kappa.value))
     y0 = np.asarray(problem.y0, dtype=complex)
     h.update(y0.tobytes())
     h.update(np.ascontiguousarray(grid, dtype=float).tobytes())

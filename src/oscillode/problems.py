@@ -369,17 +369,22 @@ def _parse_number(x):
     return complex(x)
 
 
+_CONFIG_KEYS = ("dimension", "mode", "basis", "basis_names", "kappa", "field", "y0", "t_end",
+                "name", "omegas", "order")
+
+
 def load_problem_config(path, name=None):
     """Problem from a JSON config plus a registered field bundle.
 
     Keys: ``dimension``, ``basis`` (list of reals, optionally with
     ``basis_names``), ``kappa`` (one rational coordinate vector per channel,
     entries are ints or strings like ``"-1/2"``), ``y0``, ``t_end``,
-    ``field`` (bundle name, default ``cubic_demo``) and ``order`` (default
-    build order, 3).  ``dimension`` and ``order`` must be nonnegative
-    integers, or a ``ValueError`` names the key.  Frequencies are exact: a
-    ``mode`` other than ``"exact"`` raises a ``ValueError`` that says how to
-    declare unrelated frequencies.
+    ``field`` (bundle name, default ``cubic_demo``), ``name``, ``omegas``
+    (default ``[500.0]``), ``order`` (default build order, 3) and ``mode``.
+    Any other key raises a ``ValueError`` that names it.  ``dimension`` and
+    ``order`` must be nonnegative integers, or a ``ValueError`` names the
+    key.  Frequencies are exact: a ``mode`` other than ``"exact"`` raises a
+    ``ValueError`` that says how to declare unrelated frequencies.
     """
     with open(path) as fh:
         cfg = json.load(fh)
@@ -389,6 +394,12 @@ def load_problem_config(path, name=None):
             f"mode {cfg['mode']!r} is not supported; frequencies are exact. Give each "
             "frequency with no known rational relation a basis real of its own, with unit "
             'coordinates: "basis": [1.0, 1.4142135623730951], "kappa": [[1, 0], [0, 1]]'
+        )
+    unknown = [key for key in cfg if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ValueError(
+            f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(_CONFIG_KEYS)}"
         )
     basis = FrequencyBasis(cfg["basis"], names=cfg.get("basis_names"))
     kappas = [

@@ -9,6 +9,7 @@ import math
 import random
 import statistics
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -128,17 +129,18 @@ def test_criterion_1_reference_table(capsys):
 
 
 def _kappa_sum(perm, basis, kappas):
-    sigma = basis.zero_sigma()
+    """Frequency of a tuple of base indices (0 adds nothing), as ``Fraction`` sums."""
+    sigma = (Fraction(0),) * basis.dimension
     for m in perm:
         if m != 0:
-            sigma = basis.sigma_add(sigma, kappas[m - 1].sigma)
+            sigma = tuple(x + y for x, y in zip(sigma, kappas[m - 1].sigma))
     return sigma
 
 
 def brute_force_rho(target, source_tuple, basis, kappas):
     count = 0
     for perm in set(itertools.permutations(source_tuple)):
-        if basis.sigma_equal(_kappa_sum(perm, basis, kappas), target.sigma):
+        if _kappa_sum(perm, basis, kappas) == target.sigma:
             count += 1
     return count
 
@@ -281,7 +283,7 @@ def test_criterion_7_cost_flatness(capsys, linear_setup):
             expansion.evaluate_truncated(float(t), omega, 4)
         return time.process_time() - t0
 
-    # a first pass builds the nodes' derivative term lists, which every omega shares
+    # a first pass is a warm-up; the timed pairs follow it
     eval_time(500.0)
     pairs = [(eval_time(500.0), eval_time(5000.0)) for _ in range(15)]
     ratio = statistics.median(hi / lo for lo, hi in pairs)

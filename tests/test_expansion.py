@@ -175,13 +175,11 @@ class TestTwoFrequencyStructure:
         }
 
     def test_frequency_closure(self, expansion):
-        basis = expansion.problem.basis
+        dimension = expansion.problem.basis.dimension
         for (r, tup), node in expansion.nodes.items():
             for term in node.terms:
-                sigma = basis.zero_sigma()
-                for key in term.operands:
-                    sigma = basis.sigma_add(sigma, expansion.nodes[key].label.sigma)
-                assert basis.sigma_equal(sigma, node.label.sigma)
+                sigmas = [expansion.nodes[key].label.sigma for key in term.operands]
+                assert fraction_sum(sigmas, dimension) == node.label.sigma
 
 
 class TestWorkedExampleStructure:
@@ -330,6 +328,14 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def fraction_sum(sigmas, dimension):
+    """Sum of coordinate tuples, added as plain ``Fraction``s."""
+    total = (Fraction(0),) * dimension
+    for sigma in sigmas:
+        total = tuple(x + y for x, y in zip(total, sigma))
+    return total
+
+
 def _ordered_level_terms(chain, r, basis):
     """Level-r terms by the ordered enumeration: every ordered level split and
     operand choice with weight 1/n!, merged by sorted operands and grouped by
@@ -339,9 +345,7 @@ def _ordered_level_terms(chain, r, basis):
     for n in range(1, r + 1):
         for levels in _compositions(r, n):
             for combo in itertools.product(*(chain[lev].labels for lev in levels)):
-                sigma = basis.zero_sigma()
-                for lab in combo:
-                    sigma = basis.sigma_add(sigma, lab.sigma)
+                sigma = fraction_sum([lab.sigma for lab in combo], basis.dimension)
                 key = (n, tuple(sorted((lev, lab.canonical_tuple) for lev, lab in zip(levels, combo))))
                 terms = groups.setdefault(label_of[sigma], {})
                 terms[key] = terms.get(key, 0) + Fraction(1, math.factorial(n))
@@ -435,8 +439,8 @@ WORKED_BUILD_COUNTS = {5: (236, 42), 6: (690, 60), 7: (1954, 81), 8: (5377, 105)
 
 @pytest.mark.parametrize("order", sorted(WORKED_BUILD_COUNTS))
 def test_build_makes_only_the_terms_and_frequencies_it_keeps(order, monkeypatch):
-    """Every Term made ends up in a node, and a Fraction frequency is summed
-    only for a new label: lookups use the finder's integer keys."""
+    """Every Term made ends up in a node, and a Fraction frequency is made
+    only for a new label: sums and lookups use the integer keys."""
     made = {"terms": 0, "sigmas": 0}
 
     def counting(name, func):
@@ -447,8 +451,8 @@ def test_build_makes_only_the_terms_and_frequencies_it_keeps(order, monkeypatch)
         return wrapper
 
     monkeypatch.setattr(expansion_module, "Term", counting("terms", expansion_module.Term))
-    sigma_from_counts = counting("sigmas", freq_algebra_module._sigma_from_counts)
-    monkeypatch.setattr(freq_algebra_module, "_sigma_from_counts", sigma_from_counts)
+    key_sigma = counting("sigmas", freq_algebra_module._FrequencyKey.sigma)
+    monkeypatch.setattr(freq_algebra_module._FrequencyKey, "sigma", key_sigma)
     ex = build_expansion(get_problem("worked_example").problem, order=order)
     held = sum(len(node.terms) for node in ex.nodes.values())
     assert (made["terms"], made["sigmas"]) == WORKED_BUILD_COUNTS[order]
@@ -503,9 +507,7 @@ def test_assembled_rhs_matches_raw_enumeration():
                 for levels in _compositions(r, n):
                     pools = [ex.index_sets[lev].labels for lev in levels]
                     for combo in itertools.product(*pools):
-                        sigma = basis.zero_sigma()
-                        for lab in combo:
-                            sigma = basis.sigma_add(sigma, lab.sigma)
+                        sigma = fraction_sum([lab.sigma for lab in combo], basis.dimension)
                         dirs = [
                             ex.coefficient_value(lev, lab.canonical_tuple, t)
                             for lev, lab in zip(levels, combo)

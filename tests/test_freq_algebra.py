@@ -52,19 +52,15 @@ def brute_force_rho(target, source_tuple, basis, kappas):
     """Independent oracle: enumerate distinct permutations and count matches."""
     count = 0
     for perm in set(itertools.permutations(source_tuple)):
-        sigma = basis.zero_sigma()
-        for m in perm:
-            if m != 0:
-                sigma = basis.sigma_add(sigma, kappas[m - 1].sigma)
-        if basis.sigma_equal(sigma, target.sigma):
+        if fraction_sum(kappas, [m for m in perm if m != 0]) == target.sigma:
             count += 1
     return count
 
 
 def fraction_sum(kappas, tup):
     """Frequency of a tuple of base indices, summed as ``Fraction`` coordinates."""
-    dimension = len(kappas[0].coords)
-    return tuple(sum((kappas[m - 1].coords[j] for m in tup), Fraction(0)) for j in range(dimension))
+    dimension = len(kappas[0].sigma)
+    return tuple(sum((kappas[m - 1].sigma[j] for m in tup), Fraction(0)) for j in range(dimension))
 
 
 def first_multisets(kappas, size):
@@ -344,6 +340,32 @@ def test_fractional_coordinates_match_fraction_enumeration(name):
             first.values(), key=lambda tup: (len(tup), tup)
         )
         assert {lab.sigma: lab.canonical_tuple for lab in index_set} == first
+    for tup in (t for n in range(5) for t in itertools.combinations_with_replacement((1, 2, 3), n)):
+        label = canonicalize(tup, basis, kappas)
+        sigma = fraction_sum(kappas, tup)
+        expected = (tup, sigma) if any(sigma) else ((), sigma)
+        assert (label.canonical_tuple, label.sigma) == expected
+    for target in chain[4]:
+        for src in itertools.combinations_with_replacement(range(4), 3):
+            assert rho(target, src, basis, kappas) == brute_force_rho(target, src, basis, kappas)
+
+
+@pytest.mark.parametrize("delta_min", [math.nan, -1.0, 0.0, math.inf])
+def test_delta_min_must_be_finite_and_positive(delta_min):
+    """A delta_min that would switch the small-denominator guard off, or
+    reject every frequency, is refused before any label is made."""
+    basis = FrequencyBasis([1.0, 1.0 + 1e-12], names=("1", "c"))
+    kappas = [
+        BaseFrequency(1, basis, coords=(1, 0)),
+        BaseFrequency(2, basis, coords=(0, -1)),
+    ]
+    message = f"delta_min={delta_min!r} must be finite and positive"
+    for r_max in (0, 1, 3):
+        with pytest.raises(ValueError, match=message):
+            build_index_chain(basis, kappas, r_max, delta_min=delta_min)
+    first = build_index_chain(basis, kappas, 1)[1]
+    with pytest.raises(ValueError, match=message):
+        extend_index_set(first, basis, kappas, delta_min)
 
 
 def test_small_denominator_error_names_the_combination():

@@ -8,7 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscillode import cli, harness
+from oscillode import (
+    BaseFrequency,
+    FrequencyBasis,
+    Problem,
+    cli,
+    constant_amplitude,
+    harness,
+    polynomial_field,
+    problems,
+)
 from oscillode.cli import build_parser
 from oscillode.cli import main as cli_main
 from oscillode.expansion import build_expansion, dump_expansion, solve_nonoscillatory_chain
@@ -234,6 +243,9 @@ def test_an_empty_study_input_is_rejected(name):
 def test_a_consistency_check_needs_a_grid_of_two_points():
     with pytest.raises(ValueError, match="a grid needs at least 2 points, at 0 and t_end, not 1"):
         check_reference_consistency("linear_example", 300.0, grid_n=1)
+    # a fractional size is refused, not truncated to a 2-point grid
+    with pytest.raises(ValueError, match="^grid_n=2.5 must be a nonnegative integer$"):
+        run_error_study("linear_example", omegas=(300.0,), s_values=(0,), grid_n=2.5, order=0)
 
 
 def test_an_error_study_takes_its_order_from_a_given_expansion():
@@ -403,6 +415,8 @@ def test_compare_cost_chain_row_counts_the_dense_output(monkeypatch):
         (["errors", "--order", "9", "--grid", "9"], "requested s=9 above built order 4"),
         (["table", "--problem", "worked_example", "-r", "3", "--delta-min", "10"],
          "generated frequency 2 ~ 2.000e+00"),
+        (["table", "--problem", "memristor", "-r", "3", "--delta-min", "nan"],
+         "delta_min=nan must be finite and positive"),
         (["solve", "--problem", "worked_example", "--omega", "100", "--grid", "5",
           "--t-end", "nan"], "t_end=nan must be finite and positive"),
         (["reference", "--problem", "worked_example", "--omega", "100", "--grid", "5",
@@ -429,8 +443,8 @@ def test_compare_cost_chain_row_counts_the_dense_output(monkeypatch):
             )
         ),
     ],
-    ids=["errors", "table", "solve_t_end", "reference_tol_abs", "reference_omega_nan",
-         "solve_t_end_inf", "reference_t_end_inf", "errors_t_end_inf",
+    ids=["errors", "table", "table_delta_min_nan", "solve_t_end", "reference_tol_abs",
+         "reference_omega_nan", "solve_t_end_inf", "reference_t_end_inf", "errors_t_end_inf",
          "table_level_-1", "table_level_-2", "solve_grid_0", "reference_grid_1",
          "errors_grid_0", "errors_memristor_grid_1", "bench_grid_1"],
 )
@@ -582,6 +596,66 @@ def test_load_problem_config_rejects_float_mode(tmp_path):
     path.write_text(json.dumps(cfg))
     with pytest.raises(ValueError, match=r"mode 'float' is not supported.*a basis real of its own"):
         load_problem_config(path)
+
+
+@pytest.mark.parametrize("key, value", [("ordr", 5), ("tolerance", 1e-3)])
+def test_load_problem_config_rejects_an_unknown_key(tmp_path, key, value, capsys):
+    """A misspelled or retired key is an error, not a silent default."""
+    cfg = {
+        "dimension": 2,
+        "mode": "exact",
+        "basis": [1.0],
+        "kappa": [["1"], ["3/2"]],
+        "y0": [0.05, 0.05],
+        "t_end": 1.0,
+        key: value,
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    accepted = "dimension, mode, basis, basis_names, kappa, field, y0, t_end, name, omegas, order"
+    message = f"^unknown config key\\(s\\) '{key}'; accepted: {accepted}$"
+    with pytest.raises(ValueError, match=message):
+        load_problem_config(path)
+    assert cli_main(["expand", "--config", str(path), "--order", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"oscillode: error: unknown config key(s) '{key}'")
+    assert err.count("\n") == 1
+
+
+def test_a_registered_field_bundle_loads_from_a_config(tmp_path, monkeypatch):
+    """A config naming a registered bundle builds the problem the same code builds."""
+    monkeypatch.setattr(problems, "_FIELD_BUNDLES", dict(problems._FIELD_BUNDLES))
+
+    def make_field(dimension):
+        return polynomial_field(dimension, [{(1,): -1.0, (3,): -0.1}], max_order=6)
+
+    def make_amplitudes(kappas, dimension):
+        return [constant_amplitude(k, [0.5 / k.index]) for k in kappas]
+
+    bundle = problems.FieldBundle(make_field, make_amplitudes)
+    problems.register_field_bundle("damped_cubic", bundle)
+    cfg = {
+        "dimension": 1,
+        "basis": [1.0, math.sqrt(2.0)],
+        "basis_names": ["1", "sqrt(2)"],
+        "kappa": [["1", "0"], ["0", "1"]],
+        "y0": [0.2],
+        "t_end": 2.0,
+        "field": "damped_cubic",
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    basis = FrequencyBasis([1.0, math.sqrt(2.0)], names=("1", "sqrt(2)"))
+    kappas = [BaseFrequency(1, basis, coords=(1, 0)), BaseFrequency(2, basis, coords=(0, 1))]
+    in_code = Problem(make_field(1), make_amplitudes(kappas, 1), y0=[0.2], basis=basis)
+    dumps = []
+    for problem in (load_problem_config(path).problem, in_code):
+        ex = build_expansion(problem, order=3)
+        solve_nonoscillatory_chain(ex, 2.0)
+        dumps.append(dump_expansion(ex))
+    assert dumps[0] == dumps[1]
+    with pytest.raises(ValueError, match="^field bundle 'damped_cubic' already registered$"):
+        problems.register_field_bundle("damped_cubic", bundle)
 
 
 def test_cli_accepts_config(tmp_path, capsys):
