@@ -58,6 +58,8 @@ def _subcommand(sub, name, handler, *groups):
 def _registered(args):
     if args.config:
         return load_problem_config(args.config)
+    if args.problem not in problem_names():
+        raise ValueError(f"unknown problem {args.problem!r}; known: {', '.join(problem_names())}")
     return get_problem(args.problem)
 
 

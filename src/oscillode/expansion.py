@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 
 import numpy as np
 
@@ -104,7 +103,7 @@ class Problem:
         return [f.kappa for f in self.forcings]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """One merged right-hand-side contribution w * f_n[p_(l1,k1), ...]."""
 
@@ -324,13 +323,15 @@ def _level_terms(multisets, r, top=False):
     the next set against every frequency that the level's partitions can
     sum to.
     """
-    groups = {}
+    rows = {}
     for operands, target, weight in multisets.level(r, zero_only=top):
-        groups.setdefault(target.canonical_tuple, []).append(
-            Term(weight=weight, n=len(operands), operands=operands)
-        )
-    for terms in groups.values():
-        terms.sort(key=attrgetter("n", "operands"))
+        rows.setdefault(target.canonical_tuple, []).append((len(operands), operands, weight))
+    groups = {}
+    for label, group in rows.items():
+        group.sort()  # operands are unique within a group, so no weight is compared
+        groups[label] = [
+            Term(weight=weight, n=n, operands=operands) for n, operands, weight in group
+        ]
     return groups
 
 

@@ -5,11 +5,13 @@ frequencies are linear combinations (with exact rational coordinates) of a
 user-declared basis of rationally independent reals, labels are multisets of
 base-frequency indices, and index sets are the ordered collections of labels
 present at each amplitude level.  Frequency arithmetic is exact and has
-one form: a count vector's frequency is an integer tuple (``_FrequencyKey``),
-and every sum, equality and zero test, such as "these three frequencies sum
-to zero", is decided on those keys, never by floating-point comparison.
-``Fraction`` coordinates are only a label's stored and printed value; a
-nonzero label's are made from its key (``_FrequencyKey.sigma``).
+one form: a frequency is one integer, its key (``_FrequencyKey``), which
+packs its scaled integer coordinates into digits wide enough never to
+carry.  Every sum, equality and zero test, such as "these three
+frequencies sum to zero", is an integer sum, equality or zero test on
+those keys, never a floating-point comparison.  ``Fraction`` coordinates
+are only a label's stored and printed value; a nonzero label's are decoded
+from its key (``_FrequencyKey.sigma``).
 
 The index chain is a closed form: ``U_1 = U_2`` are the zero label and the
 base frequencies, and ``U_{r+1}`` is ``U_r`` followed by the frequencies of
@@ -185,7 +187,7 @@ def _zero_label(basis, m_count):
 def _label(counts, key, key_of, basis):
     """The label of the count vector ``counts``, whose frequency key is ``key``:
     the zero label when ``key`` is zero."""
-    if not any(key):
+    if not key:
         return _zero_label(basis, len(counts))
     sigma = key_of.sigma(key)
     return FrequencyLabel(counts, sigma, basis.sigma_float(sigma), _tuple_from_counts(counts))
@@ -205,9 +207,10 @@ def canonicalize(indices, basis, kappas):
 
 def _repeat_factorials(tup):
     """Product of ``m!`` over the runs of ``m`` equal entries of a sorted tuple."""
-    out = 1
-    for _, group in itertools.groupby(tup):
-        out *= math.factorial(len(list(group)))
+    out = run = 1
+    for previous, item in itertools.pairwise(tup):
+        run = run + 1 if item == previous else 1
+        out *= run
     return out
 
 
@@ -227,27 +230,52 @@ def level_partitions(r):
 
 
 class _FrequencyKey:
-    """A count vector's frequency as an integer tuple: its lookup key.
+    """A count vector's frequency as one integer: its lookup key.
 
     The base frequencies' coordinates are scaled once by the common
-    denominator of all of them, so a key is one integer dot product per
-    basis real, and two count vectors have the same frequency exactly when
-    they have the same key; a frequency is zero exactly when its key is.
-    Keys add as the frequencies do.  This is the module's one frequency
-    arithmetic: ``sigma`` only turns a key into the ``Fraction``
-    coordinates a label stores and prints.
+    denominator of all of them, so each is an integer vector.  Each base
+    frequency's vector is packed into one integer weight of balanced
+    base-``R`` digits, one digit per basis real, and a count vector's key
+    is the dot product of its counts with the weights.  So a frequency is
+    one integer, and sums, equality and zero tests are integer operations.
+
+    The radix comes from the data: ``R = 2**b``, with ``b`` the bit length
+    of the largest absolute scaled coordinate plus 64.  A coordinate of a
+    sum or difference of fewer than ``2**63`` base frequencies is then
+    smaller than ``R/2`` in magnitude, so the digits never carry, and a
+    balanced base-``R`` representation with such digits is unique.  No
+    index chain can be built that deep, so two count vectors have the same
+    key exactly when they have the same frequency, a key is 0 exactly when
+    its frequency is zero, and keys add and negate as the frequencies do.
+    A fixed radix could carry for large coordinates and merge distinct
+    frequencies.  This is the module's one frequency arithmetic: ``sigma``
+    only turns a key into the ``Fraction`` coordinates a label stores and
+    prints.
     """
 
     def __init__(self, kappas):
         self.scale = math.lcm(*(q.denominator for kappa in kappas for q in kappa.sigma))
-        self.columns = list(zip(*((int(q * self.scale) for q in kappa.sigma) for kappa in kappas)))
+        vectors = [[int(q * self.scale) for q in kappa.sigma] for kappa in kappas]
+        self.bits = max(map(abs, itertools.chain(*vectors)), default=0).bit_length() + 64
+        self.dimension = max(map(len, vectors), default=0)
+        self.weights = [
+            sum(c << (self.bits * j) for j, c in enumerate(vector)) for vector in vectors
+        ]
 
     def __call__(self, counts):
-        return tuple(sum(map(operator.mul, counts, column)) for column in self.columns)
+        return sum(map(operator.mul, counts, self.weights))
 
     def sigma(self, key):
         """The frequency whose key is ``key``, as a coordinate tuple."""
-        return tuple(Fraction(k, self.scale) for k in key)
+        radix = 1 << self.bits
+        coords = []
+        for _ in range(self.dimension):
+            digit = key % radix
+            if digit >= radix >> 1:
+                digit -= radix
+            coords.append(Fraction(digit, self.scale))
+            key = (key - digit) >> self.bits
+        return tuple(coords)
 
 
 class OperandMultisets:
@@ -258,11 +286,12 @@ class OperandMultisets:
     ``chain[l]`` with replacement; runs combine as a product.  A run's
     entries are made once, on first use, and serve every level that draws
     the run.  An entry holds its operands' node keys ``(level, label
-    tuple)``, the sum of their frequency keys (``_FrequencyKey``), and
-    ``prod(m_i!)`` with ``m_i`` the repeats of one operand.  Pools are in
-    canonical-tuple order and a partition's parts are nondecreasing, so a
-    multiset's operands come out sorted.  A build makes one instance and
-    drops it, with its run lists, when it returns.
+    tuple)``, its frequency as one integer, the sum of its operands'
+    frequency keys (``_FrequencyKey``), and ``prod(m_i!)`` with ``m_i`` the
+    repeats of one operand.  Pools are in canonical-tuple order and a
+    partition's parts are nondecreasing, so a multiset's operands come out
+    sorted.  A build makes one instance and drops it, with its run lists,
+    when it returns.
     """
 
     def __init__(self, chain, basis, kappas):
@@ -288,7 +317,7 @@ class OperandMultisets:
             self._runs[(level, k)] = [
                 (
                     tuple(map(names.__getitem__, picks)),
-                    tuple(map(sum, zip(*map(keys.__getitem__, picks)))),
+                    sum(map(keys.__getitem__, picks)),
                     _repeat_factorials(picks),
                 )
                 for picks in itertools.combinations_with_replacement(range(len(names)), k)
@@ -311,41 +340,42 @@ class OperandMultisets:
         multiset's orderings.  Multisets with equal weights share one
         ``Fraction``.
 
-        With ``zero_only``, only the multisets of zero frequency are walked.
-        For each partition the next set is first checked against every sum
-        of one distinct key per piece.  Then, for each product of all but
-        the last piece, the last piece's entries with the negated key are
+        Keys are integers, so a multiset's key is its pieces' keys added,
+        and a frequency is zero exactly when its key is 0.  With
+        ``zero_only``, only the multisets of zero frequency are walked.  For
+        each partition the next set is first checked against every sum of
+        one distinct key per piece.  Then, for each product of all but the
+        last piece, the last piece's entries with the negated key are
         looked up.  A frequency missing from the next set raises
         ``AssertionError`` naming it: the first multiset's, or with
         ``zero_only`` the first sum's, in walk order.
         """
         labels, _, keys = self._pool(r + 1)
         find = dict(zip(keys, labels)).get
-        zero = (0,) * len(self.key_of.columns)
         for parts in level_partitions(r):
             *head, last = [(level, len(list(group))) for level, group in itertools.groupby(parts)]
             if zero_only:
-                sums = {zero: None}
+                sums = {0: None}
                 for piece in head + [last]:
                     pairs = itertools.product(sums, self._keyed(*piece))
-                    sums = dict.fromkeys(tuple(map(operator.add, s, k)) for s, k in pairs)
+                    sums = dict.fromkeys(s + k for s, k in pairs)
                 for key in sums:
                     if find(key) is None:
                         raise self._missing(r, key)
-            partials = [((), zero, 1)]
+            partials = [((), 0, 1)]
             for piece in head:
                 partials = [
-                    (names + more, tuple(map(operator.add, key, add)), den * d)
+                    (names + more, key + add, den * d)
                     for names, key, den in partials
                     for more, add, d in self._run(*piece)
                 ]
             for names, key, den in partials:
                 if zero_only:
-                    tail = self._keyed(*last).get(tuple(-k for k in key), ())
+                    tail = self._keyed(*last).get(-key, ())
                 else:
                     tail = self._run(*last)
                 for more, add, d in tail:
-                    total = tuple(map(operator.add, key, add))
+                    total = key + add
                     label = find(total)
                     if label is None:
                         raise self._missing(r, total)

@@ -369,6 +369,7 @@ def _parse_number(x):
     return complex(x)
 
 
+_REQUIRED_CONFIG_KEYS = ("dimension", "basis", "kappa", "y0", "t_end")
 _CONFIG_KEYS = ("dimension", "mode", "basis", "basis_names", "kappa", "field", "y0", "t_end",
                 "name", "omegas", "order")
 
@@ -376,18 +377,29 @@ _CONFIG_KEYS = ("dimension", "mode", "basis", "basis_names", "kappa", "field", "
 def load_problem_config(path, name=None):
     """Problem from a JSON config plus a registered field bundle.
 
-    Keys: ``dimension``, ``basis`` (list of reals, optionally with
+    Required keys: ``dimension``, ``basis`` (list of reals, optionally with
     ``basis_names``), ``kappa`` (one rational coordinate vector per channel,
-    entries are ints or strings like ``"-1/2"``), ``y0``, ``t_end``,
-    ``field`` (bundle name, default ``cubic_demo``), ``name``, ``omegas``
-    (default ``[500.0]``), ``order`` (default build order, 3) and ``mode``.
-    Any other key raises a ``ValueError`` that names it.  ``dimension`` and
-    ``order`` must be nonnegative integers, or a ``ValueError`` names the
-    key.  Frequencies are exact: a ``mode`` other than ``"exact"`` raises a
-    ``ValueError`` that says how to declare unrelated frequencies.
+    entries are ints or strings like ``"-1/2"``), ``y0`` and ``t_end``; a
+    missing one raises a ``ValueError`` that names it.  Optional keys:
+    ``field`` (bundle name, default ``cubic_demo``; an unregistered name
+    raises a ``ValueError`` that lists the registered bundles), ``name``,
+    ``omegas`` (default ``[500.0]``), ``order`` (default build order, 3) and
+    ``mode``.  Any other key raises a ``ValueError`` that names it.
+    ``dimension`` and ``order`` must be nonnegative integers, or a
+    ``ValueError`` names the key.  Frequencies are exact: a ``mode`` other
+    than ``"exact"`` raises a ``ValueError`` that says how to declare
+    unrelated frequencies.
     """
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a problem config is a JSON object, not {type(cfg).__name__}")
+    missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in cfg]
+    if missing:
+        raise ValueError(
+            f"config lacks required key(s) {', '.join(map(repr, missing))}; "
+            f"required: {', '.join(_REQUIRED_CONFIG_KEYS)}"
+        )
     dimension = _nonnegative_integer("dimension", cfg["dimension"])
     if cfg.get("mode", "exact") != "exact":
         raise ValueError(
@@ -408,7 +420,8 @@ def load_problem_config(path, name=None):
     ]
     bundle_name = cfg.get("field", "cubic_demo")
     if bundle_name not in _FIELD_BUNDLES:
-        raise KeyError(f"unknown field bundle {bundle_name!r}")
+        registered = ", ".join(sorted(_FIELD_BUNDLES))
+        raise ValueError(f"unknown field bundle {bundle_name!r}; registered: {registered}")
     bundle = _FIELD_BUNDLES[bundle_name]
     problem = Problem(
         vector_field=bundle.make_field(dimension),

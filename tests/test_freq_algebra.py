@@ -12,6 +12,7 @@ from oscillode.errors import SmallDenominatorError
 from oscillode.freq_algebra import (
     BaseFrequency,
     FrequencyBasis,
+    _FrequencyKey,
     build_index_chain,
     canonicalize,
     extend_index_set,
@@ -283,7 +284,11 @@ def test_index_chain_is_the_closed_form(data):
     dimension = data.draw(st.integers(min_value=1, max_value=2))
     m_count = data.draw(st.integers(min_value=1, max_value=4))
     r_max = data.draw(st.integers(min_value=0, max_value=6))
-    coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    # some coordinates with denominators far beyond a machine word
+    coordinate = st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=2**70),
+    )
     coords = data.draw(
         st.lists(
             st.tuples(*[coordinate] * dimension).filter(any),
@@ -294,7 +299,9 @@ def test_index_chain_is_the_closed_form(data):
     )
     basis = FrequencyBasis([1.0, SQRT2][:dimension])
     kappas = [BaseFrequency(m, basis, coords=c) for m, c in enumerate(coords, start=1)]
-    chain = build_index_chain(basis, kappas, r_max)
+    # a near-cancelling pair of large-denominator frequencies is not the
+    # subject here, so the small-denominator guard is set out of the way
+    chain = build_index_chain(basis, kappas, r_max, delta_min=1e-300)
 
     assert [lab.canonical_tuple for lab in chain[0]] == [(m,) for m in range(1, m_count + 1)]
     for r in range(1, r_max + 1):
@@ -302,6 +309,50 @@ def test_index_chain_is_the_closed_form(data):
         tuples = [lab.canonical_tuple for lab in chain[r]]
         assert tuples == sorted(first.values(), key=lambda tup: (len(tup), tup))
         assert [lab.sigma for lab in chain[r]] == [fraction_sum(kappas, tup) for tup in tuples]
+
+
+# Denominators 2**61 - 1 and 2**31 - 1, mixed signs, each third coordinate
+# the sum of the other two, and a fourth frequency that cancels the first
+# two: scaled coordinates near 2**96, far above a fixed 40-bit digit.
+_P, _Q = 2**61 - 1, 2**31 - 1
+LARGE_DENOMINATOR_COORDS = [
+    (Fraction(1, _P), Fraction(-3, _Q), Fraction(1, _P) + Fraction(-3, _Q)),
+    (Fraction(-2, _Q), Fraction(5, _P), Fraction(-2, _Q) + Fraction(5, _P)),
+    (Fraction(7, _P * _Q), Fraction(-1, 3), Fraction(7, _P * _Q) - Fraction(1, 3)),
+]
+LARGE_DENOMINATOR_COORDS.append(tuple(-a - b for a, b in zip(*LARGE_DENOMINATOR_COORDS[:2])))
+
+
+def test_packed_keys_are_exact_for_large_denominators():
+    """A frequency's one-integer key decodes to its ``Fraction`` sum, and two
+    keys are equal exactly when the frequencies are; the index chain matches
+    a brute-force ``Fraction`` enumeration label by label."""
+    basis = FrequencyBasis([1.0, SQRT2, math.sqrt(3.0)])
+    kappas = [
+        BaseFrequency(m, basis, coords=c) for m, c in enumerate(LARGE_DENOMINATOR_COORDS, start=1)
+    ]
+    key_of = _FrequencyKey(kappas)
+    keys, sums = [], []
+    for total in range(7):
+        for tup in itertools.combinations_with_replacement(range(1, len(kappas) + 1), total):
+            counts = tuple(tup.count(m) for m in range(1, len(kappas) + 1))
+            keys.append(key_of(counts))
+            sums.append(fraction_sum(kappas, tup))
+            assert key_of.sigma(keys[-1]) == sums[-1]
+            assert (keys[-1] == 0) == (not any(sums[-1]))
+    for (key_a, sum_a), (key_b, sum_b) in itertools.combinations(zip(keys, sums), 2):
+        assert (key_a == key_b) == (sum_a == sum_b)
+    assert len(set(keys)) == len(set(sums)) < len(sums)  # some frequencies repeat
+
+    chain = build_index_chain(basis, kappas, 6, delta_min=1e-30)
+    for r, index_set in enumerate(chain[1:], start=1):
+        first = first_multisets(kappas, max(r - 1, 1))
+        assert [lab.canonical_tuple for lab in index_set] == sorted(
+            first.values(), key=lambda tup: (len(tup), tup)
+        )
+        assert [lab.sigma for lab in index_set] == [
+            fraction_sum(kappas, lab.canonical_tuple) for lab in index_set
+        ]
 
 
 def test_small_denominator_guard():

@@ -409,6 +409,16 @@ def test_compare_cost_chain_row_counts_the_dense_output(monkeypatch):
     assert report.rows[0]["peak_kb"] == sum(a.nbytes for a in arrays) / 1024.0
 
 
+# a small valid problem config
+CONFIG = {
+    "dimension": 2,
+    "basis": [1.0, math.sqrt(2.0)],
+    "kappa": [["1", "0"], ["0", "1"]],
+    "y0": [0.1, 0.2],
+    "t_end": 1.0,
+}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -442,14 +452,27 @@ def test_compare_cost_chain_row_counts_the_dense_output(monkeypatch):
                 ("bench", "linear_example", "1"),
             )
         ),
+        (["expand", "--problem", "nosuch"],
+         "unknown problem 'nosuch'; known: linear_example, memristor, worked_example"),
+        (["expand", "--config", {k: v for k, v in CONFIG.items() if k != "basis"}],
+         "config lacks required key(s) 'basis'; required: dimension, basis, kappa, y0, t_end"),
+        (["expand", "--config", {**CONFIG, "field": "nope"}],
+         "unknown field bundle 'nope'; registered: cubic_demo, memristor"),
     ],
     ids=["errors", "table", "table_delta_min_nan", "solve_t_end", "reference_tol_abs",
          "reference_omega_nan", "solve_t_end_inf", "reference_t_end_inf", "errors_t_end_inf",
          "table_level_-1", "table_level_-2", "solve_grid_0", "reference_grid_1",
-         "errors_grid_0", "errors_memristor_grid_1", "bench_grid_1"],
+         "errors_grid_0", "errors_memristor_grid_1", "bench_grid_1", "expand_unknown_problem",
+         "expand_config_without_basis", "expand_config_unknown_field"],
 )
 @pytest.mark.filterwarnings("error")  # a warning printed before the error is a second line
-def test_cli_reports_bad_input_in_one_line(argv, message, capsys):
+def test_cli_reports_bad_input_in_one_line(argv, message, capsys, tmp_path):
+    """A dict in ``argv`` is a config, written to a file whose path replaces it."""
+    config = tmp_path / "problem.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    argv = [str(config) if isinstance(arg, dict) else arg for arg in argv]
     assert cli_main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -578,6 +601,13 @@ def test_load_problem_config_rejects_a_fractional_size(tmp_path, key, value):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(cfg))
     with pytest.raises(ValueError, match=f"^{key}={value} must be a nonnegative integer$"):
+        load_problem_config(path)
+
+
+def test_load_problem_config_rejects_a_config_that_is_not_an_object(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(list(CONFIG)))
+    with pytest.raises(ValueError, match="^a problem config is a JSON object, not list$"):
         load_problem_config(path)
 
 
