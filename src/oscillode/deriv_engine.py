@@ -7,17 +7,24 @@ exactly, as ``jet(y)``, and a forcing's amplitude as its time derivatives
 ``amplitude_derivative(j, t)``, with ``j = 0`` the amplitude itself.  Nested
 central differences are provided as a validation oracle only; they lose too
 many digits at high order to sit in the production path.
+
+``polynomial_field`` makes the jet of a field given by its monomials.  Each
+order's differential is one compiled contraction: a list, made once, of the
+ways of sending the n directions to a monomial's variables.  A point weighs
+each way once, and a differential sums one product of direction entries per
+way.  So its cost follows the number of monomials and never forms a
+``d**n`` tensor, and ``f(y)`` is the same contraction at order 0.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnsupportedOrder, ValidationFailed
+from .ode_core import _nonnegative_integer
 
 __all__ = [
     "FieldPoint",
@@ -218,100 +225,101 @@ def linear_field(matrix, max_order=6):
     )
 
 
-class _Poly:
-    """Multivariate polynomial as {exponent tuple: complex coefficient}."""
-
-    def __init__(self, dimension, terms):
-        self.dimension = dimension
-        self.terms = dict(terms)
-
-    @property
-    def degree(self):
-        return max((sum(expo) for expo in self.terms), default=0)
-
-    def partial(self, i):
-        """Derivative with respect to variable i."""
-        out = {}
-        for expo, coef in self.terms.items():
-            e = expo[i]
-            if e:
-                key = tuple(expo[:i]) + (e - 1,) + tuple(expo[i + 1 :])
-                out[key] = out.get(key, 0.0) + coef * e
-        return _Poly(self.dimension, out)
-
-    def __call__(self, y):
-        total = 0.0 + 0.0j
-        for expo, coef in self.terms.items():
-            val = coef
-            for yi, e in zip(y, expo):
-                if e:
-                    val = val * yi**e
-            total += val
-        return total
-
-
 def polynomial_field(dimension, component_terms, max_order=6):
     """Field whose components are polynomials; differentials are exact.
 
     ``component_terms[j]`` maps exponent tuples to coefficients for component
     j, e.g. ``{(0, 1): 1.0}`` for y_2 and ``{(2, 0): -0.5}`` for -0.5 y_1^2.
+    There must be ``dimension`` components, and each exponent tuple must be
+    ``dimension`` nonnegative integers (``2.0`` passes), or ``ValueError``
+    names the component and the exponent.  A zero coefficient drops its
+    monomial.
 
-    The partial derivatives of each order are derived symbolically once, on
-    first use.  A point evaluates those of an order once, as a tensor that
-    each differential of that order contracts with its directions.
+    f_n is a sum over the ways of sending the n ordered directions to the
+    variables of a monomial, each variable taking at most its exponent.  A
+    way made by differentiating ``c y^e`` along the variables ``i_1..i_n``
+    holds c times the exponents' falling factorials, the powers left over
+    and those variables, and adds c * prod perm(e_i, m_i) * y^(e - m) *
+    v_1[i_1] * ... * v_n[i_n] to its component.  The ways of order n are
+    listed once, on first use, from those of order n - 1; a point works out
+    each way's coefficient times its leftover powers once per order, and
+    each differential then gathers one direction entry per way and
+    direction.  So an order costs what its ways number, which follows the
+    monomials, not the dimension.  ``f(y)`` is the order-0 case, one way per
+    monomial, and ``reads(n)`` the variables that order n's ways send
+    directions to.
     """
-    polys = [_Poly(dimension, terms) for terms in component_terms]
-    degree = max((p.degree for p in polys), default=0)
-    # order n -> (derivative polynomials of every component, one list per
-    # sorted variable tuple; the list's row for each ordered variable tuple)
-    tables = {0: ([polys], np.zeros(1, dtype=int))}
+    if len(component_terms) != dimension:
+        raise ValueError(
+            f"{len(component_terms)} components given for a field of dimension {dimension}"
+        )
+    # ways[n]: (component, coefficient, falling factorials' product, the
+    # variables of the powers left over, one per power, the directions' variables)
+    ways = [[
+        (j, coef, 1, tuple(i for i, e in enumerate(_exponents(j, expo, dimension))
+                           for _ in range(e)), ())
+        for j, terms in enumerate(component_terms)
+        for expo, coef in terms.items()
+        if coef
+    ]]
+    compiled = {}  # order n -> (components, factors, left-over variables, directions' variables)
 
-    def order_table(n):
-        if n not in tables:
-            lower, _ = order_table(n - 1)
-            variables = range(dimension)
-            lower_row = {
-                vs: k for k, vs in enumerate(itertools.combinations_with_replacement(variables, n - 1))
-            }
-            sorted_tuples = list(itertools.combinations_with_replacement(variables, n))
-            derivs = [[q.partial(vs[-1]) for q in lower[lower_row[vs[:-1]]]] for vs in sorted_tuples]
-            row = {vs: k for k, vs in enumerate(sorted_tuples)}
-            rows = np.array([row[tuple(sorted(vs))] for vs in itertools.product(variables, repeat=n)])
-            tables[n] = (derivs, rows)
-        return tables[n]
-
-    # y_i is read at order n if a monomial of degree >= n contains it
-    tops = [max((sum(e) for p in polys for e, c in p.terms.items() if e[i] and c), default=0)
-            for i in range(dimension)]
-
-    def evaluate(y):
-        return np.array([p(y) for p in polys], dtype=complex)
+    def order(n):
+        if n not in compiled:
+            while len(ways) <= n:
+                # d/dy_i of y^left: its exponent of y_i times y^(left less one y_i)
+                ways.append([
+                    (j, coef, mult * left.count(i), left[:k] + left[k + 1 :], at + (i,))
+                    for j, coef, mult, left, at in ways[-1]
+                    for k, i in enumerate(left)
+                    if k == left.index(i)
+                ])
+            listed = ways[n]
+            width = max((len(left) for *_, left, _ in listed), default=0)
+            compiled[n] = (
+                np.array([j for j, *_ in listed], dtype=int),
+                np.array([coef * mult for _, coef, mult, _, _ in listed], dtype=complex),
+                # padded with ``dimension``, the index of a 1 appended to y
+                np.array([left + (dimension,) * (width - len(left)) for *_, left, _ in listed],
+                         dtype=int).reshape(len(listed), width),
+                tuple(np.array([at[k] for *_, at in listed], dtype=int) for k in range(n)),
+            )
+        return compiled[n]
 
     def jet(y):
-        tensors = {}  # order n -> values, shape (components, dimension**n)
+        padded = np.concatenate((y, [1.0 + 0j]))
+        made = {}  # order n -> its ways' components, weights at y and directions' variables
 
         def differential_at(n, directions):
-            if n > degree:
-                return np.zeros(len(polys), dtype=complex)
-            tensor = tensors.get(n)
-            if tensor is None:
-                derivs, rows = order_table(n)
-                values = np.array([[q(y) for q in qs] for qs in derivs], dtype=complex)
-                tensor = tensors[n] = values.T[:, rows]
-            out = tensor
-            for v in directions:
-                out = out.reshape(-1, dimension) @ np.asarray(v, dtype=complex)
+            if n not in made:
+                rows, factors, left, at = order(n)
+                # each way's factor times its left-over powers, once per point
+                made[n] = rows, factors * padded[left].prod(axis=1), at
+            rows, w, at = made[n]
+            for v, variables in zip(directions, at):
+                w = w * np.asarray(v)[variables]
+            out = np.zeros(dimension, dtype=complex)
+            np.add.at(out, rows, w)
             return out
 
         return differential_at
 
     return VectorField(
         dimension=dimension,
-        evaluate=evaluate,
+        evaluate=lambda y: jet(y)(0, ()),
         jet=jet,
         max_order=max_order,
-        reads=lambda n: [i for i, top in enumerate(tops) if top >= n],
+        reads=lambda n: sorted({int(i) for variables in order(n)[3] for i in variables}),
     )
+
+
+def _exponents(j, expo, dimension):
+    """Component j's exponent tuple ``expo`` as ints, after a ValueError
+    naming both unless it is ``dimension`` nonnegative integers."""
+    name = f"component {j}'s exponent {expo!r}"
+    if not isinstance(expo, tuple) or len(expo) != dimension:
+        raise ValueError(f"{name} must be a tuple of {dimension} nonnegative integers")
+    return tuple(_nonnegative_integer(f"{name}: entry", e) for e in expo)
 
 
 # -- amplitude constructors ---------------------------------------------------

@@ -377,6 +377,7 @@ _CONFIG_KEYS = ("dimension", "mode", "basis", "basis_names", "kappa", "field", "
 def load_problem_config(path, name=None):
     """Problem from a JSON config plus a registered field bundle.
 
+    A file that cannot be opened raises a ``ValueError`` that names it.
     Required keys: ``dimension``, ``basis`` (list of reals, optionally with
     ``basis_names``), ``kappa`` (one rational coordinate vector per channel,
     entries are ints or strings like ``"-1/2"``), ``y0`` and ``t_end``; a
@@ -390,8 +391,11 @@ def load_problem_config(path, name=None):
     than ``"exact"`` raises a ``ValueError`` that says how to declare
     unrelated frequencies.
     """
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as err:
+        raise ValueError(f"cannot read config {str(path)!r}: {err.strerror or err}") from err
     if not isinstance(cfg, dict):
         raise ValueError(f"a problem config is a JSON object, not {type(cfg).__name__}")
     missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in cfg]

@@ -337,3 +337,94 @@ def test_validate_detects_a_wrong_reads_declaration():
                       reads=lambda n: range(5) if n == 1 else (0, 2, 3))
     with pytest.raises(ValidationFailed, match=r"f_n reads beyond reads\(n\) at n = \[2, 3, 4\]"):
         validate_field(bad, [_complex_samples(rng, 5, 4) for _ in range(3)])
+
+
+# -- sparse polynomial jets ------------------------------------------------------------
+
+
+def _cubic_ladder(d):
+    """y_i' = y_(i-1) - 2 y_i + y_(i+1) - 0.1 y_i^3: three or four monomials a row."""
+
+    def power(i, e=1):
+        return tuple(e if k == i else 0 for k in range(d))
+
+    rows = []
+    for i in range(d):
+        row = {power(i): -2.0, power(i, 3): -0.1}
+        row.update({power(k): 1.0 for k in (i - 1, i + 1) if 0 <= k < d})
+        rows.append(row)
+    return rows
+
+
+def _assert_matches_reference(terms, fld, y, dirs, orders):
+    point = fld.at(y)
+    for n in orders:
+        expected = _polynomial_reference(terms, n, y, dirs[:n])
+        got = fld.apply(n, point, dirs[:n])
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert float(np.max(np.abs(got - expected))) <= 1e-14 * scale
+
+
+def test_a_twenty_state_ladder_matches_the_reference():
+    terms = _cubic_ladder(20)
+    fld = polynomial_field(20, terms, max_order=3)
+    rng = np.random.default_rng(16)
+    samples = [_complex_samples(rng, 20, 3) for _ in range(3)]
+    for y, dirs in samples:
+        _assert_matches_reference(terms, fld, y, dirs, range(4))
+    validate_field(fld, samples)
+    assert list(fld.reads(1)) == list(range(20)) and list(fld.reads(3)) == list(range(20))
+    assert list(fld.reads(4)) == []
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_random_sparse_polynomials_match_the_reference(d):
+    rng = np.random.default_rng(d)
+    for _ in range(4):
+        terms = []
+        for _ in range(d):
+            row = {}
+            for _ in range(rng.integers(1, 6)):
+                expo = np.zeros(d, dtype=int)
+                np.add.at(expo, rng.integers(0, d, rng.integers(0, 5)), 1)
+                row[tuple(np.minimum(expo, 3).tolist())] = complex(*rng.normal(size=2))
+            terms.append(row)
+        y, dirs = _complex_samples(rng, d, 4)
+        _assert_matches_reference(terms, polynomial_field(d, terms, max_order=4), y, dirs, range(5))
+
+
+def test_a_zero_coefficient_changes_neither_values_nor_reads():
+    terms = [{(0, 1, 0): 1.0, (2, 0, 0): 0.5j}, {(1, 1, 1): -0.3}, {(0, 0, 2): 2.0}]
+    # a zero of higher degree, and one listed first
+    padded = [terms[0], {**terms[1], (0, 4, 0): 0.0}, {(2, 0, 1): 0j, **terms[2]}]
+    plain, with_zeros = polynomial_field(3, terms), polynomial_field(3, padded)
+    rng = np.random.default_rng(17)
+    y, dirs = _complex_samples(rng, 3, 5)
+    for n in range(6):
+        assert np.array_equal(with_zeros.apply(n, y, dirs[:n]), plain.apply(n, y, dirs[:n]))
+        assert list(with_zeros.reads(n)) == list(plain.reads(n))
+    assert list(plain.reads(3)) == [0, 1, 2] and list(plain.reads(2)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "dimension, terms, message",
+    [
+        (2, [{(-1, 0): 1.0}, {}], r"component 0's exponent \(-1, 0\): entry=-1 must be"),
+        (2, [{}, {(1.5, 0): 1.0}], r"component 1's exponent \(1.5, 0\): entry=1.5 must be"),
+        (2, [{(1, 0): 1.0}, {}, {}], "3 components given for a field of dimension 2"),
+        (2, [{(1,): 1.0}, {}], r"component 0's exponent \(1,\) must be a tuple of 2 nonneg"),
+    ],
+    ids=["negative_exponent", "fractional_exponent", "too_many_components", "short_exponent"],
+)
+def test_polynomial_field_rejects_malformed_terms(dimension, terms, message):
+    with pytest.raises(ValueError, match=message):
+        polynomial_field(dimension, terms)
+
+
+def test_polynomial_field_takes_integral_float_exponents():
+    as_floats = polynomial_field(2, [{(2.0, 0): 1.0}, {(0, 1.0): -1.0}])
+    as_ints = polynomial_field(2, [{(2, 0): 1.0}, {(0, 1): -1.0}])
+    rng = np.random.default_rng(18)
+    y, dirs = _complex_samples(rng, 2, 2)
+    for n in range(3):
+        assert np.array_equal(as_floats.apply(n, y, dirs[:n]), as_ints.apply(n, y, dirs[:n]))

@@ -458,12 +458,14 @@ CONFIG = {
          "config lacks required key(s) 'basis'; required: dimension, basis, kappa, y0, t_end"),
         (["expand", "--config", {**CONFIG, "field": "nope"}],
          "unknown field bundle 'nope'; registered: cubic_demo, memristor"),
+        (["expand", "--config", "/nonexistent/problem.json"],
+         "cannot read config '/nonexistent/problem.json': No such file or directory"),
     ],
     ids=["errors", "table", "table_delta_min_nan", "solve_t_end", "reference_tol_abs",
          "reference_omega_nan", "solve_t_end_inf", "reference_t_end_inf", "errors_t_end_inf",
          "table_level_-1", "table_level_-2", "solve_grid_0", "reference_grid_1",
          "errors_grid_0", "errors_memristor_grid_1", "bench_grid_1", "expand_unknown_problem",
-         "expand_config_without_basis", "expand_config_unknown_field"],
+         "expand_config_without_basis", "expand_config_unknown_field", "expand_missing_config"],
 )
 @pytest.mark.filterwarnings("error")  # a warning printed before the error is a second line
 def test_cli_reports_bad_input_in_one_line(argv, message, capsys, tmp_path):
