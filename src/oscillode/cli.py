@@ -12,6 +12,7 @@ from .errors import OscillodeError
 from .expansion import build_expansion, dump_expansion, solve_nonoscillatory_chain
 from .freq_algebra import build_index_chain, format_index_table
 from .harness import (
+    REFERENCE_TOL,
     compare_cost,
     cost_report_csv,
     error_report_csv,
@@ -20,7 +21,6 @@ from .harness import (
     run_slope_study,
     uniform_grid,
 )
-from .ode_core import _finite_positive
 from .problems import get_problem, load_problem_config, problem_names
 from .svg import emit_svg
 
@@ -32,14 +32,13 @@ _SHARED_FLAGS = {
     "--t-end": dict(type=float, default=None),
     "--grid": dict(type=int, default=512, help="uniform grid size"),
     "--out": dict(default=None, help="output file or directory"),
-    "--tol-abs": dict(type=float, default=1e-10),
-    "--tol-rel": dict(type=float, default=1e-10),
+    "--tol": dict(type=float, default=REFERENCE_TOL, help="reference accuracy"),
     "--delta-min": dict(type=float, default=None, help="small-denominator guard threshold"),
     "--cache-dir": dict(default=None, help="reference cache directory"),
 }
 _PROBLEM = ("--problem", "--config")
 _GRID = ("--t-end", "--grid")
-_REFERENCE = ("--tol-abs", "--tol-rel", "--cache-dir")
+_REFERENCE = ("--tol", "--cache-dir")
 _GUARD = ("--delta-min",)
 _OUTPUT = ("--out",)
 
@@ -64,8 +63,8 @@ def _registered(args):
 
 
 def _t_end(args, registered):
-    """--t-end, or the problem's horizon, checked before any grid is built on it."""
-    return _finite_positive("t_end", args.t_end if args.t_end is not None else registered.t_end)
+    """--t-end, or the problem's horizon."""
+    return args.t_end if args.t_end is not None else registered.t_end
 
 
 def _write_or_print(text, out):
@@ -154,9 +153,7 @@ def _cmd_reference(args):
     grid = uniform_grid(t_end, args.grid)
     lines = ["t,omega,component,y_re,y_im"]
     for omega in args.omega:
-        values, kind = reference_values(
-            registered, omega, grid, args.tol_abs, args.tol_rel, args.cache_dir
-        )
+        values, kind = reference_values(registered, omega, grid, args.tol, args.cache_dir)
         for i, t in enumerate(grid):
             for comp, z in enumerate(values[i], start=1):
                 lines.append(
@@ -178,8 +175,7 @@ def _cmd_errors(args):
         s_values=sorted(set(args.order)) if args.order else None,
         grid_n=args.grid,
         t_end=_t_end(args, registered),
-        tol_abs=args.tol_abs,
-        tol_rel=args.tol_rel,
+        tol=args.tol,
         delta_min=args.delta_min,
         cache_dir=args.cache_dir,
     )
@@ -213,8 +209,7 @@ def _cmd_bench(args):
         args.order,
         grid_n=args.grid,
         t_end=_t_end(args, registered),
-        tol_abs=args.tol_abs,
-        tol_rel=args.tol_rel,
+        tol=args.tol,
         cache_dir=args.cache_dir,
     )
     _write_or_print(cost_report_csv(report), args.out)

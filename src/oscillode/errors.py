@@ -6,7 +6,7 @@ class OscillodeError(Exception):
 
 
 class SmallDenominatorError(OscillodeError):
-    """A newly generated nonzero frequency fell below the safety threshold.
+    """A base or newly generated frequency is zero or below the safety threshold.
 
     Coefficient recursions divide by these frequencies, so continuing would
     produce arbitrarily amplified coefficients.  There is no remedy other

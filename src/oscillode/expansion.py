@@ -337,16 +337,22 @@ def _level_terms(multisets, r, top=False):
 
 # -- solving ----------------------------------------------------------------------
 
+# the chain's default tolerance: the level-0 trajectory's error is the floor
+# of every truncated sum, so it is solved tighter than a reference
+CHAIN_TOL = 1e-12
 
-def solve_nonoscillatory_chain(expansion, t_end, abs_tol=1e-12, rel_tol=1e-12, knots=None):
+
+def solve_nonoscillatory_chain(expansion, t_end, tol=CHAIN_TOL, knots=None):
     """Solve the zero-frequency ODE nodes of every level on [0, t_end].
 
     Each level's initial condition is the negated sum of that level's
     oscillatory coefficients at the origin, so all terms cancel there.  All
     levels are one system on the stacked state [p_00, p_10, ..., p_R0], so
     one step sequence, with error control over the whole state, serves
-    every level.  Step sizes are set by the tolerances alone: evaluation
-    takes derivatives from the term lists, never from the interpolant.
+    every level.  Step sizes are set by ``tol`` alone, which bounds each
+    step's error by ``tol + tol * |y|`` componentwise (``IvpSpec``):
+    evaluation takes derivatives from the term lists, never from the
+    interpolant.
     """
     system = _ChainSystem(expansion)
     try:
@@ -355,8 +361,7 @@ def solve_nonoscillatory_chain(expansion, t_end, abs_tol=1e-12, rel_tol=1e-12, k
                 rhs=system,
                 y0=np.concatenate(system.initial_values()),
                 t_end=float(t_end),
-                abs_tol=abs_tol,
-                rel_tol=rel_tol,
+                tol=tol,
                 knots=knots,
             )
         )

@@ -75,6 +75,11 @@ class FrequencyBasis:
         self.basis_reals = tuple(float(b) for b in basis_reals)
         if len(self.basis_reals) < 1:
             raise ValueError("a frequency basis needs at least one real")
+        for k, b in enumerate(self.basis_reals):
+            if not (math.isfinite(b) and b != 0.0):
+                raise ValueError(
+                    f"basis real {k + 1} is {b!r}; every basis real must be finite and nonzero"
+                )
         if names is None:
             names = tuple(f"b{k + 1}" for k in range(len(self.basis_reals)))
         self.names = tuple(names)
@@ -509,18 +514,39 @@ def extend_index_set(index_set, basis, kappas, delta_min=None):
     return IndexSet(index_set.r + 1, index_set.labels + new_labels)
 
 
+def _check_base_frequencies(basis, kappas, delta_min):
+    """SmallDenominatorError naming the first base frequency that is zero or
+    smaller than ``delta_min`` in magnitude."""
+    for kappa in kappas:
+        # zero tested on its own: default_delta_min is 0 when every base
+        # frequency is
+        if kappa.value == 0.0 or abs(kappa.value) < delta_min:
+            below = "zero" if kappa.value == 0.0 else f"below delta_min={delta_min:.3e}"
+            raise SmallDenominatorError(
+                f"base frequency {basis.sigma_string(kappa.sigma)} ~ {kappa.value:.3e} "
+                f"of index {kappa.index} is {below}",
+                label=(kappa.index,),
+                sigma=kappa.value,
+            )
+
+
 def build_index_chain(basis, kappas, r_max, delta_min=None):
     """Index sets for levels ``0..r_max`` (``U_2`` always equals ``U_1``);
-    ``delta_min`` is as for ``extend_index_set``."""
+    ``delta_min`` is as for ``extend_index_set``.  A base frequency that is
+    zero aborts before any level is built; one smaller than ``delta_min`` in
+    magnitude aborts once the levels are built, after the generated
+    frequencies are checked.  Both diagnostics name the base frequency."""
     if r_max < 0:
         raise ValueError(f"level r_max={r_max} must be nonnegative")
     r_max = _nonnegative_integer("level r_max", r_max)
     delta_min = _resolve_delta_min(delta_min, kappas)
+    _check_base_frequencies(basis, kappas, 0.0)
     chain = [base_index_set(basis, kappas)]
     if r_max >= 1:
         chain.append(first_index_set(basis, kappas))
     for _ in range(1, r_max):
         chain.append(extend_index_set(chain[-1], basis, kappas, delta_min))
+    _check_base_frequencies(basis, kappas, delta_min)
     return chain
 
 

@@ -2,8 +2,8 @@
 
 The truncation error is measured against the best available reference: the
 exact closed-form solution for linear problems, otherwise an adaptive
-Runge-Kutta run on the full oscillatory system.  Requested reference
-tolerances are treated as a global accuracy budget; because an embedded
+Runge-Kutta run on the full oscillatory system.  A requested reference
+tolerance is treated as a global accuracy budget; because an embedded
 pair controls local error per step, the integrator runs at an internally
 tightened local tolerance so the reference is accurate to its label.
 Nonlinear references are cached on disk.
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expansion import build_expansion, solve_nonoscillatory_chain
+from .expansion import CHAIN_TOL, build_expansion, solve_nonoscillatory_chain
 from .linear_closed_form import exact_linear_solution
 from .ode_core import IvpSpec, _finite_positive, _nonnegative_integer, integrate, sample
 from .problems import RegisteredProblem, get_problem
@@ -41,13 +41,15 @@ __all__ = [
     "uniform_grid",
 ]
 
+# default accuracy of an integrated reference, the one ``tol`` of ``IvpSpec``
+REFERENCE_TOL = 1e-10
 # local tolerance tightening so the reference's global error honors its label
 REFERENCE_SAFETY = 50.0
 # bumped whenever what a cached reference holds or how it is computed changes
 _CACHE_FORMAT = "reference-v2"
 # field probes: fixed offsets from y0, scaled by 1 + |y0|
 _PROBE_OFFSETS = (0.0, 0.25, -0.5)
-# chain tolerances of a slope study: the level-0 trajectory's numerical
+# chain tolerance of a slope study: the level-0 trajectory's numerical
 # error is the study's noise floor at large omega
 SLOPE_CHAIN_TOL = 3e-15
 # largest deviation check_reference_consistency allows
@@ -55,7 +57,9 @@ CONSISTENCY_BOUND = 1e-8
 
 
 def uniform_grid(t_end, grid_n):
-    """``grid_n`` evenly spaced times from 0 to ``t_end``, both included."""
+    """``grid_n`` evenly spaced times from 0 to ``t_end``, both included;
+    ``t_end`` must be finite and positive, else ValueError names it."""
+    t_end = _finite_positive("t_end", float(t_end))
     grid_n = _nonnegative_integer("grid_n", grid_n)
     if grid_n < 2:
         raise ValueError(f"a grid needs at least 2 points, at 0 and t_end, not {grid_n}")
@@ -103,11 +107,11 @@ def _oscillatory_rhs(problem, omega):
     return rhs
 
 
-def _cache_path(cache_dir, registered, omega, tol_abs, tol_rel, grid):
+def _cache_path(cache_dir, registered, omega, tol, grid):
     """Cache file of one reference, named by a hash of everything it depends on.
 
     The key covers the basis, the base frequencies, ``y0``, the grid (and so
-    ``t_end``), omega, the tolerances and ``REFERENCE_SAFETY``.  The field and
+    ``t_end``), omega, ``tol`` and ``REFERENCE_SAFETY``.  The field and
     the amplitudes are functions, so they enter through their values: the
     field at ``y0`` and at fixed states around it, each amplitude at fixed
     times across the grid.
@@ -119,7 +123,7 @@ def _cache_path(cache_dir, registered, omega, tol_abs, tol_rel, grid):
     def add(*parts):
         h.update(repr(parts).encode())
 
-    add(_CACHE_FORMAT, float(omega), float(tol_abs), float(tol_rel), REFERENCE_SAFETY)
+    add(_CACHE_FORMAT, float(omega), float(tol), REFERENCE_SAFETY)
     add(basis.basis_reals)
     for kappa in problem.kappas:
         add(kappa.index, tuple(map(str, kappa.sigma)), float(kappa.value))
@@ -176,8 +180,7 @@ def reference_values(
     registered,
     omega,
     grid,
-    tol_abs=1e-10,
-    tol_rel=1e-10,
+    tol=REFERENCE_TOL,
     cache_dir=None,
     method="auto",
 ):
@@ -186,7 +189,8 @@ def reference_values(
     With ``method="auto"`` linear problems use the exact solution; anything
     else integrates the full oscillatory system with grid points forced as
     step endpoints, at a local tolerance ``REFERENCE_SAFETY`` times tighter
-    than requested so the global error honors the requested accuracy.
+    than ``tol`` so the global error honors the requested accuracy; ``tol``
+    is absolute and relative at once, as in ``IvpSpec``.
     ``method="rk"`` forces the integrator, also for a linear problem.  An
     ``omega`` that is not finite and positive raises ``ValueError`` first.
     """
@@ -198,29 +202,28 @@ def reference_values(
         values = np.array([solution(float(t)) for t in grid])
         return values, "exact"
 
-    provenance = f"rk(abs={tol_abs:g},rel={tol_rel:g})"
+    provenance = f"rk(tol={tol:g})"
     path = None
     if cache_dir is not None:
-        path = _cache_path(cache_dir, registered, omega, tol_abs, tol_rel, grid)
+        path = _cache_path(cache_dir, registered, omega, tol, grid)
         cached = _read_cached(path, grid)
         if cached is not None:
             return cached, provenance
 
-    values, _ = _rk_reference(registered, omega, grid, tol_abs, tol_rel)
+    values, _ = _rk_reference(registered, omega, grid, tol)
     if path is not None:
         _write_cached(path, grid, values)
     return values, provenance
 
 
-def _rk_reference(registered, omega, grid, tol_abs, tol_rel):
+def _rk_reference(registered, omega, grid, tol):
     """Reference values on the grid, and the knots-only solution behind them."""
     solution = integrate(
         IvpSpec(
             rhs=_oscillatory_rhs(registered.problem, omega),
             y0=registered.problem.y0,
             t_end=float(grid.max()),
-            abs_tol=tol_abs / REFERENCE_SAFETY,
-            rel_tol=tol_rel / REFERENCE_SAFETY,
+            tol=tol / REFERENCE_SAFETY,
             knots=grid,
             dense_refine=False,
         )
@@ -228,9 +231,9 @@ def _rk_reference(registered, omega, grid, tol_abs, tol_rel):
     return np.array([sample(solution, float(t)) for t in grid]), solution
 
 
-def _build_solved(registered, order, t_end, chain_abs, chain_rel, delta_min=None):
+def _build_solved(registered, order, t_end, chain_tol, delta_min=None):
     expansion = build_expansion(registered.problem, order=order, delta_min=delta_min)
-    solve_nonoscillatory_chain(expansion, t_end, abs_tol=chain_abs, rel_tol=chain_rel)
+    solve_nonoscillatory_chain(expansion, t_end, tol=chain_tol)
     return expansion
 
 
@@ -241,18 +244,19 @@ def run_error_study(
     grid_n=512,
     t_end=None,
     order=None,
-    tol_abs=1e-10,
-    tol_rel=1e-10,
-    chain_abs=1e-12,
-    chain_rel=1e-12,
+    tol=REFERENCE_TOL,
+    chain_tol=CHAIN_TOL,
     delta_min=None,
     cache_dir=None,
     expansion=None,
 ):
     """Truncation-error samples for each (s, omega) pair on a uniform grid.
 
-    A given ``expansion`` sets ``order``; an ``order`` that differs from its
-    built order raises ``ValueError``.
+    The reference is integrated at ``tol`` (``reference_values``) and the
+    chain of a built expansion is solved at ``chain_tol``
+    (``solve_nonoscillatory_chain``); each is one absolute and relative
+    tolerance.  A given ``expansion`` sets ``order``; an ``order`` that
+    differs from its built order raises ``ValueError``.
     """
     registered = _resolve(problem)
     omegas = tuple(float(w) for w in (registered.omegas if omegas is None else omegas))
@@ -270,14 +274,12 @@ def run_error_study(
     grid = uniform_grid(t_end, grid_n)
 
     if expansion is None:
-        expansion = _build_solved(registered, order, t_end, chain_abs, chain_rel, delta_min)
+        expansion = _build_solved(registered, order, t_end, chain_tol, delta_min)
 
     table = expansion.table(grid, max(s_values))
     errors = {}
     for omega in omegas:
-        ref, reference_kind = reference_values(
-            registered, omega, grid, tol_abs, tol_rel, cache_dir
-        )
+        ref, reference_kind = reference_values(registered, omega, grid, tol, cache_dir)
         for s in s_values:
             errors[(s, omega)] = ref - table.evaluate(omega, s)
     return ErrorReport(
@@ -342,8 +344,7 @@ def run_slope_study(
         s_values=s_values,
         grid_n=grid_n,
         t_end=t_end,
-        chain_abs=SLOPE_CHAIN_TOL,
-        chain_rel=SLOPE_CHAIN_TOL,
+        chain_tol=SLOPE_CHAIN_TOL,
         cache_dir=cache_dir,
     )
     slopes = fit_slopes(report)
@@ -371,8 +372,7 @@ def compare_cost(
     grid_n=512,
     t_end=None,
     order=None,
-    tol_abs=1e-10,
-    tol_rel=1e-10,
+    tol=REFERENCE_TOL,
     cache_dir=None,
 ):
     """Wall time of expansion build+eval versus the adaptive reference.
@@ -391,9 +391,7 @@ def compare_cost(
     t_end = float(t_end if t_end is not None else registered.t_end)
     grid = uniform_grid(t_end, grid_n)
 
-    build_s, expansion = _timed(
-        lambda: _build_solved(registered, order, t_end, 1e-12, 1e-12)
-    )
+    build_s, expansion = _timed(lambda: _build_solved(registered, order, t_end, CHAIN_TOL))
     chain = expansion.chain_solution
     chain_kb = _kb(chain.ts, chain.ys, chain.dense)
     rows = [("expansion_build", float("nan"), build_s, chain_kb, 0)]
@@ -406,10 +404,10 @@ def compare_cost(
         table_s = 0.0
     for omega in omegas:
         seconds, (values, solution) = _timed(
-            lambda: _rk_reference(registered, omega, grid, tol_abs, tol_rel)
+            lambda: _rk_reference(registered, omega, grid, tol)
         )
         if cache_dir is not None:
-            path = _cache_path(cache_dir, registered, omega, tol_abs, tol_rel, grid)
+            path = _cache_path(cache_dir, registered, omega, tol, grid)
             _write_cached(path, grid, values)
         kb = _kb(solution.ts, solution.ys, values)
         rows.append(("rk_reference", omega, seconds, kb, grid.size))
@@ -437,7 +435,7 @@ def check_reference_consistency(problem, omega, grid_n=129):
     exact, _ = reference_values(registered, omega, grid)
     # a local tolerance of 1e-12, as the integrator divides by the safety factor
     tol = 1e-12 * REFERENCE_SAFETY
-    rk, _ = reference_values(registered, omega, grid, tol, tol, method="rk")
+    rk, _ = reference_values(registered, omega, grid, tol, method="rk")
     worst = float(np.max(np.abs(rk - exact)))
     if worst > CONSISTENCY_BOUND:
         raise AssertionError(

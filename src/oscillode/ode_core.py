@@ -233,9 +233,11 @@ class IvpSpec:
 
     ``knots`` is an optional array of times, in any order, the integrator
     must land on exactly, so samples there carry no interpolation error.
-    ``y0``, ``t_end``, the tolerances and every knot must be finite, else
-    the spec raises ValueError.  The step budget is ``MAX_STEPS``, the same
-    for every spec.
+    ``tol`` is the one accuracy setting: each step's error is kept below
+    ``tol + tol * |y|`` componentwise, an absolute and a relative tolerance
+    of the same size.  ``y0``, ``t_end``, ``tol`` and every knot must be
+    finite, and ``t_end`` and ``tol`` positive, else the spec raises
+    ValueError.  The step budget is ``MAX_STEPS``, the same for every spec.
 
     With ``dense_refine`` on, every accepted step is stored with the seven
     coefficients of its seventh-order interpolant in ``dense`` (three more
@@ -246,15 +248,14 @@ class IvpSpec:
     rhs: object
     y0: object
     t_end: float
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
+    tol: float = 1e-10
     knots: object = None
     dense_refine: bool = True
 
     def __post_init__(self):
         _check_finite_y0(self.y0)
-        for name in ("t_end", "abs_tol", "rel_tol"):
-            _finite_positive(name, getattr(self, name))
+        _finite_positive("t_end", self.t_end)
+        _finite_positive("tol", self.tol)
         if self.knots is not None:
             knots = np.asarray(self.knots, dtype=float).ravel().tolist()
             bad = [tk for tk in knots if not math.isfinite(tk)]
@@ -306,10 +307,12 @@ class DenseSolution:
     n_rhs_evals: int = 0
 
 
-def _error_norm(k, h, y_old, y_new, abs_tol, rel_tol):
+def _error_norm(k, h, y_old, y_new, tol):
     """Max over components of DOP853's combined estimate e5^2 / sqrt(e5^2 +
-    e3^2 / 100), each error taken relative to abs_tol + rel_tol * |y|."""
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
+    e3^2 / 100), each error taken relative to tol + tol * max(|y_old|, |y_new|)."""
+    # tol + tol * m, not tol * (1 + m): the same operations, and so the same
+    # bits, as the mixed scale Atol + Rtol * m with Atol = Rtol = tol
+    scale = tol + tol * np.maximum(np.abs(y_old), np.abs(y_new))
     err5 = h * np.abs(_E5 @ k) / scale
     err3 = h * np.abs(_E3 @ k) / scale
     num = err5 * err5
@@ -317,8 +320,8 @@ def _error_norm(k, h, y_old, y_new, abs_tol, rel_tol):
     return float(np.max(np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)))
 
 
-def _initial_step(y0, f0, t_end, abs_tol, rel_tol):
-    scale = abs_tol + rel_tol * np.abs(y0)
+def _initial_step(y0, f0, t_end, tol):
+    scale = tol + tol * np.abs(y0)
     d0 = float(np.max(np.abs(y0) / scale))
     d1 = float(np.max(np.abs(f0) / scale))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -328,7 +331,7 @@ def _initial_step(y0, f0, t_end, abs_tol, rel_tol):
 def integrate(spec: IvpSpec) -> DenseSolution:
     """Adaptive integration of ``spec`` over [0, t_end].
 
-    The per-step error estimate is kept below ``abs_tol + rel_tol * |y|``
+    The per-step error estimate is kept below ``tol + tol * |y|``
     componentwise; the step controller uses safety factor 0.9, exponent 1/8
     and growth clamped to [0.2, 5].  A NaN or infinite stage value raises
     NonFiniteRHS at the step where it appears, before the next stage; a
@@ -351,7 +354,7 @@ def integrate(spec: IvpSpec) -> DenseSolution:
     ts, ys = [0.0], [y.copy()]
     dense = [] if spec.dense_refine else None
 
-    h = _initial_step(y, f, t_end, spec.abs_tol, spec.rel_tol)
+    h = _initial_step(y, f, t_end, spec.tol)
     k = np.empty((16, y.size), dtype=complex)
     n_steps = n_accepted = 0
 
@@ -383,7 +386,7 @@ def integrate(spec: IvpSpec) -> DenseSolution:
             stage(i, y + h * (_A[i, :i] @ k[:i]))
         n_evals += 11
         y_new = y + h * (_B @ k[:12])
-        err = _error_norm(k[:12], h, y, y_new, spec.abs_tol, spec.rel_tol)
+        err = _error_norm(k[:12], h, y, y_new, spec.tol)
 
         if err <= 1.0:
             stage(12, y_new)  # c = 1 and row B: f(t + h, y_new)

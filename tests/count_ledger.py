@@ -87,7 +87,7 @@ def ledger():
     expansion = build_expansion(memristor.problem, order=3)
     solve_nonoscillatory_chain(expansion, memristor.t_end, knots=MEMRISTOR_GRID)
     out["memristor r=3"]["chain on 129 knots"] = _solution_counts(expansion.chain_solution)
-    _, solution = _rk_reference(memristor, REFERENCE_OMEGA, MEMRISTOR_GRID, 1e-10, 1e-10)
+    _, solution = _rk_reference(memristor, REFERENCE_OMEGA, MEMRISTOR_GRID, 1e-10)
     out["memristor reference"] = {
         "omega": REFERENCE_OMEGA,
         "grid": len(MEMRISTOR_GRID),

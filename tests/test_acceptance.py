@@ -48,7 +48,7 @@ def linear_setup():
     grid = np.linspace(0.0, 5.0, 513)
     t0 = time.perf_counter()
     solve_nonoscillatory_chain(
-        expansion, 5.0, abs_tol=3e-15, rel_tol=3e-15, knots=grid
+        expansion, 5.0, tol=3e-15, knots=grid
     )
     return registered, expansion, grid, time.perf_counter() - t0
 
@@ -248,8 +248,7 @@ def test_criterion_6_memristor_error_decay(capsys, memristor_setup):
         grid_n=513,
         t_end=3.0,
         order=3,
-        tol_abs=1e-10,
-        tol_rel=1e-10,
+        tol=1e-10,
         cache_dir=cache,
         expansion=expansion,
     )
@@ -294,7 +293,7 @@ def test_criterion_7_cost_flatness(capsys, linear_setup):
     for omega in (500.0, 5000.0):
         t0 = time.process_time()
         reference_values(
-            registered, omega, grid, 1e-10, 1e-10, method="rk"
+            registered, omega, grid, 1e-10, method="rk"
         )
         rk_times[omega] = time.process_time() - t0
 

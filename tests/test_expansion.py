@@ -558,7 +558,7 @@ def test_truncation_error_scale_linear_example():
     reg = get_problem("linear_example")
     ex = build_expansion(reg.problem, order=4)
     grid = np.linspace(0.0, 5.0, 65)
-    solve_nonoscillatory_chain(ex, t_end=5.0, abs_tol=1e-13, rel_tol=1e-13, knots=grid)
+    solve_nonoscillatory_chain(ex, t_end=5.0, tol=1e-13, knots=grid)
     omega = 500.0
     sol = exact_linear_solution(reg.linear, omega)
     worst = max(
@@ -591,6 +591,22 @@ def test_small_denominator_propagates():
     )
     with pytest.raises(SmallDenominatorError):
         build_expansion(problem, order=3)
+
+
+def test_a_zero_base_frequency_is_named_by_the_build():
+    """2*b1 - b2 is zero on the basis (1, 2); a level-1 coefficient would
+    divide by it."""
+    basis = FrequencyBasis([1.0, 2.0])
+    kappas = [
+        BaseFrequency(1, basis, coords=(2, -1)),
+        BaseFrequency(2, basis, coords=(1, 0)),
+    ]
+    field = polynomial_field(1, [{(2,): 1.0}], max_order=2)
+    problem = Problem(
+        field, [constant_amplitude(k, [1.0]) for k in kappas], y0=[0.1], basis=basis
+    )
+    with pytest.raises(SmallDenominatorError, match=r"^base frequency 2\*b1-b2 ~ 0\.000e\+00"):
+        build_expansion(problem, order=1)
 
 
 def test_unsupported_field_order():

@@ -432,6 +432,36 @@ def test_small_denominator_error_names_the_combination():
     assert "1-c" in str(err.value)
 
 
+@pytest.mark.parametrize("m_count", [1, 2])
+@pytest.mark.parametrize("r_max", [0, 1, 3])
+def test_a_zero_base_frequency_is_named_before_any_level(r_max, m_count):
+    """2*b1 - b2 is zero on the basis (1, 2).  With it alone, default_delta_min
+    is 0 too, so the zero test cannot lean on delta_min."""
+    basis = FrequencyBasis([1.0, 2.0])
+    kappas = [
+        BaseFrequency(1, basis, coords=(2, -1)),
+        BaseFrequency(2, basis, coords=(1, 0)),
+    ][:m_count]
+    message = r"^base frequency 2\*b1-b2 ~ 0\.000e\+00 of index 1 is zero$"
+    with pytest.raises(SmallDenominatorError, match=message) as err:
+        build_index_chain(basis, kappas, r_max)
+    assert (err.value.label, err.value.sigma) == ((1,), 0.0)
+
+
+def test_a_base_frequency_below_delta_min_is_named():
+    basis = worked_basis()
+    message = r"^base frequency 1 ~ 1\.000e\+00 of index 1 is below delta_min=1\.200e\+00$"
+    with pytest.raises(SmallDenominatorError, match=message):
+        build_index_chain(basis, worked_kappas(basis), 1, delta_min=1.2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+def test_a_basis_real_must_be_finite_and_nonzero(bad):
+    message = rf"^basis real 2 is {bad!r}; every basis real must be finite and nonzero$"
+    with pytest.raises(ValueError, match=message):
+        FrequencyBasis([1.0, bad])
+
+
 # -- multiplicities -----------------------------------------------------------
 
 

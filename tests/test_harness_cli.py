@@ -28,6 +28,7 @@ from oscillode.harness import (
     fit_slopes,
     reference_values,
     run_error_study,
+    uniform_grid,
 )
 from oscillode.linear_closed_form import exact_linear_solution
 from oscillode.problems import get_problem, load_problem_config
@@ -110,14 +111,14 @@ def test_svg_empty_report_rejected(small_linear_report):
 def test_reference_cache_roundtrip(tmp_path):
     reg = get_problem("worked_example")
     grid = np.linspace(0.0, 1.0, 33)
-    v1, kind = reference_values(reg, 80.0, grid, 1e-8, 1e-8, cache_dir=tmp_path)
+    v1, kind = reference_values(reg, 80.0, grid, 1e-8, cache_dir=tmp_path)
     assert kind.startswith("rk")
     files = list(tmp_path.glob("ref_*.npz"))
     assert len(files) == 1
-    v2, _ = reference_values(reg, 80.0, grid, 1e-8, 1e-8, cache_dir=tmp_path)
+    v2, _ = reference_values(reg, 80.0, grid, 1e-8, cache_dir=tmp_path)
     assert np.array_equal(v1, v2)
     # different omega gets its own cache entry
-    reference_values(reg, 90.0, grid, 1e-8, 1e-8, cache_dir=tmp_path)
+    reference_values(reg, 90.0, grid, 1e-8, cache_dir=tmp_path)
     assert len(list(tmp_path.glob("ref_*.npz"))) == 2
 
 
@@ -142,9 +143,9 @@ def test_reference_cache_key_covers_problem_content(tmp_path):
     assert first.name == second.name == "config_problem"
     grid = np.linspace(0.0, 1.0, 17)
     cache = tmp_path / "cache"
-    v1, _ = reference_values(first, 80.0, grid, 1e-7, 1e-7, cache_dir=cache)
-    v2, _ = reference_values(second, 80.0, grid, 1e-7, 1e-7, cache_dir=cache)
-    fresh, _ = reference_values(second, 80.0, grid, 1e-7, 1e-7)
+    v1, _ = reference_values(first, 80.0, grid, 1e-7, cache_dir=cache)
+    v2, _ = reference_values(second, 80.0, grid, 1e-7, cache_dir=cache)
+    fresh, _ = reference_values(second, 80.0, grid, 1e-7)
     assert len(list(cache.glob("ref_*.npz"))) == 2
     assert np.array_equal(v2, fresh)
     assert not np.allclose(v1, v2)
@@ -153,11 +154,11 @@ def test_reference_cache_key_covers_problem_content(tmp_path):
 def test_reference_cache_unreadable_file_is_a_miss(tmp_path, caplog):
     reg = get_problem("worked_example")
     grid = np.linspace(0.0, 0.5, 9)
-    v1, _ = reference_values(reg, 80.0, grid, 1e-7, 1e-7, cache_dir=tmp_path)
+    v1, _ = reference_values(reg, 80.0, grid, 1e-7, cache_dir=tmp_path)
     (path,) = tmp_path.glob("ref_*.npz")
     path.write_bytes(b"not an npz file")
     with caplog.at_level("WARNING", logger="oscillode"):
-        v2, _ = reference_values(reg, 80.0, grid, 1e-7, 1e-7, cache_dir=tmp_path)
+        v2, _ = reference_values(reg, 80.0, grid, 1e-7, cache_dir=tmp_path)
     assert np.array_equal(v1, v2)
     assert "unreadable" in caplog.text
     assert list(tmp_path.iterdir()) == [path]
@@ -201,12 +202,12 @@ def test_reference_memory_does_not_grow_with_omega():
     # only its grid's states, so its memory stays put
     registered = get_problem("memristor")
     grid = np.linspace(0.0, 3.0, 129)
-    harness._rk_reference(registered, 100.0, grid[:3], 1e-10, 1e-10)  # one-time allocations
+    harness._rk_reference(registered, 100.0, grid[:3], 1e-10)  # one-time allocations
     peaks, steps = {}, {}
     for omega in (100.0, 1000.0):
         tracemalloc.start()
         try:
-            _, solution = harness._rk_reference(registered, omega, grid, 1e-10, 1e-10)
+            _, solution = harness._rk_reference(registered, omega, grid, 1e-10)
             peaks[omega] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -238,6 +239,16 @@ def test_slope_fit_on_synthetic_report():
 def test_an_empty_study_input_is_rejected(name):
     with pytest.raises(ValueError, match=f"{name} is empty; pass None for the default"):
         run_error_study("linear_example", grid_n=5, t_end=0.5, order=1, **{name: ()})
+
+
+@pytest.mark.parametrize("t_end", [math.inf, math.nan, 0.0, -1.0])
+def test_a_grid_needs_a_finite_positive_t_end(t_end):
+    """Checked before numpy would warn about, or silently reverse, the grid."""
+    message = rf"^t_end={t_end!r} must be finite and positive$"
+    with pytest.raises(ValueError, match=message):
+        uniform_grid(t_end, 3)
+    with pytest.raises(ValueError, match=message):
+        run_error_study("linear_example", omegas=(300.0,), s_values=(0,), grid_n=5, t_end=t_end)
 
 
 def test_a_consistency_check_needs_a_grid_of_two_points():
@@ -320,7 +331,7 @@ def test_cli_reference_csv(tmp_path):
     out = tmp_path / "ref.csv"
     rc = cli_main(
         ["reference", "--problem", "worked_example", "--omega", "150",
-         "--t-end", "1.0", "--grid", "9", "--tol-abs", "1e-8", "--tol-rel", "1e-8",
+         "--t-end", "1.0", "--grid", "9", "--tol", "1e-8",
          "--cache-dir", str(tmp_path / "cache"), "--out", str(out)]
     )
     assert rc == 0
@@ -417,6 +428,8 @@ CONFIG = {
     "y0": [0.1, 0.2],
     "t_end": 1.0,
 }
+# 2*b1 - b2 is zero on the basis (1, 2): base frequency 1 is exactly 0
+ZERO_BASE_CONFIG = {**CONFIG, "basis": [1.0, 2.0], "kappa": [[2, -1], [1, 0]]}
 
 
 @pytest.mark.parametrize(
@@ -430,7 +443,7 @@ CONFIG = {
         (["solve", "--problem", "worked_example", "--omega", "100", "--grid", "5",
           "--t-end", "nan"], "t_end=nan must be finite and positive"),
         (["reference", "--problem", "worked_example", "--omega", "100", "--grid", "5",
-          "--tol-abs", "nan"], "abs_tol=nan must be finite and positive"),
+          "--tol", "nan"], "tol=nan must be finite and positive"),
         (["reference", "--problem", "memristor", "--omega", "nan", "--grid", "5"],
          "omega=nan must be finite and positive"),
         *(
@@ -460,12 +473,20 @@ CONFIG = {
          "unknown field bundle 'nope'; registered: cubic_demo, memristor"),
         (["expand", "--config", "/nonexistent/problem.json"],
          "cannot read config '/nonexistent/problem.json': No such file or directory"),
+        *(
+            ([command, "--config", ZERO_BASE_CONFIG, *extra],
+             "base frequency 2*b1-b2 ~ 0.000e+00 of index 1 is zero")
+            for command, extra in (("table", ["-r", "1"]), ("expand", ["--order", "1"]))
+        ),
+        (["expand", "--config", {**CONFIG, "basis": [1.0, math.nan]}],
+         "basis real 2 is nan; every basis real must be finite and nonzero"),
     ],
-    ids=["errors", "table", "table_delta_min_nan", "solve_t_end", "reference_tol_abs",
+    ids=["errors", "table", "table_delta_min_nan", "solve_t_end", "reference_tol",
          "reference_omega_nan", "solve_t_end_inf", "reference_t_end_inf", "errors_t_end_inf",
          "table_level_-1", "table_level_-2", "solve_grid_0", "reference_grid_1",
          "errors_grid_0", "errors_memristor_grid_1", "bench_grid_1", "expand_unknown_problem",
-         "expand_config_without_basis", "expand_config_unknown_field", "expand_missing_config"],
+         "expand_config_without_basis", "expand_config_unknown_field", "expand_missing_config",
+         "table_zero_base_frequency", "expand_zero_base_frequency", "expand_nan_basis_real"],
 )
 @pytest.mark.filterwarnings("error")  # a warning printed before the error is a second line
 def test_cli_reports_bad_input_in_one_line(argv, message, capsys, tmp_path):
@@ -495,13 +516,13 @@ CLI_FLAGS = {
     "expand": {"--problem", "--config", "--t-end", "--out", "--delta-min", "--order"},
     "solve": {"--problem", "--config", "--t-end", "--grid", "--out", "--delta-min",
               "--omega", "--order"},
-    "reference": {"--problem", "--config", "--t-end", "--grid", "--out", "--tol-abs",
-                  "--tol-rel", "--cache-dir", "--omega"},
-    "errors": {"--problem", "--config", "--t-end", "--grid", "--out", "--tol-abs",
-               "--tol-rel", "--delta-min", "--cache-dir", "--omega", "--order", "--format"},
+    "reference": {"--problem", "--config", "--t-end", "--grid", "--out", "--tol",
+                  "--cache-dir", "--omega"},
+    "errors": {"--problem", "--config", "--t-end", "--grid", "--out", "--tol",
+               "--delta-min", "--cache-dir", "--omega", "--order", "--format"},
     "table": {"--problem", "--config", "--out", "--delta-min", "-r"},
-    "bench": {"--problem", "--config", "--t-end", "--grid", "--out", "--tol-abs",
-              "--tol-rel", "--cache-dir", "--omega", "--order"},
+    "bench": {"--problem", "--config", "--t-end", "--grid", "--out", "--tol",
+              "--cache-dir", "--omega", "--order"},
     "slope": {"--problem", "--config", "--t-end", "--grid", "--cache-dir", "--omega",
               "--order", "--slope-tolerance"},
     "problems": set(),
@@ -515,7 +536,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         for name, parser in subparsers.choices.items()
     }
     assert flags == CLI_FLAGS
-    assert sum(map(len, flags.values())) == 58
+    assert sum(map(len, flags.values())) == 55
 
 
 # a valid invocation of each subcommand, small enough for a test
@@ -525,6 +546,8 @@ CLI_VALID = {
               "--t-end", "0.5", "--grid", "5"],
     "reference": ["reference", "--problem", "linear_example", "--omega", "100",
                   "--t-end", "0.5", "--grid", "5"],
+    "errors": ["errors", "--problem", "linear_example", "--omega", "100", "--order", "0",
+               "--t-end", "0.5", "--grid", "5"],
     "table": ["table", "--problem", "worked_example", "-r", "2"],
     "bench": ["bench", "--problem", "linear_example", "--omega", "100", "--order", "1",
               "--t-end", "0.5", "--grid", "5"],
@@ -546,6 +569,8 @@ CLI_VALID = {
         ("bench", "--delta-min", "0.01"),
         ("slope", "--out", "f"), ("slope", "--tol-abs", "1e-3"),
         ("slope", "--tol-rel", "1e-3"), ("slope", "--delta-min", "0.01"),
+        *((command, flag, "1e-3") for command in ("reference", "errors", "bench")
+          for flag in ("--tol-abs", "--tol-rel")),
     ],
 )
 def test_a_flag_the_subcommand_does_not_read_is_rejected(command, flag, value, capsys):

@@ -162,8 +162,7 @@ def test_exact_solution_matches_reference_integrator():
             rhs=rhs,
             y0=prob.y0,
             t_end=5.0,
-            abs_tol=1e-12,
-            rel_tol=1e-12,
+            tol=1e-12,
             knots=grid,
             dense_refine=False,
         )

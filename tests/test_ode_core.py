@@ -12,7 +12,7 @@ from oscillode.ode_core import IvpSpec, integrate, sample
 
 def test_exponential_decay():
     sol = integrate(
-        IvpSpec(rhs=lambda t, y: -y, y0=[1.0], t_end=1.0, abs_tol=1e-10, rel_tol=1e-10)
+        IvpSpec(rhs=lambda t, y: -y, y0=[1.0], t_end=1.0, tol=1e-10)
     )
     assert abs(sample(sol, 1.0)[0] - math.exp(-1.0)) < 1e-9
 
@@ -23,8 +23,7 @@ def test_complex_rotation():
             rhs=lambda t, y: 1j * y,
             y0=[1.0],
             t_end=math.pi,
-            abs_tol=1e-10,
-            rel_tol=1e-10,
+            tol=1e-10,
         )
     )
     assert abs(sample(sol, math.pi)[0] - (-1.0)) < 1e-8
@@ -38,7 +37,7 @@ def test_sample_at_nodes_is_exact():
 
 def test_sample_midpoints_accurate():
     sol = integrate(
-        IvpSpec(rhs=lambda t, y: -y, y0=[1.0], t_end=2.0, abs_tol=1e-10, rel_tol=1e-10)
+        IvpSpec(rhs=lambda t, y: -y, y0=[1.0], t_end=2.0, tol=1e-10)
     )
     worst = 0.0
     for i in range(len(sol.ts) - 1):
@@ -69,7 +68,7 @@ def test_empirical_convergence_order():
     errors = []
     for tol in (1e-6, 1e-8, 1e-10):
         sol = integrate(
-            IvpSpec(rhs=lambda t, y: -y, y0=[1.0], t_end=1.0, abs_tol=tol, rel_tol=tol)
+            IvpSpec(rhs=lambda t, y: -y, y0=[1.0], t_end=1.0, tol=tol)
         )
         errors.append((abs(sample(sol, 1.0)[0] - math.exp(-1.0)), sol.n_steps))
     (e_hi, n_hi), (e_lo, n_lo) = errors[0], errors[-1]
@@ -81,14 +80,14 @@ def test_empirical_convergence_order():
 def test_complex_matches_real_reformulation():
     # y' = i y as a real 2d system
     sol_c = integrate(
-        IvpSpec(rhs=lambda t, y: 1j * y, y0=[1.0], t_end=1.0, abs_tol=1e-12, rel_tol=1e-12)
+        IvpSpec(rhs=lambda t, y: 1j * y, y0=[1.0], t_end=1.0, tol=1e-12)
     )
 
     def rhs_real(t, y):
         return np.array([-y[1], y[0]], dtype=complex)
 
     sol_r = integrate(
-        IvpSpec(rhs=rhs_real, y0=[1.0, 0.0], t_end=1.0, abs_tol=1e-12, rel_tol=1e-12)
+        IvpSpec(rhs=rhs_real, y0=[1.0, 0.0], t_end=1.0, tol=1e-12)
     )
     zc = sample(sol_c, 1.0)[0]
     zr = sample(sol_r, 1.0)
@@ -112,7 +111,7 @@ def test_step_underflow_at_bad_region():
 
     with pytest.raises(StepUnderflow, match=r"step size underflow at t=0\.3 "):
         integrate(
-            IvpSpec(rhs=rhs, y0=[1.0], t_end=1.0, abs_tol=1e-10, rel_tol=1e-10)
+            IvpSpec(rhs=rhs, y0=[1.0], t_end=1.0, tol=1e-10)
         )
 
     # a NaN there is a blow-up, not an underflow
@@ -120,7 +119,7 @@ def test_step_underflow_at_bad_region():
         return np.full_like(y, np.nan) if t > 0.3 else -y
 
     with pytest.raises(NonFiniteRHS) as info:
-        integrate(IvpSpec(rhs=nan_rhs, y0=[1.0], t_end=1.0, abs_tol=1e-10, rel_tol=1e-10))
+        integrate(IvpSpec(rhs=nan_rhs, y0=[1.0], t_end=1.0, tol=1e-10))
     assert not isinstance(info.value, StepUnderflow)
 
 
@@ -136,7 +135,7 @@ def test_non_finite_rhs_raises_at_its_step(bad):
         return -y
 
     with pytest.raises(NonFiniteRHS, match=r"step from t=0\.") as info:
-        integrate(IvpSpec(rhs=rhs, y0=[1.0], t_end=1.0, abs_tol=1e-10, rel_tol=1e-10))
+        integrate(IvpSpec(rhs=rhs, y0=[1.0], t_end=1.0, tol=1e-10))
     # the first step with a stage past t = 0.3 is the one reported; no step
     # shrinking follows, so its five stages are the last calls
     first_bad = next(i for i, t in enumerate(calls) if t > 0.3)
@@ -148,12 +147,12 @@ def test_invalid_spec():
     with pytest.raises(ValueError):
         IvpSpec(rhs=lambda t, y: y, y0=[1.0], t_end=-1.0)
     with pytest.raises(ValueError):
-        IvpSpec(rhs=lambda t, y: y, y0=[1.0], t_end=1.0, abs_tol=0.0)
+        IvpSpec(rhs=lambda t, y: y, y0=[1.0], t_end=1.0, tol=0.0)
 
 
 @pytest.mark.parametrize(
     "name, value",
-    [("t_end", math.nan), ("t_end", math.inf), ("abs_tol", math.nan), ("rel_tol", math.inf)],
+    [("t_end", math.nan), ("t_end", math.inf), ("tol", math.nan), ("tol", math.inf)],
 )
 def test_a_non_finite_span_or_tolerance_is_rejected(name, value):
     spec = dict(rhs=lambda t, y: -y, y0=[1.0], t_end=1.0)
@@ -261,14 +260,14 @@ def _one_step_interpolation_error(h, t0=0.4):
     knots = h * np.arange(1, round((t0 + h) / h) + 1)
     sol = integrate(
         IvpSpec(rhs=_lotka_volterra, y0=[1.5, 0.7], t_end=t0 + h,
-                abs_tol=1e3, rel_tol=1e3, knots=knots)
+                tol=1e3, knots=knots)
     )
     i = int(np.argmin(np.abs(sol.ts - t0)))
     assert sol.ts[i] == pytest.approx(t0) and sol.ts[i + 1] - sol.ts[i] == pytest.approx(h)
     thetas = np.linspace(0.0, 1.0, 41)[1:-1]
     ref = integrate(
         IvpSpec(rhs=_lotka_volterra, y0=sol.ys[i], t_end=h,
-                abs_tol=1e-15, rel_tol=1e-15, knots=thetas * h)
+                tol=1e-15, knots=thetas * h)
     )
     return max(
         float(np.max(np.abs(sample(sol, sol.ts[i] + x * h) - sample(ref, x * h))))
