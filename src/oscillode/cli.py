@@ -21,6 +21,7 @@ from .harness import (
     run_slope_study,
     uniform_grid,
 )
+from .ode_core import _finite_positive
 from .problems import get_problem, load_problem_config, problem_names
 from .svg import emit_svg
 
@@ -118,7 +119,8 @@ def _cmd_expand(args):
     """build the expansion and print its node table"""
     registered = _registered(args)
     order = args.order if args.order is not None else registered.default_order
-    t_end = _t_end(args, registered)
+    # checked before the build, which at a high order is most of the run
+    t_end = _finite_positive("t_end", _t_end(args, registered))
     expansion = build_expansion(registered.problem, order=order, delta_min=args.delta_min)
     solve_nonoscillatory_chain(expansion, t_end)
     _write_or_print(dump_expansion(expansion), args.out)

@@ -19,6 +19,11 @@ zero group, so it checks the next index set against the sums of each
 partition's distinct piece keys and then walks only the multisets of zero
 frequency.
 
+A term is its weight and its operands, and its order is their number.  A
+node states no neighbour: the forcing of node (1, (m,)) is forcing m, and an
+algebraic node subtracts the derivative of (r-1, its label) exactly when
+that node exists.
+
 Evaluation runs a plan (``plan.Plan``) compiled from the nodes' terms; the
 term-list format, with its derivative rule, belongs to ``plan``.  The chain
 solve keeps one plan of every level's coefficients with the chain solution:
@@ -26,8 +31,8 @@ it gave the initial values, and ``Expansion.table`` runs it on one sample of
 the stacked chain solution per time.  A single coefficient or derivative
 compiles a plan of its own, so no evaluation changes the expansion.  No
 coefficient depends on omega: the table is a caller-owned
-``CoefficientTable`` (``coefficient_table``), whose truncated sums at any
-omega are numpy alone.
+``plan.CoefficientTable``, whose truncated sums at any omega are numpy
+alone.
 """
 
 from __future__ import annotations
@@ -103,37 +108,50 @@ class Problem:
         return [f.kappa for f in self.forcings]
 
 
+def _check_field_shape(problem):
+    """ValueError unless the field's value at ``y0`` has the state's shape.
+
+    A chain solve and an RK reference call this where they first use the
+    field; ``Problem`` does not, so a build-only process evaluates no field.
+    """
+    shape = np.shape(problem.field(problem.y0))
+    if shape != (problem.dimension,):
+        raise ValueError(
+            f"field value has shape {shape} at y0; the state needs ({problem.dimension},)"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class Term:
-    """One merged right-hand-side contribution w * f_n[p_(l1,k1), ...]."""
+    """One merged right-hand-side contribution w * f_n[p_(l1,k1), ...]; its
+    order n is the number of its operands."""
 
     weight: Fraction
-    n: int
     operands: tuple  # sorted tuple of node keys (level, label tuple)
 
     def describe(self):
-        if self.n == 0:
+        if not self.operands:
             return f"{self.weight} f[p(0,0)]"
         ops = ", ".join(f"p({lev},{format_label(tup)})" for lev, tup in self.operands)
-        return f"{self.weight} f{self.n}[{ops}]"
+        return f"{self.weight} f{len(self.operands)}[{ops}]"
 
 
 @dataclass
 class CoefficientNode:
-    """One coefficient function of the expansion.
+    """One coefficient function of the expansion, named in ``Expansion.nodes``
+    by its key (r, label tuple).
 
-    kind 'forcing' nodes are amplitude over (i kappa); 'algebraic' nodes
-    divide their term sum (and minus the derivative of the node one level
-    down, when that node exists) by (i sigma); 'ode' nodes hold the dense
-    solution of their non-oscillatory equation.
+    kind 'forcing' nodes, (1, (m,)), are forcing m's amplitude over
+    (i kappa_m); 'algebraic' nodes divide their term sum (and minus the
+    derivative of node (r-1, label tuple), when that node exists) by
+    (i sigma); 'ode' nodes hold the dense solution of their
+    non-oscillatory equation.
     """
 
     r: int
     label: object
     kind: str
     terms: tuple = ()
-    forcing_index: int = 0
-    has_lower_derivative: bool = False
     solution: object = None
 
 
@@ -185,7 +203,7 @@ class Expansion:
         """Every coefficient of levels 0..s (default: the built order) at each
         time in ``ts``, one chain sample per time; the table serves every omega."""
         # imported here: a build-only process then never compiles it, and peaks lower
-        from .coefficient_table import CoefficientTable
+        from .plan import CoefficientTable
         s = self.order if s is None else s
         if not 0 <= s <= self.order:
             raise ValueError(f"s={s} is outside 0..{self.order}, the built order")
@@ -276,21 +294,17 @@ def build_expansion(problem, order=4, delta_min=None):
         r=0,
         label=zero_label,
         kind="ode",
-        terms=(Term(weight=Fraction(1), n=0, operands=()),),
+        terms=(Term(weight=Fraction(1), operands=()),),
     )
     nodes[(0, ())] = base_node
 
     if order >= 1:
-        for m, forcing in enumerate(problem.forcings, start=1):
-            label = chain[1].labels[m]
-            nodes[(1, label.canonical_tuple)] = CoefficientNode(
-                r=1, label=label, kind="forcing", forcing_index=m
-            )
+        for label in chain[1].labels[1:]:  # the base frequencies, forcing by forcing
+            nodes[(1, label.canonical_tuple)] = CoefficientNode(r=1, label=label, kind="forcing")
 
     for r in range(1, order + 1):
         groups = _level_terms(multisets, r, top=r == order)
         upper = chain[r + 1]
-        current_tuples = {lab.canonical_tuple for lab in chain[r].labels}
 
         zero_terms = tuple(groups.get((), ()))
         nodes[(r, ())] = CoefficientNode(r=r, label=zero_label, kind="ode", terms=zero_terms)
@@ -305,7 +319,6 @@ def build_expansion(problem, order=4, delta_min=None):
                     label=label,
                     kind="algebraic",
                     terms=tuple(groups.get(label.canonical_tuple, ())),
-                    has_lower_derivative=label.canonical_tuple in current_tuples,
                 )
 
     return Expansion(problem, order, chain[: order + 2], nodes)
@@ -330,7 +343,7 @@ def _level_terms(multisets, r, top=False):
     for label, group in rows.items():
         group.sort()  # operands are unique within a group, so no weight is compared
         groups[label] = [
-            Term(weight=weight, n=n, operands=operands) for n, operands, weight in group
+            Term(weight=weight, operands=operands) for _, operands, weight in group
         ]
     return groups
 
@@ -414,9 +427,12 @@ class _ChainSystem:
         """Each level's value at t = 0, computed from the levels below it.
 
         A value that is not finite raises ``ValueError`` while ``level``
-        still names its level.
+        still names its level, and so does a field value at ``y0`` of the
+        wrong shape, at level 0.
         """
         expansion, y0 = self.expansion, self.expansion.problem.y0
+        self.level = 0  # the field's value is level 0's right-hand side
+        _check_field_shape(expansion.problem)
         plan = self.levels_plan
         slots = plan.slots()
         for r, (segment, targets) in enumerate(zip(plan.segments, plan.targets)):
@@ -468,11 +484,11 @@ def dump_expansion(expansion):
                 f"({label.float_value:.12g}) kind={node.kind}"
             )
             if node.kind == "forcing":
-                lines.append(f"  value: a_{node.forcing_index}(t) / (i*({sig}))")
+                lines.append(f"  value: a_{label.canonical_tuple[0]}(t) / (i*({sig}))")
             else:
                 if node.kind == "algebraic":
                     lines.append(f"  prefactor: 1/(i*({sig}))")
-                    if node.has_lower_derivative:
+                    if (r - 1, label.canonical_tuple) in expansion.nodes:
                         lines.append(
                             f"  deriv: -(d/dt) p({r - 1},{format_label(label.canonical_tuple)})"
                         )

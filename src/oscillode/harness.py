@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expansion import CHAIN_TOL, build_expansion, solve_nonoscillatory_chain
+from .expansion import CHAIN_TOL, _check_field_shape, build_expansion, solve_nonoscillatory_chain
 from .linear_closed_form import exact_linear_solution
 from .ode_core import IvpSpec, _finite_positive, _nonnegative_integer, integrate, sample
 from .problems import RegisteredProblem, get_problem
@@ -202,6 +202,7 @@ def reference_values(
         values = np.array([solution(float(t)) for t in grid])
         return values, "exact"
 
+    _check_field_shape(registered.problem)
     provenance = f"rk(tol={tol:g})"
     path = None
     if cache_dir is not None:

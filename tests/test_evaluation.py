@@ -4,6 +4,9 @@ evaluation to the chain solve."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -405,6 +408,26 @@ def test_a_build_compiles_no_plan(compiled_plans):
     ex = build_expansion(get_problem("memristor").problem, order=3)
     assert compiled_plans == []
     assert ex._levels_plan is None
+
+
+def test_a_build_only_process_imports_no_evaluation_module():
+    # a fresh process, since this one has imported everything: the plan and
+    # table code is imported on first use, so builds alone never load it
+    script = (
+        "import sys, oscillode\n"
+        "problem = oscillode.get_problem('worked_example').problem\n"
+        "for order in (5, 6, 7):\n"
+        "    oscillode.build_expansion(problem, order=order)\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    modules = run.stdout.split()
+    assert "oscillode.expansion" in modules
+    assert [m for m in modules if m == "oscillode.plan" or "table" in m] == []
 
 
 def test_a_solve_compiles_its_chain_plan_once(compiled_plans):

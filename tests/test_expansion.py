@@ -36,7 +36,7 @@ SQRT2 = math.sqrt(2.0)
 
 def term_signature(node):
     """Comparable form of a node's term list: (n, operands, weight)."""
-    return {(term.n, term.operands): term.weight for term in node.terms}
+    return {(len(term.operands), term.operands): term.weight for term in node.terms}
 
 
 def two_frequency_problem():
@@ -93,19 +93,19 @@ class TestTwoFrequencyStructure:
         for m in (1, 2):
             node = expansion.nodes[(1, (m,))]
             assert node.kind == "forcing"
-            assert node.forcing_index == m
+            assert node.label.sigma == expansion.problem.forcings[m - 1].kappa.sigma
 
     def test_level_two_recursion(self, expansion):
         for m in (1, 2):
             node = expansion.nodes[(2, (m,))]
             assert node.kind == "algebraic"
-            assert node.has_lower_derivative
+            assert (1, (m,)) in expansion.nodes
             assert term_signature(node) == {(1, ((1, (m,)),)): Fraction(1)}
 
     def test_level_three_singletons(self, expansion):
         for m in (1, 2):
             node = expansion.nodes[(3, (m,))]
-            assert node.has_lower_derivative
+            assert (2, (m,)) in expansion.nodes
             assert term_signature(node) == {
                 (1, ((2, (m,)),)): Fraction(1),
                 (2, ((1, ()), (1, (m,)))): Fraction(1),
@@ -114,7 +114,7 @@ class TestTwoFrequencyStructure:
     def test_level_three_pairs(self, expansion):
         for m in (1, 2):
             node = expansion.nodes[(3, (m, m))]
-            assert not node.has_lower_derivative
+            assert (2, (m, m)) not in expansion.nodes
             assert term_signature(node) == {(2, ((1, (m,)), (1, (m,)))): Fraction(1, 2)}
             # effective prefactor 1 / (4 i kappa_m)
             kappa = expansion.problem.forcings[m - 1].kappa.value
@@ -125,7 +125,7 @@ class TestTwoFrequencyStructure:
     def test_level_four_singletons(self, expansion):
         for m in (1, 2):
             node = expansion.nodes[(4, (m,))]
-            assert node.has_lower_derivative
+            assert (3, (m,)) in expansion.nodes
             assert term_signature(node) == {
                 (1, ((3, (m,)),)): Fraction(1),
                 (2, ((1, ()), (2, (m,)))): Fraction(1),
@@ -136,7 +136,7 @@ class TestTwoFrequencyStructure:
     def test_level_four_pairs(self, expansion):
         for m in (1, 2):
             node = expansion.nodes[(4, (m, m))]
-            assert node.has_lower_derivative
+            assert (3, (m, m)) in expansion.nodes
             assert term_signature(node) == {
                 (1, ((3, (m, m)),)): Fraction(1),
                 (2, ((1, (m,)), (2, (m,)))): Fraction(1),
@@ -153,7 +153,7 @@ class TestTwoFrequencyStructure:
     def test_level_four_triples(self, expansion):
         for m in (1, 2):
             node = expansion.nodes[(4, (m, m, m))]
-            assert not node.has_lower_derivative
+            assert (3, (m, m, m)) not in expansion.nodes
             # weight 1/6 with sigma = 3 kappa_m gives the 1/(18 i kappa_m) factor
             assert term_signature(node) == {
                 (3, ((1, (m,)), (1, (m,)), (1, (m,)))): Fraction(1, 6)
@@ -521,7 +521,7 @@ def test_assembled_rhs_matches_raw_enumeration():
             total = np.zeros(problem.dimension, dtype=complex)
             for term in zero_node.terms:
                 dirs = [ex.coefficient_value(lev, tup, t) for lev, tup in term.operands]
-                total = total + complex(term.weight) * field.apply(term.n, base, dirs)
+                total = total + complex(term.weight) * field.apply(len(term.operands), base, dirs)
             assembled["0"] = total
             if r + 1 <= ex.order:
                 for lab in ex.labels_at(r + 1):
@@ -531,7 +531,7 @@ def test_assembled_rhs_matches_raw_enumeration():
                     total = np.zeros(problem.dimension, dtype=complex)
                     for term in node.terms:
                         dirs = [ex.coefficient_value(lv, tp, t) for lv, tp in term.operands]
-                        total = total + complex(term.weight) * field.apply(term.n, base, dirs)
+                        total = total + complex(term.weight) * field.apply(len(term.operands), base, dirs)
                     assembled[basis.sigma_string(lab.sigma)] = total
             for key, val in assembled.items():
                 raw_val = raw.get(key, np.zeros(problem.dimension, dtype=complex))

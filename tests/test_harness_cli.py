@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -12,9 +13,11 @@ from oscillode import (
     BaseFrequency,
     FrequencyBasis,
     Problem,
+    VectorField,
     cli,
     constant_amplitude,
     harness,
+    linear_field,
     polynomial_field,
     problems,
 )
@@ -366,6 +369,31 @@ def test_cli_errors_svg_without_out_is_rejected_before_the_study(monkeypatch, ca
     assert rc == 2
     assert capsys.readouterr().err == "oscillode: error: --format svg needs --out DIRECTORY\n"
     assert studies == []
+
+
+def test_cli_expand_rejects_a_bad_t_end_before_the_build(monkeypatch, capsys):
+    builds = []
+    monkeypatch.setattr(cli, "build_expansion", lambda *a, **k: builds.append(a))
+    rc = cli_main(["expand", "--problem", "worked_example", "--order", "7", "--t-end", "nan"])
+    assert rc == 2
+    assert capsys.readouterr().err == "oscillode: error: t_end=nan must be finite and positive\n"
+    assert builds == []
+
+
+def test_a_field_value_of_the_wrong_shape_is_named_not_broadcast():
+    basis = FrequencyBasis([1.0, math.sqrt(2.0)])
+    kappas = [BaseFrequency(1, basis, coords=(1, 0)), BaseFrequency(2, basis, coords=(0, 1))]
+    # a one-component value for a two-component state; the jet is right
+    jet = linear_field(-np.eye(2), max_order=4).jet
+    field = VectorField(2, lambda y: np.array([-y[0] - y[1]]), jet, 4)
+    forcings = [constant_amplitude(kappa, a) for kappa, a in zip(kappas, ([0.1, 0.2], [0.3, 0.0]))]
+    problem = Problem(field, forcings, [0.1, 0.2], basis)
+    message = re.escape("field value has shape (1,) at y0; the state needs (2,)")
+    with pytest.raises(ValueError, match=message):
+        solve_nonoscillatory_chain(build_expansion(problem, order=2), 1.0)
+    registered = problems.RegisteredProblem("one_component_value", problem, None, 1.0, (100.0,), 2)
+    with pytest.raises(ValueError, match=message):
+        reference_values(registered, 100.0, np.linspace(0.0, 1.0, 5), method="rk")
 
 
 def test_cli_bench_csv(tmp_path):
