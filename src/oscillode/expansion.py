@@ -144,8 +144,9 @@ class CoefficientNode:
     kind 'forcing' nodes, (1, (m,)), are forcing m's amplitude over
     (i kappa_m); 'algebraic' nodes divide their term sum (and minus the
     derivative of node (r-1, label tuple), when that node exists) by
-    (i sigma); 'ode' nodes hold the dense solution of their
-    non-oscillatory equation.
+    (i sigma); 'ode' nodes, once the chain is solved, hold the step ends
+    and counts of their non-oscillatory equation's solve, without its
+    interpolant (``solve_nonoscillatory_chain``).
     """
 
     r: int
@@ -366,6 +367,12 @@ def solve_nonoscillatory_chain(expansion, t_end, tol=CHAIN_TOL, knots=None):
     step's error by ``tol + tol * |y|`` componentwise (``IvpSpec``):
     evaluation takes derivatives from the term lists, never from the
     interpolant.
+
+    The stacked solution, with its one interpolant per step, is
+    ``expansion.chain_solution``, and it is what ``Expansion.table`` and
+    ``coefficient_value`` sample.  Each level's ``CoefficientNode.solution``
+    holds only that level's step ends (``ts`` and its slice of ``ys``) and
+    the solve's counts; it has no interpolant and is not sampled.
     """
     system = _ChainSystem(expansion)
     try:
@@ -389,7 +396,6 @@ def solve_nonoscillatory_chain(expansion, t_end, tol=CHAIN_TOL, knots=None):
         expansion.nodes[(r, ())].solution = DenseSolution(
             ts=solution.ts,
             ys=solution.ys[:, part],
-            dense=solution.dense[:, :, part],
             n_steps=solution.n_steps,
             n_accepted=solution.n_accepted,
             n_rhs_evals=solution.n_rhs_evals,

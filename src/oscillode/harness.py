@@ -191,10 +191,15 @@ def reference_values(
     step endpoints, at a local tolerance ``REFERENCE_SAFETY`` times tighter
     than ``tol`` so the global error honors the requested accuracy; ``tol``
     is absolute and relative at once, as in ``IvpSpec``.
-    ``method="rk"`` forces the integrator, also for a linear problem.  An
-    ``omega`` that is not finite and positive raises ``ValueError`` first.
+    ``method="rk"`` forces the integrator, also for a linear problem.  Any
+    other ``method``, and an ``omega`` or a ``tol`` that is not finite and
+    positive, raise ``ValueError`` first, even where the exact solution
+    would not read ``tol``.
     """
+    if method not in ("auto", "rk"):
+        raise ValueError(f"method={method!r} must be 'auto' or 'rk'")
     omega = _finite_positive("omega", float(omega))
+    tol = _finite_positive("tol", float(tol))
     registered = _resolve(registered)
     grid = np.asarray(grid, dtype=float)
     if method == "auto" and registered.linear is not None:
@@ -335,8 +340,10 @@ def run_slope_study(
     The expansion is built to the problem's default order, and its chain is
     solved at ``SLOPE_CHAIN_TOL``, much tighter than usual.  By default only
     levels below the built order are fitted: the top level's own error has
-    no next level to cancel against and saturates first.
+    no next level to cancel against and saturates first.  A ``tolerance``
+    that is not finite and positive raises ``ValueError`` before the study.
     """
+    tolerance = _finite_positive("tolerance", float(tolerance))
     if s_values is None:
         s_values = tuple(range(_resolve(problem).default_order))
     report = run_error_study(
@@ -394,7 +401,7 @@ def compare_cost(
 
     build_s, expansion = _timed(lambda: _build_solved(registered, order, t_end, CHAIN_TOL))
     chain = expansion.chain_solution
-    chain_kb = _kb(chain.ts, chain.ys, chain.dense)
+    chain_kb = _kb(chain.ts, chain.ys, *chain.dense)
     rows = [("expansion_build", float("nan"), build_s, chain_kb, 0)]
     # the first evaluation also pays for the table that serves every omega
     table_s, table = _timed(lambda: expansion.table(grid, s))

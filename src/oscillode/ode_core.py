@@ -5,9 +5,10 @@ eighth-order method of Hairer, Norsett and Wanner (Solving ODEs I, II.10);
 the end derivative f(t+h, y_new) of an accepted step is the first stage of
 the next (FSAL).  The step controller uses the method's combined fifth- and
 third-order error estimate.  With dense output on, three more stages per
-accepted step give the method's seventh-order continuous extension; off,
-only the states at t = 0, the knots and t_end are kept, so memory grows
-with the knots, not with the steps.
+accepted step give the method's seventh-order continuous extension, kept
+as made: one (7, n) array per accepted step, never copied into one block.
+Off, only the states at t = 0, the knots and t_end are kept, so memory
+grows with the knots, not with the steps.
 
 A step that would pass a knot is cut to end on it.  The cut does not steer
 the controller: after an accepted cut step, the next step is the larger of
@@ -240,9 +241,10 @@ class IvpSpec:
     ValueError.  The step budget is ``MAX_STEPS``, the same for every spec.
 
     With ``dense_refine`` on, every accepted step is stored with the seven
-    coefficients of its seventh-order interpolant in ``dense`` (three more
-    right-hand-side calls per step), so it can be sampled anywhere.  Off,
-    only the states at t = 0, the knots and t_end are kept and sampled.
+    coefficients of its seventh-order interpolant, one array per step in
+    ``dense`` (three more right-hand-side calls per step), so it can be
+    sampled anywhere.  Off, only the states at t = 0, the knots and t_end
+    are kept and sampled.
     """
 
     rhs: object
@@ -293,15 +295,16 @@ class DenseSolution:
     only), plus each step's interpolant if recorded.  ``n_steps`` counts
     attempted steps and ``n_accepted`` accepted ones.
 
-    ``dense[i]`` holds the seven coefficient vectors F_0..F_6 of the step
-    from ``ts[i]``; at s = (t - ts[i]) / h and u = 1 - s the value there is
-    ``ys[i] + sum_j w_j F_j`` with weights w = (s, s u, s^2 u, s^2 u^2,
-    s^3 u^2, s^3 u^3, s^4 u^3).
+    ``dense`` is a list with one (7, n) array per accepted step, in step
+    order, or None.  ``dense[i]`` holds the seven coefficient vectors
+    F_0..F_6 of the step from ``ts[i]``; at s = (t - ts[i]) / h and
+    u = 1 - s the value there is ``ys[i] + sum_j w_j F_j`` with weights
+    w = (s, s u, s^2 u, s^2 u^2, s^3 u^2, s^3 u^3, s^4 u^3).
     """
 
     ts: np.ndarray
     ys: np.ndarray
-    dense: np.ndarray | None = None
+    dense: list | None = None
     n_steps: int = 0
     n_accepted: int = 0
     n_rhs_evals: int = 0
@@ -417,7 +420,7 @@ def integrate(spec: IvpSpec) -> DenseSolution:
     return DenseSolution(
         ts=np.array(ts),
         ys=np.array(ys),
-        dense=None if dense is None else np.array(dense),
+        dense=dense,
         n_steps=n_steps,
         n_accepted=n_accepted,
         n_rhs_evals=n_evals,

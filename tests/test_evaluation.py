@@ -276,9 +276,11 @@ def test_chain_values_equal_each_levels_own_sample(linear_order_four):
     ex = linear_order_four
     knots = ex.nodes[(0, ())].solution.ts
     points = np.random.default_rng(7).uniform(0.0, 5.0, 64).tolist() + knots[:5].tolist()
+    d = ex.problem.dimension
     for t in points:
+        stacked = sample(ex.chain_solution, t)
         for r in range(ex.order + 1):
-            own = sample(ex.nodes[(r, ())].solution, t)
+            own = stacked[r * d : (r + 1) * d]
             assert np.array_equal(ex.coefficient_value(r, (), t), own)
 
 

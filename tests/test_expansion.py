@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -886,6 +887,24 @@ def test_memristor_chain_on_its_knots_is_not_slowed_by_them():
     assert ex.chain_solution.n_rhs_evals <= 3550
 
 
+def test_memristor_chain_holds_its_dense_output_once():
+    # each step's interpolant is kept as made, so the solve's traced peak
+    # stays near the bytes it keeps; a copy of the dense output would double it
+    problem = get_problem("memristor").problem
+    knots = np.linspace(0.0, 3.0, 129)
+    solve_nonoscillatory_chain(build_expansion(problem, order=3), t_end=0.5)  # warm-up
+    ex = build_expansion(problem, order=3)
+    tracemalloc.start()
+    try:
+        solve_nonoscillatory_chain(ex, t_end=3.0, knots=knots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chain = ex.chain_solution
+    kept = sum(a.nbytes for a in (chain.ts, chain.ys, *chain.dense))
+    assert peak < 1.5 * kept, (peak, kept)
+
+
 def test_chain_error_names_the_level_that_raised():
     reg = get_problem("memristor")
     first = reg.problem.forcings[0]
@@ -922,15 +941,21 @@ def linear_chain():
 
 def test_chain_makes_one_call_per_stage_and_accepted_step(linear_chain):
     _, ex = linear_chain
-    sol = ex.nodes[(0, ())].solution
+    sol = ex.chain_solution
     accepted = len(sol.ts) - 1
     assert accepted < sol.n_steps  # some steps were rejected
     # eleven new stages per attempted step; an accepted one adds its end
     # derivative and the three stages of its dense output
     assert sol.n_rhs_evals == 1 + 11 * sol.n_steps + 4 * accepted
+    # one interpolant of the stacked state per accepted step
+    assert len(sol.dense) == accepted
+    assert all(step.shape == (7, sol.ys.shape[1]) for step in sol.dense)
+    # a level's view keeps its step ends and counts, and no interpolant
     for r in range(ex.order + 1):
         level = ex.nodes[(r, ())].solution
-        assert level.dense.shape == (accepted, 7, level.ys.shape[1])
+        assert level.dense is None
+        assert level.ts is sol.ts
+        assert (level.n_steps, level.n_rhs_evals) == (sol.n_steps, sol.n_rhs_evals)
 
 
 def test_linear_off_knot_error_against_closed_form(linear_chain):

@@ -31,6 +31,7 @@ from oscillode.harness import (
     fit_slopes,
     reference_values,
     run_error_study,
+    run_slope_study,
     uniform_grid,
 )
 from oscillode.linear_closed_form import exact_linear_solution
@@ -189,6 +190,28 @@ def test_reference_rejects_a_bad_omega_before_any_work(omega, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        *(({"method": method}, f"method={method!r} must be 'auto' or 'rk'")
+          for method in ("exact", "bogus", "RK", None)),
+        *(({"tol": tol}, f"tol={tol!r} must be finite and positive")
+          for tol in (0.0, -1e-10, math.nan, math.inf)),
+    ],
+)
+def test_reference_rejects_a_bad_method_or_tol_before_any_work(kwargs, message, tmp_path,
+                                                               monkeypatch):
+    # checked for a linear problem too, whose exact solution reads neither
+    def no_work(*args, **kwargs):
+        raise AssertionError("reference work started")
+
+    monkeypatch.setattr(harness, "_resolve", no_work)
+    for name in ("linear_example", "memristor"):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reference_values(name, 300.0, [0.0, 0.5], cache_dir=tmp_path, **kwargs)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "grid", [[0.0, 0.5, 0.25, 1.0, 0.75, 1.5], [1.5, 1.25, 1.0, 0.5, 0.0]],
     ids=["shuffled", "reversed"],
 )
@@ -285,6 +308,24 @@ def test_a_slope_needs_two_distinct_omegas(omegas, capsys):
     err = capsys.readouterr().err
     assert err.startswith("oscillode: error: a slope needs two distinct omegas")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, 0.0, math.inf])
+def test_a_slope_study_checks_its_tolerance_before_it_runs(tolerance, capsys, monkeypatch):
+    # a bad tolerance would fail every s, so it is refused before the study
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(harness, "run_error_study", no_study)
+    message = f"tolerance={tolerance!r} must be finite and positive"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_slope_study("linear_example", omegas=(500.0, 1000.0), grid_n=17, tolerance=tolerance)
+    rc = cli_main(["slope", "--problem", "linear_example", "--omega", "500", "--omega", "1000",
+                   "--grid", "17", "--slope-tolerance", str(tolerance)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"oscillode: error: {message}\n"
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -442,8 +483,9 @@ def test_compare_cost_chain_row_counts_the_dense_output(monkeypatch):
     # the stacked chain of levels 0-2: step ends and each step's seven
     # interpolant coefficients
     chain = built[0].chain_solution
-    assert chain.dense.shape == (chain.ts.size - 1, 7, chain.ys.shape[1])
-    arrays = (chain.ts, chain.ys, chain.dense)
+    assert len(chain.dense) == chain.ts.size - 1
+    assert all(step.shape == (7, chain.ys.shape[1]) for step in chain.dense)
+    arrays = (chain.ts, chain.ys, *chain.dense)
     assert report.rows[0]["method"] == "expansion_build"
     assert report.rows[0]["peak_kb"] == sum(a.nbytes for a in arrays) / 1024.0
 
@@ -474,6 +516,8 @@ ZERO_BASE_CONFIG = {**CONFIG, "basis": [1.0, 2.0], "kappa": [[2, -1], [1, 0]]}
           "--tol", "nan"], "tol=nan must be finite and positive"),
         (["reference", "--problem", "memristor", "--omega", "nan", "--grid", "5"],
          "omega=nan must be finite and positive"),
+        (["errors", "--problem", "linear_example", "--omega", "300", "--order", "1",
+          "--grid", "9", "--tol", "0"], "tol=0.0 must be finite and positive"),
         *(
             ([command, "--problem", "worked_example", "--omega", "100", "--grid", "5",
               "--t-end", "inf"], "t_end=inf must be finite and positive")
@@ -510,8 +554,8 @@ ZERO_BASE_CONFIG = {**CONFIG, "basis": [1.0, 2.0], "kappa": [[2, -1], [1, 0]]}
          "basis real 2 is nan; every basis real must be finite and nonzero"),
     ],
     ids=["errors", "table", "table_delta_min_nan", "solve_t_end", "reference_tol",
-         "reference_omega_nan", "solve_t_end_inf", "reference_t_end_inf", "errors_t_end_inf",
-         "table_level_-1", "table_level_-2", "solve_grid_0", "reference_grid_1",
+         "reference_omega_nan", "errors_tol_0", "solve_t_end_inf", "reference_t_end_inf",
+         "errors_t_end_inf", "table_level_-1", "table_level_-2", "solve_grid_0", "reference_grid_1",
          "errors_grid_0", "errors_memristor_grid_1", "bench_grid_1", "expand_unknown_problem",
          "expand_config_without_basis", "expand_config_unknown_field", "expand_missing_config",
          "table_zero_base_frequency", "expand_zero_base_frequency", "expand_nan_basis_real"],

@@ -240,7 +240,7 @@ def test_tableau_meets_its_order_conditions():
     first, end = np.eye(16)[0], np.eye(16)[12]
     coefficients = np.array([b, first - b, 2 * b - end - first, *ode_core._D])
     unit_step = ode_core.DenseSolution(
-        ts=np.array([0.0, 1.0]), ys=np.zeros((2, 16)), dense=coefficients[None],
+        ts=np.array([0.0, 1.0]), ys=np.zeros((2, 16)), dense=[coefficients],
     )
     for theta in (0.1, 0.3, 0.5, 0.77, 0.95):
         weights = sample(unit_step, theta).real
@@ -287,7 +287,9 @@ def test_rhs_calls_are_stages_per_attempt_plus_four_per_accepted_step():
     # with dense output every accepted step is stored
     assert sol.n_accepted == len(sol.ts) - 1
     assert sol.n_accepted < sol.n_steps  # some steps were rejected
-    assert sol.dense.shape == (sol.n_accepted, 7, 2)
+    # one interpolant per accepted step, kept as made
+    assert len(sol.dense) == sol.n_accepted
+    assert all(step.shape == (7, 2) for step in sol.dense)
     # eleven new stages per attempted step; an accepted one adds its end
     # derivative and the three dense-output stages
     assert sol.n_rhs_evals == 1 + 11 * sol.n_steps + 4 * sol.n_accepted
