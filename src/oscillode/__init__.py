@@ -42,7 +42,6 @@ from .freq_algebra import (
     IndexSet,
     build_index_chain,
     canonicalize,
-    extend_index_set,
     format_index_table,
     rho,
 )

@@ -138,8 +138,8 @@ class Term:
 
 @dataclass
 class CoefficientNode:
-    """One coefficient function of the expansion, named in ``Expansion.nodes``
-    by its key (r, label tuple).
+    """One coefficient function of the expansion; its level r and label
+    tuple are its key in ``Expansion.nodes``, (r, label tuple), not fields.
 
     kind 'forcing' nodes, (1, (m,)), are forcing m's amplitude over
     (i kappa_m); 'algebraic' nodes divide their term sum (and minus the
@@ -149,7 +149,6 @@ class CoefficientNode:
     interpolant (``solve_nonoscillatory_chain``).
     """
 
-    r: int
     label: object
     kind: str
     terms: tuple = ()
@@ -280,8 +279,6 @@ def build_expansion(problem, order=4, delta_min=None):
     follow the recursions, with one term per operand multiset, weighted as
     described in the module docstring.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     order = _nonnegative_integer("order", order)
     _check_orders(problem, order)
     basis = problem.basis
@@ -292,7 +289,6 @@ def build_expansion(problem, order=4, delta_min=None):
     nodes = {}
     zero_label = chain[1].labels[0]
     base_node = CoefficientNode(
-        r=0,
         label=zero_label,
         kind="ode",
         terms=(Term(weight=Fraction(1), operands=()),),
@@ -301,14 +297,14 @@ def build_expansion(problem, order=4, delta_min=None):
 
     if order >= 1:
         for label in chain[1].labels[1:]:  # the base frequencies, forcing by forcing
-            nodes[(1, label.canonical_tuple)] = CoefficientNode(r=1, label=label, kind="forcing")
+            nodes[(1, label.canonical_tuple)] = CoefficientNode(label=label, kind="forcing")
 
     for r in range(1, order + 1):
         groups = _level_terms(multisets, r, top=r == order)
         upper = chain[r + 1]
 
         zero_terms = tuple(groups.get((), ()))
-        nodes[(r, ())] = CoefficientNode(r=r, label=zero_label, kind="ode", terms=zero_terms)
+        nodes[(r, ())] = CoefficientNode(label=zero_label, kind="ode", terms=zero_terms)
 
         if r + 1 <= order:
             for label in upper.labels:
@@ -316,7 +312,6 @@ def build_expansion(problem, order=4, delta_min=None):
                     continue
                 key = (r + 1, label.canonical_tuple)
                 nodes[key] = CoefficientNode(
-                    r=r + 1,
                     label=label,
                     kind="algebraic",
                     terms=tuple(groups.get(label.canonical_tuple, ())),

@@ -13,10 +13,11 @@ those keys, never a floating-point comparison.  ``Fraction`` coordinates
 are only a label's stored and printed value; a nonzero label's are decoded
 from its key (``_FrequencyKey.sigma``).
 
-The index chain is a closed form: ``U_1 = U_2`` are the zero label and the
-base frequencies, and ``U_{r+1}`` is ``U_r`` followed by the frequencies of
-the size-``r`` multisets of base indices that ``U_r`` lacks, each labelled by
-its lexicographically first multiset.  The operand multisets of each level
+The index chain is a closed form: ``U_0`` holds the base frequencies,
+``U_1 = U_2`` the zero label and the base frequencies, and ``U_{r+1}`` is
+``U_r`` followed by the frequencies of the size-``r`` multisets of base
+indices that ``U_r`` lacks, each labelled by its lexicographically first
+multiset (``build_index_chain``).  The operand multisets of each level
 (``OperandMultisets``) serve term assembly in ``expansion``.
 """
 
@@ -40,7 +41,6 @@ __all__ = [
     "level_partitions",
     "OperandMultisets",
     "canonicalize",
-    "extend_index_set",
     "rho",
     "build_index_chain",
     "default_delta_min",
@@ -413,15 +413,9 @@ def rho(target, source_tuple, basis, kappas):
 
 
 class IndexSet:
-    """Ordered labels present at one amplitude level.
-
-    At level ``r >= 1`` the labels are the zero label and one label per
-    distinct nonzero frequency of a multiset of at most ``max(r - 1, 1)``
-    base indices, in the natural order: the zero label, then singletons,
-    then pairs, then triplets, each group lexicographic.  Because every
-    extension only appends, the labels of level ``k`` form a prefix of the
-    labels of any later level; a lower level's labels are read from its own
-    set in the index chain (``build_index_chain``), not sliced out of this one.
+    """The ordered labels of amplitude level ``r``, as ``build_index_chain``
+    makes them.  A lower level's labels are a prefix of a higher level's;
+    they are read from the lower level's own set, not sliced out of this one.
     """
 
     def __init__(self, r, labels):
@@ -434,11 +428,6 @@ class IndexSet:
     def __iter__(self):
         return iter(self.labels)
 
-    def finder(self, key_of):
-        """Function ``key -> label``: this set's label whose frequency key,
-        by ``key_of`` (a ``_FrequencyKey``), is ``key``, or None."""
-        return {key_of(label.counts): label for label in self.labels}.get
-
     def __repr__(self):
         return f"IndexSet(r={self.r}, {[format_label(l.canonical_tuple) for l in self.labels]})"
 
@@ -446,72 +435,6 @@ class IndexSet:
 def default_delta_min(kappas):
     """Safety threshold below which a nonzero generated frequency is rejected."""
     return 1e-8 * max(abs(k.value) for k in kappas)
-
-
-def _resolve_delta_min(delta_min, kappas):
-    """``default_delta_min`` for None; otherwise ``delta_min``, after a
-    ValueError unless it is finite and positive."""
-    if delta_min is None:
-        return default_delta_min(kappas)
-    return _finite_positive("delta_min", delta_min)
-
-
-def base_index_set(basis, kappas):
-    """Level-0 index set: the base frequencies themselves, no zero label."""
-    labels = []
-    for kappa in kappas:
-        counts = tuple(1 if j == kappa.index - 1 else 0 for j in range(len(kappas)))
-        labels.append(
-            FrequencyLabel(counts, kappa.sigma, basis.sigma_float(kappa.sigma), (kappa.index,))
-        )
-    return IndexSet(0, labels)
-
-
-def first_index_set(basis, kappas):
-    """Level-1 index set: the zero label followed by the base frequencies."""
-    labels = [_zero_label(basis, len(kappas))] + list(base_index_set(basis, kappas))
-    return IndexSet(1, labels)
-
-
-def extend_index_set(index_set, basis, kappas, delta_min=None):
-    """The index set of level ``r + 1``, where ``r >= 1`` is the level of
-    ``index_set``: its labels, then the frequencies of the size-``r``
-    multisets of base indices that it lacks.
-
-    ``U_r`` already holds every frequency of a multiset of fewer than ``r``
-    base indices, so each new frequency has no shorter representative; its
-    label is the lexicographically first size-``r`` multiset with that
-    frequency, and the new labels come in that order.  Frequencies are
-    compared by their integer keys (``IndexSet.finder``), and each new
-    label is made from its count vector and key.  ``delta_min`` (None for
-    ``default_delta_min``) must be finite and positive, or a ``ValueError``
-    names it; a new frequency smaller in magnitude aborts with a diagnostic
-    naming the offending multiset.
-    """
-    if index_set.r < 1 or not index_set.labels or not index_set.labels[0].is_zero:
-        raise ValueError("extension starts from a level >= 1 set containing the zero label")
-    delta_min = _resolve_delta_min(delta_min, kappas)
-    m_count = len(kappas)
-    key_of = _FrequencyKey(kappas)
-    find = index_set.finder(key_of)
-    new = {}  # key -> count vector of the first multiset with that frequency
-    for tup in itertools.combinations_with_replacement(range(1, m_count + 1), index_set.r):
-        counts = _counts_from_tuple(tup, m_count)
-        key = key_of(counts)
-        if find(key) is None:
-            new.setdefault(key, counts)
-
-    new_labels = [_label(counts, key, key_of, basis) for key, counts in new.items()]
-    for label in new_labels:
-        if abs(label.float_value) < delta_min:
-            raise SmallDenominatorError(
-                f"generated frequency {basis.sigma_string(label.sigma)} ~ {label.float_value:.3e} "
-                f"from combination {format_label(label.canonical_tuple)} is below "
-                f"delta_min={delta_min:.3e}",
-                label=label.canonical_tuple,
-                sigma=label.float_value,
-            )
-    return IndexSet(index_set.r + 1, index_set.labels + new_labels)
 
 
 def _check_base_frequencies(basis, kappas, delta_min):
@@ -531,21 +454,59 @@ def _check_base_frequencies(basis, kappas, delta_min):
 
 
 def build_index_chain(basis, kappas, r_max, delta_min=None):
-    """Index sets for levels ``0..r_max`` (``U_2`` always equals ``U_1``);
-    ``delta_min`` is as for ``extend_index_set``.  A base frequency that is
-    zero aborts before any level is built; one smaller than ``delta_min`` in
-    magnitude aborts once the levels are built, after the generated
-    frequencies are checked.  Both diagnostics name the base frequency."""
+    """The index sets ``U_0..U_{r_max}`` of the module docstring, in one pass.
+
+    ``U_0`` has one label per base frequency, under its own ``sigma``, even
+    where two coincide.  ``U_1`` puts the zero label in front of them, and
+    each level ``r >= 1`` walks the size-``(r - 1)`` multisets of base
+    indices in lexicographic order, against one running set of the
+    frequency keys (``_FrequencyKey``) seen so far, and appends a label for
+    each new key; at levels 1 and 2 every key has been seen.
+
+    ``delta_min`` (None for ``default_delta_min``) must be finite and
+    positive, or a ``ValueError`` names it; a new frequency smaller in
+    magnitude raises ``SmallDenominatorError`` naming its multiset.  A base
+    frequency that is zero aborts before any level is made; one smaller
+    than ``delta_min`` aborts after every level is made.  Both diagnostics
+    name the base frequency.
+    """
     if r_max < 0:
         raise ValueError(f"level r_max={r_max} must be nonnegative")
     r_max = _nonnegative_integer("level r_max", r_max)
-    delta_min = _resolve_delta_min(delta_min, kappas)
+    delta_min = default_delta_min(kappas) if delta_min is None else _finite_positive("delta_min", delta_min)
     _check_base_frequencies(basis, kappas, 0.0)
-    chain = [base_index_set(basis, kappas)]
-    if r_max >= 1:
-        chain.append(first_index_set(basis, kappas))
-    for _ in range(1, r_max):
-        chain.append(extend_index_set(chain[-1], basis, kappas, delta_min))
+    m_count = len(kappas)
+    key_of = _FrequencyKey(kappas)
+    singles = [
+        FrequencyLabel(
+            tuple(1 if j == kappa.index - 1 else 0 for j in range(m_count)),
+            kappa.sigma,
+            basis.sigma_float(kappa.sigma),
+            (kappa.index,),
+        )
+        for kappa in kappas
+    ]
+    chain = [IndexSet(0, singles)]
+    labels = [_zero_label(basis, m_count)] + singles
+    seen = {key_of(label.counts) for label in labels}
+    for r in range(1, r_max + 1):
+        for tup in itertools.combinations_with_replacement(range(1, m_count + 1), r - 1):
+            counts = _counts_from_tuple(tup, m_count)
+            key = key_of(counts)
+            if key in seen:
+                continue
+            seen.add(key)
+            label = _label(counts, key, key_of, basis)
+            if abs(label.float_value) < delta_min:
+                raise SmallDenominatorError(
+                    f"generated frequency {basis.sigma_string(label.sigma)} ~ "
+                    f"{label.float_value:.3e} from combination "
+                    f"{format_label(label.canonical_tuple)} is below delta_min={delta_min:.3e}",
+                    label=label.canonical_tuple,
+                    sigma=label.float_value,
+                )
+            labels.append(label)
+        chain.append(IndexSet(r, labels))
     _check_base_frequencies(basis, kappas, delta_min)
     return chain
 
@@ -564,7 +525,7 @@ def index_table_records(index_set, basis, kappas):
     m_count = len(kappas)
     src_len = max(index_set.r - 1, 0)
     key_of = _FrequencyKey(kappas)
-    find = index_set.finder(key_of)
+    find = {key_of(label.counts): label for label in index_set.labels}.get
     sources = {}
     for src in itertools.combinations_with_replacement(range(m_count + 1), src_len) if src_len else ():
         label = find(key_of(_counts_from_tuple(src, m_count)))

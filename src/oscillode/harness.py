@@ -237,6 +237,14 @@ def _rk_reference(registered, omega, grid, tol):
     return np.array([sample(solution, float(t)) for t in grid]), solution
 
 
+def _check_omegas_and_tol(omegas, tol):
+    """ValueError naming the first omega, or else ``tol``, that is not finite
+    and positive: a study checks them before it builds and solves."""
+    for omega in omegas:
+        _finite_positive("omega", omega)
+    _finite_positive("tol", float(tol))
+
+
 def _build_solved(registered, order, t_end, chain_tol, delta_min=None):
     expansion = build_expansion(registered.problem, order=order, delta_min=delta_min)
     solve_nonoscillatory_chain(expansion, t_end, tol=chain_tol)
@@ -262,10 +270,12 @@ def run_error_study(
     chain of a built expansion is solved at ``chain_tol``
     (``solve_nonoscillatory_chain``); each is one absolute and relative
     tolerance.  A given ``expansion`` sets ``order``; an ``order`` that
-    differs from its built order raises ``ValueError``.
+    differs from its built order raises ``ValueError``, and so does an
+    omega or a ``tol`` that is not finite and positive, before any build.
     """
     registered = _resolve(problem)
     omegas = tuple(float(w) for w in (registered.omegas if omegas is None else omegas))
+    _check_omegas_and_tol(omegas, tol)
     if expansion is not None and order not in (None, expansion.order):
         raise ValueError(f"order={order} differs from the expansion's order {expansion.order}")
     if order is None:
@@ -391,10 +401,12 @@ def compare_cost(
     written to ``cache_dir``.  ``peak_kb`` is the size of the arrays a step
     holds when it ends, read off the arrays in the same pass: the build's
     chain dense output, an evaluation's coefficient table and grid values,
-    and a reference's stored grid states plus its grid values.
+    and a reference's stored grid states plus its grid values.  An omega or
+    a ``tol`` that is not finite and positive raises ``ValueError`` first.
     """
     registered = _resolve(problem)
     omegas = tuple(float(w) for w in omegas)
+    _check_omegas_and_tol(omegas, tol)
     order = order if order is not None else max(registered.default_order, s)
     t_end = float(t_end if t_end is not None else registered.t_end)
     grid = uniform_grid(t_end, grid_n)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from oscillode.deriv_engine import (
 )
 from oscillode import expansion as expansion_module
 from oscillode import freq_algebra as freq_algebra_module
-from oscillode.errors import OutOfDomain, SmallDenominatorError, UnsupportedOrder
+from oscillode.errors import NonFiniteRHS, OutOfDomain, SmallDenominatorError, UnsupportedOrder
 from oscillode.expansion import (
     Problem,
     build_expansion,
@@ -610,6 +611,11 @@ def test_a_zero_base_frequency_is_named_by_the_build():
         build_expansion(problem, order=1)
 
 
+def test_a_negative_order_is_named():
+    with pytest.raises(ValueError, match=r"^order=-1 must be a nonnegative integer$"):
+        build_expansion(get_problem("worked_example").problem, order=-1)
+
+
 def test_unsupported_field_order():
     reg = get_problem("memristor")
     with pytest.raises(UnsupportedOrder):
@@ -753,6 +759,19 @@ def test_chain_error_keeps_original_exception():
     assert info.value.__notes__ == ["while solving node (r=0, m=0)"]
 
 
+def test_a_chain_error_between_calls_is_named_by_every_level():
+    # the field turns NaN once y passes 2; the integrator raises after the
+    # right-hand side has returned, when no level is being worked on
+    basis = FrequencyBasis([1.0], names=("1",))
+    linear = linear_field(np.eye(1), max_order=4)
+    fld = VectorField(1, lambda y: np.where(abs(y) > 2.0, np.nan, y), linear.jet, 4)
+    forcing = constant_amplitude(BaseFrequency(1, basis, coords=(1,)), [1.0])
+    ex = build_expansion(Problem(fld, [forcing], y0=[1.0], basis=basis), order=2)
+    with pytest.raises(NonFiniteRHS) as info:
+        solve_nonoscillatory_chain(ex, t_end=2.0)
+    assert info.value.__notes__ == ["while solving nodes (r=0..2, m=0)"]
+
+
 @pytest.mark.filterwarnings("default::RuntimeWarning")  # as a user runs it
 def test_a_non_finite_chain_initial_value_is_named_by_its_level():
     # the amplitude is infinite at t = 0, so level 1's oscillatory values
@@ -770,6 +789,33 @@ def test_a_non_finite_chain_initial_value_is_named_by_its_level():
                        r"component 1 is \(nan\+infj\)") as info:
         solve_nonoscillatory_chain(ex, t_end=1.0)
     assert info.value.__notes__ == ["while solving node (r=1, m=0)"]
+
+
+def _one_channel_inputs(index=1, y0=(0.0, 0.0), forcings=None):
+    basis = FrequencyBasis([1.0], names=("1",))
+    kappa = BaseFrequency(index, basis, coords=(1,))
+    if forcings is None:
+        forcings = [constant_amplitude(kappa, [1.0, 0.0])]
+    return linear_field(np.eye(2)), forcings, list(y0), basis
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: Problem(*_one_channel_inputs(forcings=[])), ValueError,
+         "at least one forcing channel required"),
+        (lambda: Problem(*_one_channel_inputs(y0=(0.0,))), ValueError,
+         "initial state dimension mismatch"),
+        (lambda: Problem(*_one_channel_inputs(index=2)), ValueError,
+         "forcing at position 1 carries base-frequency index 2; indices must be 1..M in order"),
+        (lambda: ForcingTerm(None, lambda j, t: [1.0], max_derivative_order=1).derivative(2, 0.0),
+         UnsupportedOrder, "amplitude derivative of order 2 requested but only 1 supported"),
+    ],
+    ids=["no_forcings", "y0_length", "index_out_of_place", "forcing_derivative_order"],
+)
+def test_problem_and_forcing_inputs_are_checked(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_problem_rejects_amplitude_dimension_mismatch():

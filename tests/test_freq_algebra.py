@@ -15,7 +15,6 @@ from oscillode.freq_algebra import (
     _FrequencyKey,
     build_index_chain,
     canonicalize,
-    extend_index_set,
     format_index_table,
     format_label,
     index_table_records,
@@ -265,14 +264,6 @@ def test_sigma_injective_exact():
         assert len(sigmas) == len(set(sigmas))
 
 
-def test_extend_requires_zero_label():
-    basis = worked_basis()
-    kappas = worked_kappas(basis)
-    chain = build_index_chain(basis, kappas, 0)
-    with pytest.raises(ValueError):
-        extend_index_set(chain[-1], basis, kappas)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_index_chain_is_the_closed_form(data):
@@ -367,8 +358,8 @@ def test_small_denominator_guard():
     assert err.value.sigma == pytest.approx(eps, rel=1e-3)
 
 
-# Fractional coordinates.  The finder scales every coordinate by the common
-# denominator of all of them; a factor that is not a multiple of every
+# Fractional coordinates.  A frequency key scales every coordinate by the
+# common denominator of all of them; a factor that is not a multiple of every
 # denominator would truncate distinct frequencies to one key.
 FRACTIONAL_BASES = {
     # 1/2 + 1/3 - 5/6 = 0: a resonant triple, as in the worked example
@@ -414,9 +405,6 @@ def test_delta_min_must_be_finite_and_positive(delta_min):
     for r_max in (0, 1, 3):
         with pytest.raises(ValueError, match=message):
             build_index_chain(basis, kappas, r_max, delta_min=delta_min)
-    first = build_index_chain(basis, kappas, 1)[1]
-    with pytest.raises(ValueError, match=message):
-        extend_index_set(first, basis, kappas, delta_min)
 
 
 def test_small_denominator_error_names_the_combination():

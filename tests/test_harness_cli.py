@@ -212,6 +212,51 @@ def test_reference_rejects_a_bad_method_or_tol_before_any_work(kwargs, message, 
 
 
 @pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tol": -1}, "tol=-1.0 must be finite and positive"),
+        *(({"omegas": (300.0, omega)}, f"omega={omega!r} must be finite and positive")
+          for omega in (math.nan, 0.0, -5.0)),
+    ],
+    ids=["tol_-1", "omega_nan", "omega_0", "omega_-5"],
+)
+def test_a_study_checks_omega_and_tol_before_it_builds(kwargs, message, monkeypatch):
+    # the given value is named, not the one a reference would integrate at
+    def no_build(*args, **kwargs):
+        raise AssertionError("the expansion was built")
+
+    monkeypatch.setattr(harness, "_build_solved", no_build)
+    kwargs = {"omegas": (300.0,), **kwargs}
+    for study in (run_error_study, lambda problem, **kw: compare_cost(problem, s=1, **kw)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            study("memristor", grid_n=9, **kwargs)
+
+
+def test_compare_cost_caches_the_reference_that_reference_values_reads(tmp_path, monkeypatch):
+    integrated = []
+    rk_reference = harness._rk_reference
+
+    def integrate_and_keep(*args):
+        integrated.append(rk_reference(*args))
+        return integrated[-1]
+
+    monkeypatch.setattr(harness, "_rk_reference", integrate_and_keep)
+    compare_cost("memristor", (300.0,), 1, grid_n=9, t_end=0.5, order=1, cache_dir=tmp_path)
+    assert len(integrated) == 1
+    assert len(list(tmp_path.glob("ref_*.npz"))) == 1
+
+    def no_integration(*args):
+        raise AssertionError("the reference was integrated again")
+
+    monkeypatch.setattr(harness, "_rk_reference", no_integration)
+    values, provenance = reference_values(
+        "memristor", 300.0, uniform_grid(0.5, 9), cache_dir=tmp_path
+    )
+    assert provenance == "rk(tol=1e-10)"
+    assert np.array_equal(values, integrated[0][0])
+
+
+@pytest.mark.parametrize(
     "grid", [[0.0, 0.5, 0.25, 1.0, 0.75, 1.5], [1.5, 1.25, 1.0, 0.5, 0.0]],
     ids=["shuffled", "reversed"],
 )
@@ -518,6 +563,12 @@ ZERO_BASE_CONFIG = {**CONFIG, "basis": [1.0, 2.0], "kappa": [[2, -1], [1, 0]]}
          "omega=nan must be finite and positive"),
         (["errors", "--problem", "linear_example", "--omega", "300", "--order", "1",
           "--grid", "9", "--tol", "0"], "tol=0.0 must be finite and positive"),
+        (["errors", "--problem", "memristor", "--omega", "-5", "--grid", "9"],
+         "omega=-5.0 must be finite and positive"),
+        (["bench", "--problem", "linear_example", "--omega", "300", "--order", "1",
+          "--grid", "9", "--tol", "-1"], "tol=-1.0 must be finite and positive"),
+        (["expand", "--problem", "worked_example", "--order", "-1"],
+         "order=-1 must be a nonnegative integer"),
         *(
             ([command, "--problem", "worked_example", "--omega", "100", "--grid", "5",
               "--t-end", "inf"], "t_end=inf must be finite and positive")
@@ -554,7 +605,8 @@ ZERO_BASE_CONFIG = {**CONFIG, "basis": [1.0, 2.0], "kappa": [[2, -1], [1, 0]]}
          "basis real 2 is nan; every basis real must be finite and nonzero"),
     ],
     ids=["errors", "table", "table_delta_min_nan", "solve_t_end", "reference_tol",
-         "reference_omega_nan", "errors_tol_0", "solve_t_end_inf", "reference_t_end_inf",
+         "reference_omega_nan", "errors_tol_0", "errors_omega_-5",
+         "bench_tol_-1", "expand_order_-1", "solve_t_end_inf", "reference_t_end_inf",
          "errors_t_end_inf", "table_level_-1", "table_level_-2", "solve_grid_0", "reference_grid_1",
          "errors_grid_0", "errors_memristor_grid_1", "bench_grid_1", "expand_unknown_problem",
          "expand_config_without_basis", "expand_config_unknown_field", "expand_missing_config",
