@@ -63,6 +63,11 @@ def _registered(args):
     return get_problem(args.problem)
 
 
+def _omegas(args):
+    """Every --omega, checked before anything is built or integrated."""
+    return [_finite_positive("omega", omega) for omega in args.omega]
+
+
 def _t_end(args, registered):
     """--t-end, or the problem's horizon."""
     return args.t_end if args.t_end is not None else registered.t_end
@@ -130,6 +135,7 @@ def _cmd_expand(args):
 def _cmd_solve(args):
     """evaluate the truncated expansion on a grid"""
     registered = _registered(args)
+    omegas = _omegas(args)
     order = args.order if args.order is not None else registered.default_order
     t_end = _t_end(args, registered)
     grid = uniform_grid(t_end, args.grid)
@@ -137,7 +143,7 @@ def _cmd_solve(args):
     solve_nonoscillatory_chain(expansion, t_end)
     table = expansion.table(grid, order)
     lines = ["t,omega,s,component,y_re,y_im"]
-    for omega in args.omega:
+    for omega in omegas:
         for t, y in zip(grid, table.evaluate(omega, order)):
             for comp, z in enumerate(y, start=1):
                 lines.append(
@@ -151,10 +157,11 @@ def _cmd_solve(args):
 def _cmd_reference(args):
     """reference solution on a grid"""
     registered = _registered(args)
+    omegas = _omegas(args)
     t_end = _t_end(args, registered)
     grid = uniform_grid(t_end, args.grid)
     lines = ["t,omega,component,y_re,y_im"]
-    for omega in args.omega:
+    for omega in omegas:
         values, kind = reference_values(registered, omega, grid, args.tol, args.cache_dir)
         for i, t in enumerate(grid):
             for comp, z in enumerate(values[i], start=1):

@@ -3,15 +3,15 @@
 Everything in this module is about bookkeeping of frequencies: base
 frequencies are linear combinations (with exact rational coordinates) of a
 user-declared basis of rationally independent reals, labels are multisets of
-base-frequency indices, and index sets are the ordered collections of labels
-present at each amplitude level.  Frequency arithmetic is exact and has
-one form: a frequency is one integer, its key (``_FrequencyKey``), which
-packs its scaled integer coordinates into digits wide enough never to
-carry.  Every sum, equality and zero test, such as "these three
-frequencies sum to zero", is an integer sum, equality or zero test on
-those keys, never a floating-point comparison.  ``Fraction`` coordinates
-are only a label's stored and printed value; a nonzero label's are decoded
-from its key (``_FrequencyKey.sigma``).
+base-frequency indices, each kept as its sorted index tuple, and index sets
+are the ordered collections of labels present at each amplitude level.
+Frequency arithmetic is exact and has one form: a frequency is one integer,
+its key (``_FrequencyKey``), which packs its scaled integer coordinates into
+digits wide enough never to carry.  Every sum, equality and zero test, such
+as "these three frequencies sum to zero", is an integer sum, equality or
+zero test on those keys, never a floating-point comparison.  ``Fraction``
+coordinates are only a label's stored and printed value; a nonzero label's
+are decoded from its key (``_FrequencyKey.sigma``).
 
 The index chain is a closed form: ``U_0`` holds the base frequencies,
 ``U_1 = U_2`` the zero label and the base frequencies, and ``U_{r+1}`` is
@@ -135,14 +135,13 @@ class BaseFrequency:
 class FrequencyLabel:
     """Canonical multiset of base-frequency indices with its exact frequency.
 
-    ``counts[m-1]`` is the number of occurrences of base frequency ``m``.
-    The zero label has all counts zero and frequency exactly zero.  Within an
-    index set, labels are deduplicated by frequency value, so the stored
-    counts are those of the value's representative multiset: the shortest
-    one, and among those the lexicographically smallest.
+    ``canonical_tuple`` is the multiset's sorted indices; the zero label's
+    is ``()`` and its frequency exactly zero.  Within an index set, labels
+    are deduplicated by frequency value, so the stored tuple is the value's
+    representative multiset: the shortest one, and among those the
+    lexicographically smallest.
     """
 
-    counts: tuple
     sigma: tuple
     float_value: float
     canonical_tuple: tuple
@@ -164,38 +163,34 @@ def format_label(tup):
     return "(" + ", ".join(str(m) for m in tup) + ")"
 
 
-def _counts_from_tuple(tup, m_count):
-    """Count vector of a tuple of indices over ``{0..M}``; index 0 counts nowhere.
+def _checked_indices(tup, m_count):
+    """A caller's tuple of indices over ``{0..M}``, as ints in its order.
 
     An index outside ``0..M``, or one that is not an integer (an integral
     float such as ``2.0`` is one), raises ``ValueError``.
     """
-    counts = [0] * (m_count + 1)
+    out = []
     for m in tup:
         if not 0 <= m <= m_count:
             raise ValueError(f"index {m} outside 0..{m_count}")
         i = int(m)
         if i != m:
             raise ValueError(f"index {m} is not an integer")
-        counts[i] += 1
-    return tuple(counts[1:])
+        out.append(i)
+    return tuple(out)
 
 
-def _tuple_from_counts(counts):
-    return tuple(m for m, c in enumerate(counts, start=1) for _ in range(c))
+def _zero_label(basis):
+    return FrequencyLabel((Fraction(0),) * basis.dimension, 0.0, ())
 
 
-def _zero_label(basis, m_count):
-    return FrequencyLabel((0,) * m_count, (Fraction(0),) * basis.dimension, 0.0, ())
-
-
-def _label(counts, key, key_of, basis):
-    """The label of the count vector ``counts``, whose frequency key is ``key``:
-    the zero label when ``key`` is zero."""
+def _label(tup, key, key_of, basis):
+    """The label of the sorted index tuple ``tup``, whose frequency key is
+    ``key``: the zero label when ``key`` is zero."""
     if not key:
-        return _zero_label(basis, len(counts))
+        return _zero_label(basis)
     sigma = key_of.sigma(key)
-    return FrequencyLabel(counts, sigma, basis.sigma_float(sigma), _tuple_from_counts(counts))
+    return FrequencyLabel(sigma, basis.sigma_float(sigma), tup)
 
 
 def canonicalize(indices, basis, kappas):
@@ -205,9 +200,9 @@ def canonicalize(indices, basis, kappas):
     frequency sum is exactly zero collapses to the zero label regardless of
     its indices.  An index outside ``0..M`` raises ``ValueError``.
     """
-    counts = _counts_from_tuple(indices, len(kappas))
+    tup = tuple(sorted(filter(None, _checked_indices(indices, len(kappas)))))
     key_of = _FrequencyKey(kappas)
-    return _label(counts, key_of(counts), key_of, basis)
+    return _label(tup, key_of(tup), key_of, basis)
 
 
 def _repeat_factorials(tup):
@@ -235,22 +230,23 @@ def level_partitions(r):
 
 
 class _FrequencyKey:
-    """A count vector's frequency as one integer: its lookup key.
+    """A multiset's frequency as one integer: its lookup key.
 
     The base frequencies' coordinates are scaled once by the common
     denominator of all of them, so each is an integer vector.  Each base
     frequency's vector is packed into one integer weight of balanced
-    base-``R`` digits, one digit per basis real, and a count vector's key
-    is the dot product of its counts with the weights.  So a frequency is
-    one integer, and sums, equality and zero tests are integer operations.
+    base-``R`` digits, one digit per basis real, and the key of a tuple of
+    indices over ``{0..M}`` is the sum of its indices' weights; index 0
+    weighs 0.  So a frequency is one integer, and sums, equality and zero
+    tests are integer operations.
 
     The radix comes from the data: ``R = 2**b``, with ``b`` the bit length
     of the largest absolute scaled coordinate plus 64.  A coordinate of a
     sum or difference of fewer than ``2**63`` base frequencies is then
     smaller than ``R/2`` in magnitude, so the digits never carry, and a
     balanced base-``R`` representation with such digits is unique.  No
-    index chain can be built that deep, so two count vectors have the same
-    key exactly when they have the same frequency, a key is 0 exactly when
+    index chain can be built that deep, so two tuples have the same key
+    exactly when they have the same frequency, a key is 0 exactly when
     its frequency is zero, and keys add and negate as the frequencies do.
     A fixed radix could carry for large coordinates and merge distinct
     frequencies.  This is the module's one frequency arithmetic: ``sigma``
@@ -263,12 +259,12 @@ class _FrequencyKey:
         vectors = [[int(q * self.scale) for q in kappa.sigma] for kappa in kappas]
         self.bits = max(map(abs, itertools.chain(*vectors)), default=0).bit_length() + 64
         self.dimension = max(map(len, vectors), default=0)
-        self.weights = [
+        self.weights = [0] + [
             sum(c << (self.bits * j) for j, c in enumerate(vector)) for vector in vectors
         ]
 
-    def __call__(self, counts):
-        return sum(map(operator.mul, counts, self.weights))
+    def __call__(self, tup):
+        return sum(map(self.weights.__getitem__, tup))
 
     def sigma(self, key):
         """The frequency whose key is ``key``, as a coordinate tuple."""
@@ -291,12 +287,12 @@ class OperandMultisets:
     ``chain[l]`` with replacement; runs combine as a product.  A run's
     entries are made once, on first use, and serve every level that draws
     the run.  An entry holds its operands' node keys ``(level, label
-    tuple)``, its frequency as one integer, the sum of its operands'
-    frequency keys (``_FrequencyKey``), and ``prod(m_i!)`` with ``m_i`` the
-    repeats of one operand.  Pools are in canonical-tuple order and a
-    partition's parts are nondecreasing, so a multiset's operands come out
-    sorted.  A build makes one instance and drops it, with its run lists,
-    when it returns.
+    tuple)``, its frequency as one integer, the sum of the keys
+    (``_FrequencyKey``) of its operands' tuples, and ``prod(m_i!)`` with
+    ``m_i`` the repeats of one operand.  Pools are in canonical-tuple order
+    and a partition's parts are nondecreasing, so a multiset's operands come
+    out sorted.  A build makes one instance and drops it, with its run
+    lists, when it returns.
     """
 
     def __init__(self, chain, basis, kappas):
@@ -313,7 +309,8 @@ class OperandMultisets:
         if level not in self._pools:
             labels = sorted(self.chain[level].labels, key=operator.attrgetter("canonical_tuple"))
             names = [(level, label.canonical_tuple) for label in labels]
-            self._pools[level] = labels, names, [self.key_of(label.counts) for label in labels]
+            keys = [self.key_of(label.canonical_tuple) for label in labels]
+            self._pools[level] = labels, names, keys
         return self._pools[level]
 
     def _run(self, level, k):
@@ -406,10 +403,11 @@ class MultiplicityRecord:
 def rho(target, source_tuple, basis, kappas):
     """Number of ordered rearrangements of ``source_tuple`` whose frequency sum
     equals the target's frequency (index 0 contributes zero)."""
+    source = _checked_indices(source_tuple, len(kappas))
     key_of = _FrequencyKey(kappas)
-    if key_of(_counts_from_tuple(source_tuple, len(kappas))) != key_of(target.counts):
+    if key_of(source) != key_of(target.canonical_tuple):
         return 0
-    return _multiset_permutations_count(tuple(sorted(source_tuple)))
+    return _multiset_permutations_count(tuple(sorted(source)))
 
 
 class IndexSet:
@@ -470,33 +468,25 @@ def build_index_chain(basis, kappas, r_max, delta_min=None):
     than ``delta_min`` aborts after every level is made.  Both diagnostics
     name the base frequency.
     """
-    if r_max < 0:
-        raise ValueError(f"level r_max={r_max} must be nonnegative")
     r_max = _nonnegative_integer("level r_max", r_max)
     delta_min = default_delta_min(kappas) if delta_min is None else _finite_positive("delta_min", delta_min)
     _check_base_frequencies(basis, kappas, 0.0)
     m_count = len(kappas)
     key_of = _FrequencyKey(kappas)
     singles = [
-        FrequencyLabel(
-            tuple(1 if j == kappa.index - 1 else 0 for j in range(m_count)),
-            kappa.sigma,
-            basis.sigma_float(kappa.sigma),
-            (kappa.index,),
-        )
+        FrequencyLabel(kappa.sigma, basis.sigma_float(kappa.sigma), (kappa.index,))
         for kappa in kappas
     ]
     chain = [IndexSet(0, singles)]
-    labels = [_zero_label(basis, m_count)] + singles
-    seen = {key_of(label.counts) for label in labels}
+    labels = [_zero_label(basis)] + singles
+    seen = {key_of(label.canonical_tuple) for label in labels}
     for r in range(1, r_max + 1):
         for tup in itertools.combinations_with_replacement(range(1, m_count + 1), r - 1):
-            counts = _counts_from_tuple(tup, m_count)
-            key = key_of(counts)
+            key = key_of(tup)
             if key in seen:
                 continue
             seen.add(key)
-            label = _label(counts, key, key_of, basis)
+            label = _label(tup, key, key_of, basis)
             if abs(label.float_value) < delta_min:
                 raise SmallDenominatorError(
                     f"generated frequency {basis.sigma_string(label.sigma)} ~ "
@@ -522,13 +512,12 @@ def index_table_records(index_set, basis, kappas):
     Each source's frequency is summed and looked up once; a label's records
     are the sources with its frequency, in source order.
     """
-    m_count = len(kappas)
     src_len = max(index_set.r - 1, 0)
     key_of = _FrequencyKey(kappas)
-    find = {key_of(label.counts): label for label in index_set.labels}.get
+    find = {key_of(label.canonical_tuple): label for label in index_set.labels}.get
     sources = {}
-    for src in itertools.combinations_with_replacement(range(m_count + 1), src_len) if src_len else ():
-        label = find(key_of(_counts_from_tuple(src, m_count)))
+    for src in itertools.combinations_with_replacement(range(len(kappas) + 1), src_len) if src_len else ():
+        label = find(key_of(src))
         if label is not None:
             sources.setdefault(label.canonical_tuple, []).append(src)
     rows = []

@@ -1,9 +1,9 @@
 """Built-in problems and config-file loading.
 
-Vector fields and their differentials are registered in code; config files
-only carry the numeric skeleton of a problem (dimension, frequency basis,
-frequency coordinates, initial state, horizon) plus the name of a registered
-field bundle.
+A problem is made in code with ``Problem(...)``.  A config file carries the
+numeric skeleton of one (dimension, frequency basis, frequency coordinates,
+initial state, horizon) and names its field: ``cubic_demo`` or
+``memristor``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "memristor_field",
     "get_problem",
     "problem_names",
-    "register_field_bundle",
     "load_problem_config",
 ]
 
@@ -330,14 +329,6 @@ def problem_names():
 # -- config files --------------------------------------------------------------------
 
 
-@dataclass
-class FieldBundle:
-    """In-code part of a config-defined problem: field plus amplitudes."""
-
-    make_field: object  # dimension -> VectorField
-    make_amplitudes: object  # (kappas, dimension) -> list of ForcingTerm
-
-
 def _default_amplitudes(kappas, dimension):
     out = []
     for m, kappa in enumerate(kappas, start=1):
@@ -347,19 +338,8 @@ def _default_amplitudes(kappas, dimension):
     return out
 
 
-_FIELD_BUNDLES = {
-    "cubic_demo": FieldBundle(_cubic_demo_field, _default_amplitudes),
-    "memristor": FieldBundle(
-        lambda dimension: memristor_field(),
-        _default_amplitudes,
-    ),
-}
-
-
-def register_field_bundle(name, bundle: FieldBundle):
-    if name in _FIELD_BUNDLES:
-        raise ValueError(f"field bundle {name!r} already registered")
-    _FIELD_BUNDLES[name] = bundle
+# a config's field, by name: dimension -> VectorField
+_NAMED_FIELDS = {"cubic_demo": _cubic_demo_field, "memristor": lambda dimension: memristor_field()}
 
 
 def _parse_number(x):
@@ -375,15 +355,15 @@ _CONFIG_KEYS = ("dimension", "mode", "basis", "basis_names", "kappa", "field", "
 
 
 def load_problem_config(path, name=None):
-    """Problem from a JSON config plus a registered field bundle.
+    """Problem from a JSON config and a named field.
 
     A file that cannot be opened raises a ``ValueError`` that names it.
     Required keys: ``dimension``, ``basis`` (list of reals, optionally with
     ``basis_names``), ``kappa`` (one rational coordinate vector per channel,
     entries are ints or strings like ``"-1/2"``), ``y0`` and ``t_end``; a
     missing one raises a ``ValueError`` that names it.  Optional keys:
-    ``field`` (bundle name, default ``cubic_demo``; an unregistered name
-    raises a ``ValueError`` that lists the registered bundles), ``name``,
+    ``field`` (``cubic_demo``, the default, or ``memristor``; another name
+    raises a ``ValueError`` that lists these two), ``name``,
     ``omegas`` (default ``[500.0]``), ``order`` (default build order, 3) and
     ``mode``.  Any other key raises a ``ValueError`` that names it.
     ``dimension`` and ``order`` must be nonnegative integers, or a
@@ -422,14 +402,12 @@ def load_problem_config(path, name=None):
         BaseFrequency(m, basis, coords=[str(q) for q in coords])
         for m, coords in enumerate(cfg["kappa"], start=1)
     ]
-    bundle_name = cfg.get("field", "cubic_demo")
-    if bundle_name not in _FIELD_BUNDLES:
-        registered = ", ".join(sorted(_FIELD_BUNDLES))
-        raise ValueError(f"unknown field bundle {bundle_name!r}; registered: {registered}")
-    bundle = _FIELD_BUNDLES[bundle_name]
+    field = cfg.get("field", "cubic_demo")
+    if not isinstance(field, str) or field not in _NAMED_FIELDS:
+        raise ValueError(f"unknown field {field!r}; known: {', '.join(_NAMED_FIELDS)}")
     problem = Problem(
-        vector_field=bundle.make_field(dimension),
-        forcings=bundle.make_amplitudes(kappas, dimension),
+        vector_field=_NAMED_FIELDS[field](dimension),
+        forcings=_default_amplitudes(kappas, dimension),
         y0=[_parse_number(v) for v in cfg["y0"]],
         basis=basis,
     )

@@ -130,7 +130,7 @@ def test_canonicalize_zero_sum_collapses_to_zero_label():
     kappas = worked_kappas(basis)
     label = canonicalize((1, 2, 3), basis, kappas)
     assert label.is_zero
-    assert label.counts == (0, 0, 0)
+    assert label.canonical_tuple == ()
     assert label.float_value == 0.0
 
 
@@ -316,8 +316,9 @@ LARGE_DENOMINATOR_COORDS.append(tuple(-a - b for a, b in zip(*LARGE_DENOMINATOR_
 
 def test_packed_keys_are_exact_for_large_denominators():
     """A frequency's one-integer key decodes to its ``Fraction`` sum, and two
-    keys are equal exactly when the frequencies are; the index chain matches
-    a brute-force ``Fraction`` enumeration label by label."""
+    keys are equal exactly when the frequencies are; index 0 weighs 0 and
+    order does not count; the index chain matches a brute-force
+    ``Fraction`` enumeration label by label."""
     basis = FrequencyBasis([1.0, SQRT2, math.sqrt(3.0)])
     kappas = [
         BaseFrequency(m, basis, coords=c) for m, c in enumerate(LARGE_DENOMINATOR_COORDS, start=1)
@@ -326,14 +327,17 @@ def test_packed_keys_are_exact_for_large_denominators():
     keys, sums = [], []
     for total in range(7):
         for tup in itertools.combinations_with_replacement(range(1, len(kappas) + 1), total):
-            counts = tuple(tup.count(m) for m in range(1, len(kappas) + 1))
-            keys.append(key_of(counts))
+            keys.append(key_of(tup))
             sums.append(fraction_sum(kappas, tup))
             assert key_of.sigma(keys[-1]) == sums[-1]
             assert (keys[-1] == 0) == (not any(sums[-1]))
     for (key_a, sum_a), (key_b, sum_b) in itertools.combinations(zip(keys, sums), 2):
         assert (key_a == key_b) == (sum_a == sum_b)
     assert len(set(keys)) == len(set(sums)) < len(sums)  # some frequencies repeat
+    for tup in itertools.combinations_with_replacement(range(len(kappas) + 1), 6):
+        nonzero = tuple(m for m in tup if m)
+        assert key_of(tup) == key_of(nonzero) == key_of(tup[::-1])
+        assert key_of.sigma(key_of(tup)) == fraction_sum(kappas, nonzero)
 
     chain = build_index_chain(basis, kappas, 6, delta_min=1e-30)
     for r, index_set in enumerate(chain[1:], start=1):

@@ -561,6 +561,10 @@ ZERO_BASE_CONFIG = {**CONFIG, "basis": [1.0, 2.0], "kappa": [[2, -1], [1, 0]]}
           "--tol", "nan"], "tol=nan must be finite and positive"),
         (["reference", "--problem", "memristor", "--omega", "nan", "--grid", "5"],
          "omega=nan must be finite and positive"),
+        (["solve", "--problem", "memristor", "--omega", "nan", "--order", "3", "--grid", "9"],
+         "omega=nan must be finite and positive"),
+        (["reference", "--problem", "memristor", "--omega", "1000", "--omega", "nan",
+          "--grid", "9"], "omega=nan must be finite and positive"),
         (["errors", "--problem", "linear_example", "--omega", "300", "--order", "1",
           "--grid", "9", "--tol", "0"], "tol=0.0 must be finite and positive"),
         (["errors", "--problem", "memristor", "--omega", "-5", "--grid", "9"],
@@ -576,7 +580,7 @@ ZERO_BASE_CONFIG = {**CONFIG, "basis": [1.0, 2.0], "kappa": [[2, -1], [1, 0]]}
         ),
         *(
             (["table", "--problem", "worked_example", "-r", level],
-             f"level r_max={level} must be nonnegative")
+             f"level r_max={level} must be a nonnegative integer")
             for level in ("-1", "-2")
         ),
         *(
@@ -593,7 +597,9 @@ ZERO_BASE_CONFIG = {**CONFIG, "basis": [1.0, 2.0], "kappa": [[2, -1], [1, 0]]}
         (["expand", "--config", {k: v for k, v in CONFIG.items() if k != "basis"}],
          "config lacks required key(s) 'basis'; required: dimension, basis, kappa, y0, t_end"),
         (["expand", "--config", {**CONFIG, "field": "nope"}],
-         "unknown field bundle 'nope'; registered: cubic_demo, memristor"),
+         "unknown field 'nope'; known: cubic_demo, memristor"),
+        (["expand", "--config", {**CONFIG, "field": ["nope"]}],
+         "unknown field ['nope']; known: cubic_demo, memristor"),
         (["expand", "--config", "/nonexistent/problem.json"],
          "cannot read config '/nonexistent/problem.json': No such file or directory"),
         *(
@@ -605,11 +611,12 @@ ZERO_BASE_CONFIG = {**CONFIG, "basis": [1.0, 2.0], "kappa": [[2, -1], [1, 0]]}
          "basis real 2 is nan; every basis real must be finite and nonzero"),
     ],
     ids=["errors", "table", "table_delta_min_nan", "solve_t_end", "reference_tol",
-         "reference_omega_nan", "errors_tol_0", "errors_omega_-5",
-         "bench_tol_-1", "expand_order_-1", "solve_t_end_inf", "reference_t_end_inf",
-         "errors_t_end_inf", "table_level_-1", "table_level_-2", "solve_grid_0", "reference_grid_1",
-         "errors_grid_0", "errors_memristor_grid_1", "bench_grid_1", "expand_unknown_problem",
-         "expand_config_without_basis", "expand_config_unknown_field", "expand_missing_config",
+         "reference_omega_nan", "solve_omega_nan", "reference_second_omega_nan", "errors_tol_0",
+         "errors_omega_-5", "bench_tol_-1", "expand_order_-1", "solve_t_end_inf",
+         "reference_t_end_inf", "errors_t_end_inf", "table_level_-1", "table_level_-2",
+         "solve_grid_0", "reference_grid_1", "errors_grid_0", "errors_memristor_grid_1",
+         "bench_grid_1", "expand_unknown_problem", "expand_config_without_basis",
+         "expand_config_unknown_field", "expand_config_list_field", "expand_missing_config",
          "table_zero_base_frequency", "expand_zero_base_frequency", "expand_nan_basis_real"],
 )
 @pytest.mark.filterwarnings("error")  # a warning printed before the error is a second line
@@ -625,6 +632,20 @@ def test_cli_reports_bad_input_in_one_line(argv, message, capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith(f"oscillode: error: {message}")
     assert captured.err.count("\n") == 1
+
+
+def test_solve_and_reference_check_every_omega_before_they_build(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an expansion was built or a reference integrated")
+
+    monkeypatch.setattr(cli, "build_expansion", no_work)
+    monkeypatch.setattr(cli, "reference_values", no_work)
+    for argv in (
+        ["solve", "--problem", "memristor", "--omega", "nan", "--order", "3", "--grid", "9"],
+        ["reference", "--problem", "memristor", "--omega", "1000", "--omega", "nan", "--grid", "9"],
+    ):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == "oscillode: error: omega=nan must be finite and positive\n"
 
 
 def test_cli_problems_lists_builtins(capsys):
@@ -803,40 +824,44 @@ def test_load_problem_config_rejects_an_unknown_key(tmp_path, key, value, capsys
     assert err.count("\n") == 1
 
 
-def test_a_registered_field_bundle_loads_from_a_config(tmp_path, monkeypatch):
-    """A config naming a registered bundle builds the problem the same code builds."""
-    monkeypatch.setattr(problems, "_FIELD_BUNDLES", dict(problems._FIELD_BUNDLES))
-
-    def make_field(dimension):
-        return polynomial_field(dimension, [{(1,): -1.0, (3,): -0.1}], max_order=6)
-
-    def make_amplitudes(kappas, dimension):
-        return [constant_amplitude(k, [0.5 / k.index]) for k in kappas]
-
-    bundle = problems.FieldBundle(make_field, make_amplitudes)
-    problems.register_field_bundle("damped_cubic", bundle)
-    cfg = {
-        "dimension": 1,
-        "basis": [1.0, math.sqrt(2.0)],
-        "basis_names": ["1", "sqrt(2)"],
-        "kappa": [["1", "0"], ["0", "1"]],
-        "y0": [0.2],
-        "t_end": 2.0,
-        "field": "damped_cubic",
-    }
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(cfg))
+def test_a_named_field_loads_from_a_config(tmp_path):
+    """A config naming ``cubic_demo`` or ``memristor`` builds the problem that
+    ``Problem(...)`` builds with that field and forcing ``m`` a constant 0.5
+    in component ``(m-1) mod d``."""
+    cubic_demo = polynomial_field(
+        2, [{(0, 1): 1.0, (3, 0): -0.2}, {(1, 0): -1.0, (0, 1): -0.1, (2, 0): 0.15}], max_order=8
+    )
+    cases = [
+        ("cubic_demo", cubic_demo, [0.1, 0.2], [[0.5, 0], [0, 0.5], [0.5, 0]]),
+        ("memristor", problems.memristor_field(), [-0.8, -0.4, 0.0, 1e-4, 0.0],
+         [[0.5, 0, 0, 0, 0], [0, 0.5, 0, 0, 0], [0, 0, 0.5, 0, 0]]),
+    ]
+    coords = [(1, 0), (0, 1), (-1, 1)]
     basis = FrequencyBasis([1.0, math.sqrt(2.0)], names=("1", "sqrt(2)"))
-    kappas = [BaseFrequency(1, basis, coords=(1, 0)), BaseFrequency(2, basis, coords=(0, 1))]
-    in_code = Problem(make_field(1), make_amplitudes(kappas, 1), y0=[0.2], basis=basis)
-    dumps = []
-    for problem in (load_problem_config(path).problem, in_code):
-        ex = build_expansion(problem, order=3)
-        solve_nonoscillatory_chain(ex, 2.0)
-        dumps.append(dump_expansion(ex))
-    assert dumps[0] == dumps[1]
-    with pytest.raises(ValueError, match="^field bundle 'damped_cubic' already registered$"):
-        problems.register_field_bundle("damped_cubic", bundle)
+    kappas = [BaseFrequency(m, basis, coords=c) for m, c in enumerate(coords, start=1)]
+    grid = uniform_grid(0.5, 5)
+    for field, vector_field, y0, amplitudes in cases:
+        cfg = {
+            "dimension": len(y0),
+            "basis": [1.0, math.sqrt(2.0)],
+            "basis_names": ["1", "sqrt(2)"],
+            "kappa": [list(c) for c in coords],
+            "y0": y0,
+            "t_end": 0.5,
+            "field": field,
+        }
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(cfg))
+        forcings = [constant_amplitude(k, a) for k, a in zip(kappas, amplitudes)]
+        in_code = Problem(vector_field, forcings, y0=y0, basis=basis)
+        dumps, values = [], []
+        for problem in (load_problem_config(path).problem, in_code):
+            ex = build_expansion(problem, order=2)
+            solve_nonoscillatory_chain(ex, 0.5)
+            dumps.append(dump_expansion(ex))
+            values.append(ex.table(grid, 2).evaluate(300.0, 2))
+        assert dumps[0] == dumps[1], field
+        assert np.array_equal(values[0], values[1]), field
 
 
 def test_cli_accepts_config(tmp_path, capsys):
