@@ -44,7 +44,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import OutOfDomain, UnsupportedOrder
-from .freq_algebra import OperandMultisets, build_index_chain, format_label
+from .freq_algebra import (
+    OperandMultisets,
+    _check_base_indices,
+    build_index_chain,
+    format_label,
+)
 from .ode_core import (
     DenseSolution,
     IvpSpec,
@@ -85,11 +90,7 @@ class Problem:
                     f"forcing {pos} amplitude has shape {shape} at t=0; the field "
                     f"needs ({vector_field.dimension},)"
                 )
-            if forcing.kappa.index != pos:
-                raise ValueError(
-                    f"forcing at position {pos} carries base-frequency index "
-                    f"{forcing.kappa.index}; indices must be 1..M in order"
-                )
+        _check_base_indices(self.kappas)
         sigmas = [f.kappa.sigma for f in self.forcings]
         for i in range(len(sigmas)):
             for j in range(i + 1, len(sigmas)):
@@ -195,7 +196,7 @@ class Expansion:
 
         plan = Plan(self, [[(key, order)]])
         slots = plan.slots(sample(self._solved_chain(), t))
-        plan.run(plan.segments[0], t, slots)
+        plan.programs[0](t, slots)
         # a copy: a sum's value may be an array that the field returned
         return slots[plan.targets[0][0]].copy()
 
@@ -215,7 +216,7 @@ class Expansion:
         for i, t in enumerate(ts):
             slots = plan.slots(sample(chain, t))
             for r in range(s + 1):
-                plan.run(plan.segments[r], t, slots)
+                plan.programs[r](t, slots)
                 for m, slot in enumerate(plan.targets[r]):
                     values[r][i, m] = slots[slot]
         sigmas = [np.array([lab.float_value for lab in self.labels_at(r)]) for r in range(s + 1)]
@@ -404,7 +405,7 @@ class _ChainSystem:
     A level-r equation reads only lower levels and its own unknown, so a
     call seeds the chain plan's slots with every level's part of the state
     (lower levels enter as exact stage values) and runs the plan's
-    segments, one per level in increasing order; each level's derivative
+    programs, one per level in increasing order; each level's derivative
     stays in its slot for the levels above.  The plan is compiled once per
     solve, and next to it ``levels_plan``, whose group r is every level-r
     coefficient, label by label: it gives the initial values, and the solve
@@ -436,9 +437,9 @@ class _ChainSystem:
         _check_field_shape(expansion.problem)
         plan = self.levels_plan
         slots = plan.slots()
-        for r, (segment, targets) in enumerate(zip(plan.segments, plan.targets)):
+        for r, (program, targets) in enumerate(zip(plan.programs, plan.targets)):
             self.level = r
-            plan.run(segment, 0.0, slots)
+            program(0.0, slots)
             ic = np.zeros(plan.dimension, dtype=complex) if r else y0.astype(complex)
             for label, slot in zip(expansion.labels_at(r), targets):
                 if not label.is_zero:
@@ -451,13 +452,13 @@ class _ChainSystem:
                 )
             slots[r] = ic
         self.level = None
-        return slots[: len(plan.segments)]
+        return slots[: len(plan.programs)]
 
     def __call__(self, t, y):
         plan = self.plan
         slots = plan.slots(y)
-        for self.level, segment in enumerate(plan.segments):
-            plan.run(segment, t, slots)
+        for self.level, program in enumerate(plan.programs):
+            program(t, slots)
         self.level = None
         return np.concatenate([slots[target] for (target,) in plan.targets])
 

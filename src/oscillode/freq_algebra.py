@@ -180,6 +180,20 @@ def _checked_indices(tup, m_count):
     return tuple(out)
 
 
+def _check_base_indices(kappas):
+    """ValueError unless the m-th base frequency carries index m, for m = 1..M.
+
+    A label names a base frequency by its index and a frequency key by its
+    position, so the two must agree.
+    """
+    for pos, kappa in enumerate(kappas, start=1):
+        if kappa.index != pos:
+            raise ValueError(
+                f"forcing at position {pos} carries base-frequency index "
+                f"{kappa.index}; indices must be 1..M in order"
+            )
+
+
 def _zero_label(basis):
     return FrequencyLabel((Fraction(0),) * basis.dimension, 0.0, ())
 
@@ -198,8 +212,10 @@ def canonicalize(indices, basis, kappas):
 
     Zeros are stripped and the remaining indices sorted.  A tuple whose
     frequency sum is exactly zero collapses to the zero label regardless of
-    its indices.  An index outside ``0..M`` raises ``ValueError``.
+    its indices.  An index outside ``0..M`` raises ``ValueError``, and so
+    do base frequencies out of order (``_check_base_indices``).
     """
+    _check_base_indices(kappas)
     tup = tuple(sorted(filter(None, _checked_indices(indices, len(kappas)))))
     key_of = _FrequencyKey(kappas)
     return _label(tup, key_of(tup), key_of, basis)
@@ -402,7 +418,9 @@ class MultiplicityRecord:
 
 def rho(target, source_tuple, basis, kappas):
     """Number of ordered rearrangements of ``source_tuple`` whose frequency sum
-    equals the target's frequency (index 0 contributes zero)."""
+    equals the target's frequency (index 0 contributes zero).  Base
+    frequencies out of order raise ``ValueError`` (``_check_base_indices``)."""
+    _check_base_indices(kappas)
     source = _checked_indices(source_tuple, len(kappas))
     key_of = _FrequencyKey(kappas)
     if key_of(source) != key_of(target.canonical_tuple):
@@ -466,8 +484,10 @@ def build_index_chain(basis, kappas, r_max, delta_min=None):
     magnitude raises ``SmallDenominatorError`` naming its multiset.  A base
     frequency that is zero aborts before any level is made; one smaller
     than ``delta_min`` aborts after every level is made.  Both diagnostics
-    name the base frequency.
+    name the base frequency.  Base frequencies out of order raise
+    ``ValueError`` first (``_check_base_indices``).
     """
+    _check_base_indices(kappas)
     r_max = _nonnegative_integer("level r_max", r_max)
     delta_min = default_delta_min(kappas) if delta_min is None else _finite_positive("delta_min", delta_min)
     _check_base_frequencies(basis, kappas, 0.0)

@@ -274,8 +274,12 @@ def _finite_positive(name, x):
 
 def _nonnegative_integer(name, x):
     """``x`` as an int, after a ValueError naming it unless it is a
-    nonnegative integer; a float such as 2.0 passes."""
-    if not (float(x).is_integer() and x >= 0):
+    nonnegative integer; a float such as 2.0 passes, a string or None not."""
+    try:
+        ok = float(x).is_integer() and x >= 0
+    except (TypeError, ValueError):  # float("2") passes, "2" >= 0 does not
+        ok = False
+    if not ok:
         raise ValueError(f"{name}={x!r} must be a nonnegative integer")
     return int(x)
 

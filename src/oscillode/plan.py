@@ -1,5 +1,5 @@
-"""The evaluation layer: an expansion's term lists compiled into a
-straight-line program, and the table of coefficients that programs fill.
+"""The evaluation layer: an expansion's term lists compiled into
+straight-line Python, and the table of coefficients that the code fills.
 
 This module owns the term-list format.  A node's derivatives are lists of
 term tuples (coef, args), each standing for coef * f_n[args] at the base
@@ -26,6 +26,14 @@ declaration drops terms that are not zero and gives wrong answers;
 ``validate_field`` checks a field's ``reads``, and a build each forcing's
 ``support``, at a few times.
 
+A plan is generated code (``Plan``): one Python function per group of
+targets, one source line per value, all compiled at once.  A value read
+only inside its own function is a local there; no interpreter walks the
+steps at run time.  The code does the arithmetic of the steps, in their
+order, and reaches the field and the forcings only through ``apply``,
+``at`` and ``derivative``, so its results, counts and errors are those of
+the steps.
+
 Imported on first use, by the first solve or table: a process that only
 builds expansions never compiles this module, and peaks lower.
 """
@@ -35,6 +43,21 @@ import numpy as np
 from .ode_core import _finite_positive, _nonnegative_integer
 
 FORCING, POINT, SUM = range(3)
+
+
+# parts per expression of a sum's source line: Python's compiler nests a
+# chain of + one level per part, and gives up at about a thousand
+_SUM_CHUNK = 256
+
+
+def _sum_source(out, parts):
+    """Source for a sum of the expressions ``parts`` into ``out``, left to
+    right from the first part; one line, long sums in statements of
+    ``_SUM_CHUNK`` parts.  No parts is a fresh zero vector."""
+    if not parts:
+        return "zeros(d, dtype=complex)"
+    chunks = [" + ".join(parts[i : i + _SUM_CHUNK]) for i in range(0, len(parts), _SUM_CHUNK)]
+    return chunks[0] + "".join(f"; {out} = {out} + {chunk}" for chunk in chunks[1:])
 
 
 def _factor(coef):
@@ -75,7 +98,7 @@ def _derivative(terms):
 
 class Plan:
     """A straight-line program for the values of (node key, order) pairs at
-    one time, compiled from the term lists.
+    one time, compiled from the term lists into generated Python.
 
     The compiling walk mirrors the recursion value -> node -> term sum, less
     the terms that are zero by structure (see the module docstring): each
@@ -89,14 +112,24 @@ class Plan:
     - ``(SUM, out, lower, terms)``: c * slot for ``lower`` = (c, slot) if
       not None, plus coef * f_n[arg slots] for each (coef, arg slots) term
       in turn, n being the number of arg slots.  A coefficient that is
-      exactly 1 is compiled to None and multiplies nothing.  The sum starts
-      from its first part, not from a zero array, and adds each next part
-      into a new array: it never writes into an array that the field
-      returned.  A sum with no parts left is a fresh zero vector.
+      exactly 1 is compiled to None and multiplies nothing.
 
     ``segments[g]`` holds the steps that complete the g-th group of targets,
-    whose slots are ``targets[g]``; the segments run in order on one slot
-    list.  A plan holds nothing that depends on t or on the state.
+    whose slots are ``targets[g]``; ``programs[g]`` carries them out, called
+    as ``programs[g](t, slots)``, and the segments run in order on one slot
+    list.  The programs are Python functions generated from the steps, one
+    source line per step, all from one ``compile`` per plan (``_source``).
+    A value that only its own segment reads is a local of that function; a
+    target, a value that a later segment reads and the chain values live in
+    the slot list.  The field, forcings, coefficients and each (i kappa) are
+    bound by name in the functions' namespace, not written into the source.
+    Every differential goes through ``field.apply`` on the point that
+    ``field.at`` made, and every forcing value through
+    ``ForcingTerm.derivative``, looked up at each call.  A sum starts from
+    its first part, not from a zero array, and adds each next part into a
+    new array: it never writes into an array that the field returned.  A
+    sum with no parts left is a fresh zero vector.  A plan holds nothing
+    that depends on t or on the state.
     """
 
     def __init__(self, expansion, groups):
@@ -176,6 +209,10 @@ class Plan:
             steps = []
             self.targets.append([walk(arg, steps) for arg in group])
             self.segments.append(steps)
+        namespace = {"field": self.field, "zeros": np.zeros, "d": d}
+        exec(compile(self._source(namespace), "<oscillode plan>", "exec"), namespace)
+        # taken out of their own namespace, so a plan makes no reference cycle
+        self.programs = [namespace.pop(f"segment_{g}") for g in range(len(self.segments))]
 
     def _new_slot(self):
         self.size += 1
@@ -190,29 +227,55 @@ class Plan:
                 slots[r] = y[part]
         return slots
 
-    def run(self, segment, t, slots):
-        """Carry out the steps of ``segment`` at time t on ``slots``."""
-        field, point, d = self.field, self.point, self.dimension
-        for step in segment:
-            kind = step[0]
-            if kind == SUM:
-                _, out, lower, terms = step
-                # never in place: a value may be an array the field returned
-                total = None
-                if lower is not None:
-                    coef, slot = lower
-                    total = slots[slot] if coef is None else coef * slots[slot]
-                for coef, args in terms:
-                    x = field.apply(len(args), slots[point], [slots[a] for a in args])
-                    if coef is not None:
-                        x = coef * x
-                    total = x if total is None else total + x
-                slots[out] = np.zeros(d, dtype=complex) if total is None else total
-            elif kind == FORCING:
-                _, out, forcing, j, i_kappa = step
-                slots[out] = forcing.derivative(j, t) / i_kappa
-            else:
-                slots[step[1]] = field.at(slots[0])
+    def _source(self, namespace):
+        """The segments as the source of functions ``segment_g(t, s)`` on the
+        slot list ``s``; ``namespace`` gains a name for every object that
+        the source reads."""
+        # the slot list holds the chain values, the targets and each value
+        # that a later segment reads; every other value is a local
+        made = {step[1]: g for g, steps in enumerate(self.segments) for step in steps}
+        shared = set(range(len(self.parts))).union(*self.targets)
+        for g, steps in enumerate(self.segments):
+            for kind, _, *operands in steps:
+                if kind == SUM:
+                    lower, terms = operands
+                    read = [a for _, args in terms for a in args] + [self.point] * bool(terms)
+                    read += [] if lower is None else [lower[1]]
+                    shared.update(slot for slot in read if made.get(slot, g) != g)
+
+        def ref(slot):
+            return f"s[{slot}]" if slot in shared else f"v{slot}"
+
+        def bind(value):
+            name = f"c{len(namespace)}"
+            namespace[name] = value
+            return name
+
+        def scaled(coef, value):
+            return value if coef is None else f"{bind(coef)} * {value}"
+
+        lines = []
+        for g, steps in enumerate(self.segments):
+            lines.append(f"def segment_{g}(t, s):")
+            for step in steps:
+                kind, out = step[:2]
+                if kind == POINT:
+                    value = "field.at(s[0])"
+                elif kind == FORCING:
+                    forcing, j, i_kappa = step[2:]
+                    value = f"{bind(forcing)}.derivative({j}, t) / {bind(i_kappa)}"
+                else:
+                    lower, terms = step[2:]
+                    parts = [] if lower is None else [scaled(lower[0], ref(lower[1]))]
+                    parts += [
+                        scaled(coef, f"field.apply({len(args)}, {ref(self.point)}, "
+                                     f"[{', '.join(map(ref, args))}])")
+                        for coef, args in terms
+                    ]
+                    value = _sum_source(ref(out), parts)
+                lines.append(f"    {ref(out)} = {value}")
+            lines.append("    return")
+        return "\n".join(lines) + "\n"
 
 
 class CoefficientTable:

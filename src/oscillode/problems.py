@@ -107,9 +107,9 @@ def memristor_field():
     plain Python complex numbers, which cost less per operation than numpy
     scalars; a point also holds the derivatives of g, h and phi at its y2
     and y1, each already multiplied by the linear factor it meets.  Orders
-    1 and 2 take closed forms that make the general formula's products and
-    sums in its order, so every order gives the same bits as the general
-    formula.
+    1, 2 and 3 take closed forms that make the general formula's products
+    and sums in its order, so every order gives the same bits as the general
+    formula, which order 4 runs.
     """
     # locals, so the closures below read them as cell variables
     a, b, c, d, e = _A, _B, _C, _D, _E
@@ -157,6 +157,21 @@ def memristor_field():
                 row2 = lg[2] * prod2 + (u4 - u3) * g[1] * (1.0 * v2) + (v4 - v3) * g[1] * (1.0 * u2)
                 window = lh[2] * prod2 + (u3 - u4) * h[1] * (1.0 * v2) + (v3 - v4) * h[1] * (1.0 * u2)
                 cubic = lphi[2] * prod1 + u3 * phi[1] * (1.0 * v1) + v3 * phi[1] * (1.0 * u1)
+                return np.array([0.0, row2, a * cubic - a * window, window, 0.0], dtype=complex)
+            if n == 3:
+                u1, u2, u3, u4, _ = np.asarray(directions[0]).tolist()
+                v1, v2, v3, v4, _ = np.asarray(directions[1]).tolist()
+                w1, w2, w3, w4, _ = np.asarray(directions[2]).tolist()
+                head1, head2 = 1.0 * u1, 1.0 * u2  # the products' first factors
+                pair1, pair2 = head1 * v1, head2 * v2
+                prod1, prod2 = pair1 * w1, pair2 * w2
+                vw1, uw1, vw2, uw2 = 1.0 * v1 * w1, head1 * w1, 1.0 * v2 * w2, head2 * w2
+                row2 = (lg[3] * prod2 + (u4 - u3) * g[2] * vw2 + (v4 - v3) * g[2] * uw2
+                        + (w4 - w3) * g[2] * pair2)
+                window = (lh[3] * prod2 + (u3 - u4) * h[2] * vw2 + (v3 - v4) * h[2] * uw2
+                          + (w3 - w4) * h[2] * pair2)
+                cubic = (lphi[3] * prod1 + u3 * phi[2] * vw1 + v3 * phi[2] * uw1
+                         + w3 * phi[2] * pair1)
                 return np.array([0.0, row2, a * cubic - a * window, window, 0.0], dtype=complex)
             comps = [np.asarray(dirn).tolist() for dirn in directions]
             prod1, rests1 = _direction_products([v[0] for v in comps])
@@ -352,6 +367,38 @@ def _parse_number(x):
 _REQUIRED_CONFIG_KEYS = ("dimension", "basis", "kappa", "y0", "t_end")
 _CONFIG_KEYS = ("dimension", "mode", "basis", "basis_names", "kappa", "field", "y0", "t_end",
                 "name", "omegas", "order")
+# the JSON type of a config value, and its description in an error
+_NUMBER = ((int, float), "a number")
+_CONFIG_TYPES = {
+    "dimension": _NUMBER,
+    "basis": (list, "a list of numbers"),
+    "basis_names": (list, "a list of names"),
+    "kappa": (list, "a list of coordinate lists"),
+    "y0": (list, "a list of numbers or [re, im] pairs"),
+    "t_end": _NUMBER,
+    "name": (str, "a string"),
+    "omegas": (list, "a list of numbers"),
+    "order": _NUMBER,
+}
+
+
+def _config_value(cfg, key, parse=None, default=None):
+    """``parse`` of config ``key``'s value, or the value itself without
+    ``parse``; ``default`` for an optional key that is absent or null.
+
+    A value whose JSON type is not that of ``_CONFIG_TYPES``, or that
+    ``parse`` cannot convert, raises ``ValueError`` naming the key.
+    """
+    value = cfg.get(key)
+    if value is None and key not in _REQUIRED_CONFIG_KEYS:
+        return default
+    types, what = _CONFIG_TYPES[key]
+    try:
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError
+        return value if parse is None else parse(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r} must be {what}, not {json.dumps(value)}") from None
 
 
 def load_problem_config(path, name=None):
@@ -384,7 +431,7 @@ def load_problem_config(path, name=None):
             f"config lacks required key(s) {', '.join(map(repr, missing))}; "
             f"required: {', '.join(_REQUIRED_CONFIG_KEYS)}"
         )
-    dimension = _nonnegative_integer("dimension", cfg["dimension"])
+    dimension = _nonnegative_integer("dimension", _config_value(cfg, "dimension"))
     if cfg.get("mode", "exact") != "exact":
         raise ValueError(
             f"mode {cfg['mode']!r} is not supported; frequencies are exact. Give each "
@@ -397,10 +444,16 @@ def load_problem_config(path, name=None):
             f"unknown config key(s) {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(_CONFIG_KEYS)}"
         )
-    basis = FrequencyBasis(cfg["basis"], names=cfg.get("basis_names"))
+    basis = FrequencyBasis(
+        _config_value(cfg, "basis", lambda reals: [float(b) for b in reals]),
+        names=_config_value(cfg, "basis_names"),
+    )
     kappas = [
-        BaseFrequency(m, basis, coords=[str(q) for q in coords])
-        for m, coords in enumerate(cfg["kappa"], start=1)
+        BaseFrequency(m, basis, coords=coords)
+        for m, coords in enumerate(
+            _config_value(cfg, "kappa", lambda rows: [[str(q) for q in row] for row in rows]),
+            start=1,
+        )
     ]
     field = cfg.get("field", "cubic_demo")
     if not isinstance(field, str) or field not in _NAMED_FIELDS:
@@ -408,14 +461,14 @@ def load_problem_config(path, name=None):
     problem = Problem(
         vector_field=_NAMED_FIELDS[field](dimension),
         forcings=_default_amplitudes(kappas, dimension),
-        y0=[_parse_number(v) for v in cfg["y0"]],
+        y0=_config_value(cfg, "y0", lambda values: [_parse_number(v) for v in values]),
         basis=basis,
     )
     return RegisteredProblem(
-        name=name or cfg.get("name", "config_problem"),
+        name=name or _config_value(cfg, "name", default="config_problem"),
         problem=problem,
         linear=None,
-        t_end=float(cfg["t_end"]),
-        omegas=tuple(float(w) for w in cfg.get("omegas", (500.0,))),
-        default_order=_nonnegative_integer("order", cfg.get("order", 3)),
+        t_end=_config_value(cfg, "t_end", float),
+        omegas=_config_value(cfg, "omegas", lambda ws: tuple(map(float, ws)), (500.0,)),
+        default_order=_nonnegative_integer("order", _config_value(cfg, "order", default=3)),
     )

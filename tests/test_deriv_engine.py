@@ -246,6 +246,32 @@ def test_memristor_point_is_bit_identical():
         assert np.array_equal(fld.apply(0, point, []), fld(y))
 
 
+def test_memristor_order_three_closed_form_is_the_general_formula_bit_for_bit():
+    # general complex entries, and entries with one or two signed-zero parts,
+    # which make the sign of a zero result depend on every product; the bytes
+    # of the results are compared, so -0.0 is told apart from 0.0.  Samples
+    # with many zero entries find a closed form that multiplies by 1.0 once
+    # less than the general formula, as samples without them do not
+    fld = memristor_field()
+    rng = np.random.default_rng(13)
+    zero_results = 0
+    for sample in range(6000):
+        entries = (rng.normal(size=20) + 1j * rng.normal(size=20)).tolist()
+        signs = rng.choice([0.0, -0.0], size=(20, 2)).tolist()
+        zero = 0.25 if sample < 2000 else 0.8  # the share of entries that are zero
+        kinds = rng.choice(4, size=20, p=[(1 - zero) / 2, zero, (1 - zero) / 4, (1 - zero) / 4])
+        for i, kind in enumerate(kinds.tolist()):
+            re, im = entries[i].real, entries[i].imag
+            entries[i] = [complex(re, im), complex(*signs[i]), complex(re, signs[i][1]),
+                          complex(signs[i][0], im)][kind]
+        y, *dirs = np.array(entries, dtype=complex).reshape(4, 5)
+        want = _memristor_reference(3, y.tolist(), [v.tolist() for v in dirs])
+        assert fld.apply(3, fld.at(y), dirs).tobytes() == want.tobytes()
+        assert fld.apply(3, y, dirs).tobytes() == want.tobytes()
+        zero_results += int(np.count_nonzero(want[1:4] == 0))
+    assert zero_results > 1000
+
+
 def test_linear_and_polynomial_points_match_references():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

@@ -390,6 +390,42 @@ def test_a_field_that_hands_out_its_stored_arrays_keeps_them():
         assert np.array_equal(shared, copied)
 
 
+def test_compiled_sums_never_write_into_the_one_array_a_field_returns():
+    # every value and differential is one shared read-only array: a sum that
+    # added into its first part, or kept a part and wrote into it later,
+    # raises at once or changes what the next apply returns
+    basis = FrequencyBasis([1.0, SQRT2], names=("1", "sqrt(2)"))
+    kappas = [BaseFrequency(1, basis, coords=(1, 0)), BaseFrequency(2, basis, coords=(0, 1))]
+    shared = np.array([0.3 - 0.1j, -0.2 + 0.05j])
+    shared.flags.writeable = False
+    results = []
+    for give in (lambda: shared, shared.copy):
+        field = VectorField(dimension=2, evaluate=lambda y: give(),
+                            jet=lambda y: lambda n, directions: give(), max_order=4)
+        forcings = [constant_amplitude(kappa, [0.5, -0.25]) for kappa in kappas]
+        ex = build_expansion(Problem(field, forcings, [0.1, 0.2], basis), order=3)
+        solve_nonoscillatory_chain(ex, t_end=1.0)
+        table = ex.table([0.0, 0.3, 0.7])
+        results.append([ex.chain_solution.ys, *table.values])
+    assert shared.tobytes() == np.array([0.3 - 0.1j, -0.2 + 0.05j]).tobytes()
+    for one_array, fresh_arrays in zip(*results):
+        assert one_array.tobytes() == fresh_arrays.tobytes()
+
+
+def test_a_long_sum_compiles_in_statements_that_add_in_order():
+    # Python's compiler nests a chain of + one level per part, so a sum of
+    # thousands of terms is split, and still adds left to right
+    parts = [f"x[{i}]" for i in range(3 * plan_module._SUM_CHUNK + 5)]
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=len(parts)) * 10.0 ** rng.integers(-8, 9, size=len(parts))
+    namespace = {"x": x.tolist()}
+    exec(compile(f"total = {plan_module._sum_source('total', parts)}", "<sum>", "exec"), namespace)
+    want = 0.0
+    for i, value in enumerate(x.tolist()):
+        want = value if i == 0 else want + value
+    assert namespace["total"] == want
+
+
 def test_memristor_chain_matches_its_stored_values():
     # the stacked r = 3 chain at the 129 knots, then at 64 times between
     # them, as an earlier version of the solver computed it

@@ -12,6 +12,7 @@ from oscillode.errors import SmallDenominatorError
 from oscillode.freq_algebra import (
     BaseFrequency,
     FrequencyBasis,
+    FrequencyLabel,
     _FrequencyKey,
     build_index_chain,
     canonicalize,
@@ -154,6 +155,31 @@ def test_index_outside_range_is_rejected_by_rho_and_canonicalize(index, message)
         rho(target, (index,), basis, kappas)
     with pytest.raises(ValueError, match=f"^index {index} {message}$"):
         canonicalize((index,), basis, kappas)
+
+
+@pytest.mark.parametrize(
+    "indices, position",
+    [((1, 5), 2), ((1, -1), 2), ((2, 1), 1)],
+    ids=["gap", "negative", "swapped"],
+)
+def test_base_frequencies_out_of_order_are_rejected(indices, position):
+    # labels name a base frequency by its index and keys by its position: at
+    # (1, 5) the chain raised IndexError, (1, -1) built a (-1,) label and
+    # (2, 1) swapped the labels
+    basis = worked_basis()
+    kappas = [BaseFrequency(m, basis, coords=c) for m, c in zip(indices, [(1, 0), (0, 1)])]
+    message = (
+        f"^forcing at position {position} carries base-frequency index "
+        f"{indices[position - 1]}; indices must be 1..M in order$"
+    )
+    target = FrequencyLabel(kappas[0].sigma, kappas[0].value, (1,))
+    for call in (
+        lambda: build_index_chain(basis, kappas, 3),
+        lambda: canonicalize((1,), basis, kappas),
+        lambda: rho(target, (1,), basis, kappas),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), max_size=5))

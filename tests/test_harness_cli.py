@@ -35,6 +35,7 @@ from oscillode.harness import (
     uniform_grid,
 )
 from oscillode.linear_closed_form import exact_linear_solution
+from oscillode.ode_core import _nonnegative_integer
 from oscillode.problems import get_problem, load_problem_config
 from oscillode.svg import emit_svg
 
@@ -632,6 +633,41 @@ def test_cli_reports_bad_input_in_one_line(argv, message, capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith(f"oscillode: error: {message}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "key, value, what",
+    [
+        ("basis", 5, "a list of numbers"),
+        ("basis", [None], "a list of numbers"),
+        ("basis_names", 3, "a list of names"),
+        ("kappa", 5, "a list of coordinate lists"),
+        ("y0", 3, "a list of numbers or [re, im] pairs"),
+        ("y0", [[1.0]], "a list of numbers or [re, im] pairs"),
+        ("omegas", 5, "a list of numbers"),
+        ("t_end", None, "a number"),
+        ("t_end", "1", "a number"),
+        ("dimension", "2", "a number"),
+        ("order", "3", "a number"),
+        ("name", 5, "a string"),
+    ],
+)
+def test_a_config_value_of_the_wrong_type_is_named_in_one_line(key, value, what, capsys, tmp_path):
+    # each of these escaped as a TypeError traceback, or was taken apart as a
+    # string; a message naming the key is one line with exit status 2
+    config = tmp_path / "problem.json"
+    config.write_text(json.dumps({**CONFIG, key: value}))
+    message = f"config key {key!r} must be {what}, not {json.dumps(value)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_problem_config(config)
+    assert cli_main(["expand", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"oscillode: error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["2", None, [1], 1j, "abc"])
+def test_a_nonnegative_integer_is_a_number(value):
+    with pytest.raises(ValueError, match=f"^order={re.escape(repr(value))} must be a nonnegative integer$"):
+        _nonnegative_integer("order", value)
 
 
 def test_solve_and_reference_check_every_omega_before_they_build(monkeypatch, capsys):
