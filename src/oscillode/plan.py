@@ -27,7 +27,7 @@ declaration drops terms that are not zero and gives wrong answers;
 ``support``, at a few times.
 
 A plan is generated code (``Plan``): one Python function per group of
-targets, one source line per value, all compiled at once.  A value read
+targets, with one source line per step.  A value read
 only inside its own function is a local there; no interpreter walks the
 steps at run time.  The code does the arithmetic of the steps, in their
 order, and reaches the field and the forcings only through ``apply``,
@@ -118,7 +118,7 @@ class Plan:
     whose slots are ``targets[g]``; ``programs[g]`` carries them out, called
     as ``programs[g](t, slots)``, and the segments run in order on one slot
     list.  The programs are Python functions generated from the steps, one
-    source line per step, all from one ``compile`` per plan (``_source``).
+    source line per step and one ``compile`` per segment (``_sources``).
     A value that only its own segment reads is a local of that function; a
     target, a value that a later segment reads and the chain values live in
     the slot list.  The field, forcings, coefficients and each (i kappa) are
@@ -210,9 +210,13 @@ class Plan:
             self.targets.append([walk(arg, steps) for arg in group])
             self.segments.append(steps)
         namespace = {"field": self.field, "zeros": np.zeros, "d": d}
-        exec(compile(self._source(namespace), "<oscillode plan>", "exec"), namespace)
-        # taken out of their own namespace, so a plan makes no reference cycle
-        self.programs = [namespace.pop(f"segment_{g}") for g in range(len(self.segments))]
+        self.programs = []
+        for g, source in enumerate(self._sources(namespace)):
+            # one compile per segment: the compiler's transient memory grows
+            # with the source, by about 130 bytes a character
+            exec(compile(source, "<oscillode plan>", "exec"), namespace)
+            # taken out of its namespace, so a plan makes no reference cycle
+            self.programs.append(namespace.pop(f"segment_{g}"))
 
     def _new_slot(self):
         self.size += 1
@@ -227,10 +231,10 @@ class Plan:
                 slots[r] = y[part]
         return slots
 
-    def _source(self, namespace):
-        """The segments as the source of functions ``segment_g(t, s)`` on the
-        slot list ``s``; ``namespace`` gains a name for every object that
-        the source reads."""
+    def _sources(self, namespace):
+        """The source of a function ``segment_g(t, s)`` on the slot list
+        ``s`` for each segment g; ``namespace`` gains a name for every
+        object that the sources read."""
         # the slot list holds the chain values, the targets and each value
         # that a later segment reads; every other value is a local
         made = {step[1]: g for g, steps in enumerate(self.segments) for step in steps}
@@ -254,9 +258,9 @@ class Plan:
         def scaled(coef, value):
             return value if coef is None else f"{bind(coef)} * {value}"
 
-        lines = []
+        sources = []
         for g, steps in enumerate(self.segments):
-            lines.append(f"def segment_{g}(t, s):")
+            lines = [f"def segment_{g}(t, s):"]
             for step in steps:
                 kind, out = step[:2]
                 if kind == POINT:
@@ -275,7 +279,8 @@ class Plan:
                     value = _sum_source(ref(out), parts)
                 lines.append(f"    {ref(out)} = {value}")
             lines.append("    return")
-        return "\n".join(lines) + "\n"
+            sources.append("\n".join(lines) + "\n")
+        return sources
 
 
 class CoefficientTable:

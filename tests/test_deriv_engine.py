@@ -185,7 +185,7 @@ def _linear_times_scalar_diff(n, lin_value, lin_dots, scalar_derivs, var_comps):
 
 def _memristor_reference(n, y, directions, a=8.0, b=10.0, c=0.0, d=2.0, e=0.1):
     """The memristor differential computed afresh for one call, row by row."""
-    from oscillode.problems import _reciprocal_derivs
+    from oscillode.memristor import _reciprocal_derivs
 
     y1, y2, y3, y4, _ = y
     g = _reciprocal_derivs(y2, e)

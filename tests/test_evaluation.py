@@ -412,20 +412,6 @@ def test_compiled_sums_never_write_into_the_one_array_a_field_returns():
         assert one_array.tobytes() == fresh_arrays.tobytes()
 
 
-def test_a_long_sum_compiles_in_statements_that_add_in_order():
-    # Python's compiler nests a chain of + one level per part, so a sum of
-    # thousands of terms is split, and still adds left to right
-    parts = [f"x[{i}]" for i in range(3 * plan_module._SUM_CHUNK + 5)]
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=len(parts)) * 10.0 ** rng.integers(-8, 9, size=len(parts))
-    namespace = {"x": x.tolist()}
-    exec(compile(f"total = {plan_module._sum_source('total', parts)}", "<sum>", "exec"), namespace)
-    want = 0.0
-    for i, value in enumerate(x.tolist()):
-        want = value if i == 0 else want + value
-    assert namespace["total"] == want
-
-
 def test_memristor_chain_matches_its_stored_values():
     # the stacked r = 3 chain at the 129 knots, then at 64 times between
     # them, as an earlier version of the solver computed it
@@ -466,6 +452,21 @@ def test_a_build_only_process_imports_no_evaluation_module():
     modules = run.stdout.split()
     assert "oscillode.expansion" in modules
     assert [m for m in modules if m == "oscillode.plan" or "table" in m] == []
+
+
+def test_a_sum_of_over_a_thousand_terms_compiles_and_adds_in_order(compiled_plans):
+    # the 7th derivative of coefficient (3, 1) of the worked example sums
+    # 1222 terms in one step.  Python's compiler nests a chain of + one level
+    # per part and gives up at about a thousand, so the sum is split into
+    # statements that still add left to right: the values are those of the
+    # step interpreter that generated plans replaced
+    ex = build_expansion(get_problem("worked_example").problem, order=4)
+    solve_nonoscillatory_chain(ex, t_end=1.0)
+    value = ex.coefficient_value(3, (1,), 0.3, order=7)
+    sums = [step for step in compiled_plans[-1].segments[0] if step[0] == plan_module.SUM]
+    assert max(len(step[3]) for step in sums) > 4 * plan_module._SUM_CHUNK
+    want = [complex(0.0, -3.5254112740294183), complex(0.0, -0.6785088327398456)]
+    assert value.tobytes() == np.array(want).tobytes()
 
 
 def test_a_solve_compiles_its_chain_plan_once(compiled_plans):
