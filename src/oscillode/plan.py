@@ -119,9 +119,9 @@ class Plan:
     as ``programs[g](t, slots)``, and the segments run in order on one slot
     list.  The programs are Python functions generated from the steps, one
     source line per step and one ``compile`` per segment (``_sources``).
-    A value that only its own segment reads is a local of that function; a
-    target, a value that a later segment reads and the chain values live in
-    the slot list.  The field, forcings, coefficients and each (i kappa) are
+    A value that only its own segment reads is a local of that function;
+    the chain values, the field's point, the targets and each value that a
+    later segment reads live in the slot list (``shared``).  The field, forcings, coefficients and each (i kappa) are
     bound by name in the functions' namespace, not written into the source.
     Every differential goes through ``field.apply`` on the point that
     ``field.at`` made, and every forcing value through
@@ -179,9 +179,17 @@ class Plan:
             analysis[arg] = support, lower, terms
             return analysis[arg]
 
+        made = {}  # slot -> the segment whose steps set it
+        # the slots that the source keeps in the slot list, not in locals: the
+        # chain values, the field's point, the targets and each value that a
+        # later segment reads
+        self.shared = set(slot_of.values())
+
         def walk(arg, steps):
             slot = slot_of.get(arg)
             if slot is not None:
+                if made.get(slot, len(self.segments)) < len(self.segments):
+                    self.shared.add(slot)
                 return slot
             key, order = arg
             node = nodes[key]
@@ -195,12 +203,14 @@ class Plan:
                     lower = (_factor(-(1.0 / (1j * node.label.float_value))), walk(below, steps))
                 if terms and self.point is None:
                     self.point = self._new_slot()
+                    self.shared.add(self.point)
                     steps.append((POINT, self.point))
                 terms = tuple(
                     (_factor(coef), tuple(walk(a, steps) for a in args)) for coef, args in terms
                 )
                 step = (SUM, lower, terms)
             slot = slot_of[arg] = self._new_slot()
+            made[slot] = len(self.segments)
             steps.append((step[0], slot) + step[1:])
             return slot
 
@@ -208,12 +218,13 @@ class Plan:
         for group in groups:
             steps = []
             self.targets.append([walk(arg, steps) for arg in group])
+            self.shared.update(self.targets[-1])
             self.segments.append(steps)
         namespace = {"field": self.field, "zeros": np.zeros, "d": d}
         self.programs = []
         for g, source in enumerate(self._sources(namespace)):
             # one compile per segment: the compiler's transient memory grows
-            # with the source, by about 130 bytes a character
+            # with the source, by over a hundred bytes a character
             exec(compile(source, "<oscillode plan>", "exec"), namespace)
             # taken out of its namespace, so a plan makes no reference cycle
             self.programs.append(namespace.pop(f"segment_{g}"))
@@ -235,20 +246,9 @@ class Plan:
         """The source of a function ``segment_g(t, s)`` on the slot list
         ``s`` for each segment g; ``namespace`` gains a name for every
         object that the sources read."""
-        # the slot list holds the chain values, the targets and each value
-        # that a later segment reads; every other value is a local
-        made = {step[1]: g for g, steps in enumerate(self.segments) for step in steps}
-        shared = set(range(len(self.parts))).union(*self.targets)
-        for g, steps in enumerate(self.segments):
-            for kind, _, *operands in steps:
-                if kind == SUM:
-                    lower, terms = operands
-                    read = [a for _, args in terms for a in args] + [self.point] * bool(terms)
-                    read += [] if lower is None else [lower[1]]
-                    shared.update(slot for slot in read if made.get(slot, g) != g)
 
         def ref(slot):
-            return f"s[{slot}]" if slot in shared else f"v{slot}"
+            return f"s[{slot}]" if slot in self.shared else f"v{slot}"
 
         def bind(value):
             name = f"c{len(namespace)}"
