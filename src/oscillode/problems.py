@@ -257,9 +257,9 @@ def load_problem_config(path, name=None):
     ``dimension`` and ``order`` must be nonnegative integers, or a
     ``ValueError`` names the key; so does a value of the wrong JSON type,
     such as a string for a number or a number for a list, and a list entry
-    that is not a number where one must be.  Frequencies are exact: a ``mode`` other
-    than ``"exact"`` raises a ``ValueError`` that says how to declare
-    unrelated frequencies.
+    that is not a number where one must be.  Frequencies are exact: a
+    ``mode`` other than ``"exact"`` raises a ``ValueError`` that says how to
+    declare unrelated frequencies.
     """
     try:
         with open(path) as fh:
