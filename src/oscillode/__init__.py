@@ -7,7 +7,6 @@ shrinks as omega grows, in contrast to direct time stepping.
 """
 
 from .deriv_engine import (
-    FieldPoint,
     ForcingTerm,
     VectorField,
     constant_amplitude,

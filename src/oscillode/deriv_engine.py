@@ -27,7 +27,6 @@ from .errors import UnsupportedOrder, ValidationFailed
 from .ode_core import _nonnegative_integer
 
 __all__ = [
-    "FieldPoint",
     "VectorField",
     "ForcingTerm",
     "fd_differential",
@@ -39,30 +38,17 @@ __all__ = [
 ]
 
 
-class FieldPoint:
-    """A base state ``y`` with the field's work that depends on y alone done.
-
-    Made by ``VectorField.at``; pass it to ``VectorField.apply`` in place of
-    ``y`` to take any number of differentials there.  ``differential(n,
-    directions)`` is the contraction at y.
-    """
-
-    __slots__ = ("y", "differential")
-
-    def __init__(self, y, differential):
-        self.y = y
-        self.differential = differential
-
-
 @dataclass
 class VectorField:
     """Autonomous vector field given by its value and its jet.
 
     ``jet(y)`` does the work that depends on ``y`` alone once and returns a
     callable ``(n, directions)``: the n-th derivative tensor at y contracted
-    with the given direction vectors.  ``max_order`` is the highest n for
-    which that is implemented.  A plain ``differential(n, y, directions)``
-    becomes a jet through ``lambda y: lambda n, d: differential(n, y, d)``.
+    with the given direction vectors, for n >= 1.  That callable is the
+    field's point at y.  ``max_order`` is the highest n for which it is
+    implemented; None, the default, means every order.  A plain
+    ``differential(n, y, directions)`` becomes a jet through ``lambda y:
+    lambda n, d: differential(n, y, d)``.
 
     ``reads(n)`` is optional: the direction components that f_n can
     depend on, so that f_n[v_1..v_n] is exactly 0 when some v_i is zero on
@@ -74,34 +60,32 @@ class VectorField:
     dimension: int
     evaluate: object
     jet: object
-    max_order: int
+    max_order: int | None = None
     reads: object = None
 
     def __call__(self, y):
         return np.asarray(self.evaluate(y), dtype=complex)
 
     def at(self, y):
-        """The point y, for several ``apply`` calls that share its work."""
-        return FieldPoint(y, self.jet(y))
+        """The point y, ``jet(y)``, for several ``apply`` calls that share its work."""
+        return self.jet(y)
 
     def apply(self, n, y, directions):
-        """f_n at ``y`` applied to the directions.
+        """f_n at ``y`` applied to the directions, for n >= 1.
 
         ``y`` is a state vector or a point returned by ``at``.
         """
-        point = y if isinstance(y, FieldPoint) else None
         if n == 0:
-            return self(y if point is None else point.y)
-        if n > self.max_order:
+            raise ValueError("f_0 is the field's value: call the field, not apply(0, ...)")
+        if self.max_order is not None and n > self.max_order:
             raise UnsupportedOrder(
                 f"differential of order {n} requested but the field only "
                 f"supports order {self.max_order}"
             )
         if len(directions) != n:
             raise ValueError(f"order {n} differential needs {n} directions")
-        if point is None:
-            point = self.at(y)
-        return np.asarray(point.differential(n, list(directions)), dtype=complex)
+        point = y if callable(y) else self.at(y)
+        return np.asarray(point(n, list(directions)), dtype=complex)
 
 
 @dataclass
@@ -163,7 +147,8 @@ def validate_field(fld, samples):
     """Check the declared differentials against the finite-difference oracle.
 
     ``samples`` is a list of (y, directions) pairs; each is tested at every
-    order up to ``max_order``.  Deviations above ``VALIDATION_THRESHOLD``
+    order from 1 to its number of directions, and not above a finite
+    ``max_order``.  Deviations above ``VALIDATION_THRESHOLD``
     (relative to the larger of the two results and 1) raise
     ValidationFailed.  The step, ``VALIDATION_STEP`` at first order, is
     widened with the order to balance truncation against the eps / h^n
@@ -175,10 +160,9 @@ def validate_field(fld, samples):
     misread = set()  # orders at which a zeroed direction gave a nonzero f_n
     report = []
     for y, directions in samples:
-        for n in range(1, fld.max_order + 1):
+        top = len(directions) if fld.max_order is None else min(len(directions), fld.max_order)
+        for n in range(1, top + 1):
             dirs = directions[:n]
-            if len(dirs) < n:
-                continue
             for i in range(n if fld.reads is not None else 0):
                 zeroed = [np.array(v, dtype=complex) for v in dirs]
                 zeroed[i][list(fld.reads(n))] = 0.0
@@ -206,8 +190,9 @@ def validate_field(fld, samples):
 # -- common field constructors ------------------------------------------------
 
 
-def linear_field(matrix, max_order=6):
-    """Field f(y) = A y; all differentials above the first vanish."""
+def linear_field(matrix):
+    """Field f(y) = A y; all differentials above the first vanish, so every
+    order is exact."""
     a = np.asarray(matrix, dtype=complex)
     d = a.shape[0]
 
@@ -220,20 +205,20 @@ def linear_field(matrix, max_order=6):
         dimension=d,
         evaluate=lambda y: a @ y,
         jet=lambda y: differential_at,
-        max_order=max_order,
         reads=lambda n: range(d) if n == 1 else (),
     )
 
 
-def polynomial_field(dimension, component_terms, max_order=6):
-    """Field whose components are polynomials; differentials are exact.
+def polynomial_field(component_terms):
+    """Field whose components are polynomials; differentials are exact at
+    every order, and zero above the degree.
 
     ``component_terms[j]`` maps exponent tuples to coefficients for component
     j, e.g. ``{(0, 1): 1.0}`` for y_2 and ``{(2, 0): -0.5}`` for -0.5 y_1^2.
-    There must be ``dimension`` components, and each exponent tuple must be
-    ``dimension`` nonnegative integers (``2.0`` passes), or ``ValueError``
-    names the component and the exponent.  A zero coefficient drops its
-    monomial.
+    The field's dimension is the number of components, and each exponent
+    tuple must be that many nonnegative integers (``2.0`` passes), or
+    ``ValueError`` names the component and the exponent.  A zero
+    coefficient drops its monomial.
 
     f_n is a sum over the ways of sending the n ordered directions to the
     variables of a monomial, each variable taking at most its exponent.  A
@@ -249,10 +234,7 @@ def polynomial_field(dimension, component_terms, max_order=6):
     monomial, and ``reads(n)`` the variables that order n's ways send
     directions to.
     """
-    if len(component_terms) != dimension:
-        raise ValueError(
-            f"{len(component_terms)} components given for a field of dimension {dimension}"
-        )
+    dimension = len(component_terms)
     # ways[n]: (component, coefficient, falling factorials' product, the
     # variables of the powers left over, one per power, the directions' variables)
     ways = [[
@@ -308,7 +290,6 @@ def polynomial_field(dimension, component_terms, max_order=6):
         dimension=dimension,
         evaluate=lambda y: jet(y)(0, ()),
         jet=jet,
-        max_order=max_order,
         reads=lambda n: sorted({int(i) for variables in order(n)[3] for i in variables}),
     )
 

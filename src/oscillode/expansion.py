@@ -46,7 +46,6 @@ import numpy as np
 from .errors import OutOfDomain, UnsupportedOrder
 from .freq_algebra import (
     OperandMultisets,
-    _check_base_indices,
     build_index_chain,
     format_label,
 )
@@ -71,7 +70,13 @@ __all__ = [
 
 
 class Problem:
-    """An ODE with oscillatory forcing channels at distinct base frequencies."""
+    """An ODE with oscillatory forcing channels at distinct base frequencies.
+
+    Forcing m's base frequency is the one that index m names in every label.
+    Each must be made over ``basis``, with one coordinate per basis real and
+    the value that ``basis`` gives its coordinates, or ``ValueError`` names
+    its position.
+    """
 
     def __init__(self, vector_field, forcings, y0, basis):
         if not forcings:
@@ -81,7 +86,10 @@ class Problem:
         self.y0 = np.asarray(y0, dtype=complex)
         self.basis = basis
         if self.y0.shape != (vector_field.dimension,):
-            raise ValueError("initial state dimension mismatch")
+            raise ValueError(
+                f"initial state has shape {self.y0.shape}; the field needs "
+                f"({vector_field.dimension},)"
+            )
         _check_finite_y0(self.y0)
         for pos, forcing in enumerate(self.forcings, start=1):
             shape = np.shape(forcing.derivative(0, 0.0))
@@ -90,7 +98,12 @@ class Problem:
                     f"forcing {pos} amplitude has shape {shape} at t=0; the field "
                     f"needs ({vector_field.dimension},)"
                 )
-        _check_base_indices(self.kappas)
+            kappa = forcing.kappa
+            if len(kappa.sigma) != basis.dimension or kappa.value != basis.sigma_float(kappa.sigma):
+                raise ValueError(
+                    f"base frequency {pos} (value {kappa.value!r}, {len(kappa.sigma)} "
+                    f"coordinate(s)) is not made over the problem's basis {basis.basis_reals}"
+                )
         sigmas = [f.kappa.sigma for f in self.forcings]
         for i in range(len(sigmas)):
             for j in range(i + 1, len(sigmas)):
@@ -249,11 +262,11 @@ def _finite_time(t):
 
 def _check_orders(problem, order):
     """Orders, and declared forcing supports, against what ``order`` levels read."""
-    fld = problem.field
-    if fld.max_order < max(1, order):
+    supported = problem.field.max_order
+    if supported is not None and supported < max(1, order):
         raise UnsupportedOrder(
             f"building {order} levels needs differentials up to order {order}, "
-            f"field supports {fld.max_order}"
+            f"field supports {supported}"
         )
     for m, forcing in enumerate(problem.forcings, start=1):
         limit = forcing.max_derivative_order

@@ -116,19 +116,23 @@ class FrequencyBasis:
 
 
 class BaseFrequency:
-    """One base frequency: an index plus its rational coordinates."""
+    """One base frequency: its rational coordinates over ``basis``.
 
-    def __init__(self, index, basis, coords):
-        self.index = int(index)
+    A base frequency has no index of its own: the m-th of a problem's
+    forcings, or of a list of base frequencies, is index m, and labels name
+    it so.
+    """
+
+    def __init__(self, basis, coords):
         self.sigma = tuple(_fraction(c) for c in coords)
         if len(self.sigma) != basis.dimension:
             raise ValueError("coordinate vector length must match basis dimension")
         if all(c == 0 for c in self.sigma):
-            raise ValueError(f"base frequency {index} must be nonzero")
+            raise ValueError("a base frequency must be nonzero")
         self.value = basis.sigma_float(self.sigma)
 
     def __repr__(self):
-        return f"BaseFrequency({self.index}, {self.value:g})"
+        return f"BaseFrequency({self.value:g})"
 
 
 @dataclass(frozen=True)
@@ -180,20 +184,6 @@ def _checked_indices(tup, m_count):
     return tuple(out)
 
 
-def _check_base_indices(kappas):
-    """ValueError unless the m-th base frequency carries index m, for m = 1..M.
-
-    A label names a base frequency by its index and a frequency key by its
-    position, so the two must agree.
-    """
-    for pos, kappa in enumerate(kappas, start=1):
-        if kappa.index != pos:
-            raise ValueError(
-                f"forcing at position {pos} carries base-frequency index "
-                f"{kappa.index}; indices must be 1..M in order"
-            )
-
-
 def _zero_label(basis):
     return FrequencyLabel((Fraction(0),) * basis.dimension, 0.0, ())
 
@@ -212,10 +202,8 @@ def canonicalize(indices, basis, kappas):
 
     Zeros are stripped and the remaining indices sorted.  A tuple whose
     frequency sum is exactly zero collapses to the zero label regardless of
-    its indices.  An index outside ``0..M`` raises ``ValueError``, and so
-    do base frequencies out of order (``_check_base_indices``).
+    its indices.  An index outside ``0..M`` raises ``ValueError``.
     """
-    _check_base_indices(kappas)
     tup = tuple(sorted(filter(None, _checked_indices(indices, len(kappas)))))
     key_of = _FrequencyKey(kappas)
     return _label(tup, key_of(tup), key_of, basis)
@@ -418,9 +406,7 @@ class MultiplicityRecord:
 
 def rho(target, source_tuple, basis, kappas):
     """Number of ordered rearrangements of ``source_tuple`` whose frequency sum
-    equals the target's frequency (index 0 contributes zero).  Base
-    frequencies out of order raise ``ValueError`` (``_check_base_indices``)."""
-    _check_base_indices(kappas)
+    equals the target's frequency (index 0 contributes zero)."""
     source = _checked_indices(source_tuple, len(kappas))
     key_of = _FrequencyKey(kappas)
     if key_of(source) != key_of(target.canonical_tuple):
@@ -456,15 +442,15 @@ def default_delta_min(kappas):
 def _check_base_frequencies(basis, kappas, delta_min):
     """SmallDenominatorError naming the first base frequency that is zero or
     smaller than ``delta_min`` in magnitude."""
-    for kappa in kappas:
+    for m, kappa in enumerate(kappas, start=1):
         # zero tested on its own: default_delta_min is 0 when every base
         # frequency is
         if kappa.value == 0.0 or abs(kappa.value) < delta_min:
             below = "zero" if kappa.value == 0.0 else f"below delta_min={delta_min:.3e}"
             raise SmallDenominatorError(
                 f"base frequency {basis.sigma_string(kappa.sigma)} ~ {kappa.value:.3e} "
-                f"of index {kappa.index} is {below}",
-                label=(kappa.index,),
+                f"of index {m} is {below}",
+                label=(m,),
                 sigma=kappa.value,
             )
 
@@ -484,18 +470,16 @@ def build_index_chain(basis, kappas, r_max, delta_min=None):
     magnitude raises ``SmallDenominatorError`` naming its multiset.  A base
     frequency that is zero aborts before any level is made; one smaller
     than ``delta_min`` aborts after every level is made.  Both diagnostics
-    name the base frequency.  Base frequencies out of order raise
-    ``ValueError`` first (``_check_base_indices``).
+    name the base frequency.
     """
-    _check_base_indices(kappas)
     r_max = _nonnegative_integer("level r_max", r_max)
     delta_min = default_delta_min(kappas) if delta_min is None else _finite_positive("delta_min", delta_min)
     _check_base_frequencies(basis, kappas, 0.0)
     m_count = len(kappas)
     key_of = _FrequencyKey(kappas)
     singles = [
-        FrequencyLabel(kappa.sigma, basis.sigma_float(kappa.sigma), (kappa.index,))
-        for kappa in kappas
+        FrequencyLabel(kappa.sigma, basis.sigma_float(kappa.sigma), (m,))
+        for m, kappa in enumerate(kappas, start=1)
     ]
     chain = [IndexSet(0, singles)]
     labels = [_zero_label(basis)] + singles

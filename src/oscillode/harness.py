@@ -125,8 +125,8 @@ def _cache_path(cache_dir, registered, omega, tol, grid):
 
     add(_CACHE_FORMAT, float(omega), float(tol), REFERENCE_SAFETY)
     add(basis.basis_reals)
-    for kappa in problem.kappas:
-        add(kappa.index, tuple(map(str, kappa.sigma)), float(kappa.value))
+    for m, kappa in enumerate(problem.kappas, start=1):
+        add(m, tuple(map(str, kappa.sigma)), float(kappa.value))
     y0 = np.asarray(problem.y0, dtype=complex)
     h.update(y0.tobytes())
     h.update(np.ascontiguousarray(grid, dtype=float).tobytes())

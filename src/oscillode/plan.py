@@ -30,9 +30,9 @@ A plan is generated code (``Plan``): one Python function per group of
 targets, with one source line per step.  A value read
 only inside its own function is a local there; no interpreter walks the
 steps at run time.  The code does the arithmetic of the steps, in their
-order, and reaches the field and the forcings only through ``apply``,
-``at`` and ``derivative``, so its results, counts and errors are those of
-the steps.
+order, and reaches the field and the forcings only through the field's
+call, ``apply``, ``at`` and ``derivative``, so its results, counts and
+errors are those of the steps.
 
 Imported on first use, by the first solve or table: a process that only
 builds expansions never compiles this module, and peaks lower.
@@ -108,7 +108,8 @@ class Plan:
 
     - ``(FORCING, out, forcing, j, i kappa)``: the amplitude's j-th
       derivative over (i kappa);
-    - ``(POINT, out)``: the field's point at the base state in slot 0;
+    - ``(POINT, out)``: the field's point, its jet, at the base state in
+      slot 0, made before the first sum with terms;
     - ``(SUM, out, lower, terms)``: c * slot for ``lower`` = (c, slot) if
       not None, plus coef * f_n[arg slots] for each (coef, arg slots) term
       in turn, n being the number of arg slots.  A coefficient that is
@@ -121,10 +122,12 @@ class Plan:
     source line per step and one ``compile`` per segment (``_sources``).
     A value that only its own segment reads is a local of that function;
     the chain values, the field's point, the targets and each value that a
-    later segment reads live in the slot list (``shared``).  The field, forcings, coefficients and each (i kappa) are
-    bound by name in the functions' namespace, not written into the source.
-    Every differential goes through ``field.apply`` on the point that
-    ``field.at`` made, and every forcing value through
+    later segment reads live in the slot list (``shared``).  The field,
+    forcings, coefficients and each (i kappa) are bound by name in the
+    functions' namespace, not written into the source.
+    The one term with no arguments, level 0's f[p(0,0)], is the field's
+    value ``field(s[0])``; every differential goes through ``field.apply``
+    on the point that ``field.at`` made, and every forcing value through
     ``ForcingTerm.derivative``, looked up at each call.  A sum starts from
     its first part, not from a zero array, and adds each next part into a
     new array: it never writes into an array that the field returned.  A
@@ -273,7 +276,7 @@ class Plan:
                     parts = [] if lower is None else [scaled(lower[0], ref(lower[1]))]
                     parts += [
                         scaled(coef, f"field.apply({len(args)}, {ref(self.point)}, "
-                                     f"[{', '.join(map(ref, args))}])")
+                                     f"[{', '.join(map(ref, args))}])" if args else "field(s[0])")
                         for coef, args in terms
                     ]
                     value = _sum_source(ref(out), parts)

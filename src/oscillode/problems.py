@@ -58,13 +58,13 @@ def _linear_example():
     basis = _standard_basis()
     matrix = np.array([[0.0, 1.0], [-21.0 / 5.0, -3.0 / 5.0]], dtype=complex)
     kappas = [
-        BaseFrequency(1, basis, coords=(0, 1)),
-        BaseFrequency(2, basis, coords=(-1, -1)),
+        BaseFrequency(basis, coords=(0, 1)),
+        BaseFrequency(basis, coords=(-1, -1)),
     ]
     amp1 = [[0.0, 0.0], [0.0, 1.0]]  # t in the second component
     amp2 = [[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]  # t^2 in the second component
     problem = Problem(
-        vector_field=linear_field(matrix, max_order=8),
+        vector_field=linear_field(matrix),
         forcings=[
             polynomial_amplitude(kappas[0], amp1),
             polynomial_amplitude(kappas[1], amp2),
@@ -93,10 +93,10 @@ def _linear_example():
 def _memristor():
     basis = _standard_basis()
     kappas = [
-        BaseFrequency(1, basis, coords=(1, 0)),
-        BaseFrequency(2, basis, coords=(-1, 0)),
-        BaseFrequency(3, basis, coords=(0, 1)),
-        BaseFrequency(4, basis, coords=(0, -1)),
+        BaseFrequency(basis, coords=(1, 0)),
+        BaseFrequency(basis, coords=(-1, 0)),
+        BaseFrequency(basis, coords=(0, 1)),
+        BaseFrequency(basis, coords=(0, -1)),
     ]
     drive = _DRIVE * _B / 2j
     signs = (1.0, -1.0, 1.0, -1.0)
@@ -124,21 +124,19 @@ def _cubic_demo_field(dimension):
     if dimension != 2:
         raise ValueError("the cubic demo field is two-dimensional")
     return polynomial_field(
-        2,
         [
             {(0, 1): 1.0, (3, 0): -0.2},
             {(1, 0): -1.0, (0, 1): -0.1, (2, 0): 0.15},
-        ],
-        max_order=8,
+        ]
     )
 
 
 def _worked_example():
     basis = _standard_basis()
     kappas = [
-        BaseFrequency(1, basis, coords=(1, 0)),
-        BaseFrequency(2, basis, coords=(0, 1)),
-        BaseFrequency(3, basis, coords=(-1, -1)),
+        BaseFrequency(basis, coords=(1, 0)),
+        BaseFrequency(basis, coords=(0, 1)),
+        BaseFrequency(basis, coords=(-1, -1)),
     ]
     forcings = [
         constant_amplitude(kappas[0], [0.5, 0.0]),
@@ -194,8 +192,14 @@ def _default_amplitudes(kappas, dimension):
     return out
 
 
+def _memristor_config_field(dimension):
+    if dimension != 5:
+        raise ValueError("the memristor field is five-dimensional")
+    return memristor_field()
+
+
 # a config's field, by name: dimension -> VectorField
-_NAMED_FIELDS = {"cubic_demo": _cubic_demo_field, "memristor": lambda dimension: memristor_field()}
+_NAMED_FIELDS = {"cubic_demo": _cubic_demo_field, "memristor": _memristor_config_field}
 
 
 def _parse_number(x):
@@ -223,12 +227,17 @@ _CONFIG_TYPES = {
 }
 
 
+class _EntryError(ValueError):
+    """A config value's parse error that names the entry at fault."""
+
+
 def _config_value(cfg, key, parse=None, default=None):
     """``parse`` of config ``key``'s value, or the value itself without
     ``parse``; ``default`` for an optional key that is absent or null.
 
     A value whose JSON type is not that of ``_CONFIG_TYPES``, or that
-    ``parse`` cannot convert, raises ``ValueError`` naming the key.
+    ``parse`` cannot convert, raises ``ValueError`` naming the key, and the
+    entry when ``parse`` names it (``_EntryError``).
     """
     value = cfg.get(key)
     if value is None and key not in _REQUIRED_CONFIG_KEYS:
@@ -238,8 +247,25 @@ def _config_value(cfg, key, parse=None, default=None):
         if isinstance(value, bool) or not isinstance(value, types):
             raise TypeError
         return value if parse is None else parse(value)
+    except _EntryError as err:
+        raise ValueError(f"config key {key!r} {err}") from None
     except (TypeError, ValueError):
         raise ValueError(f"config key {key!r} must be {what}, not {json.dumps(value)}") from None
+
+
+def _base_frequencies(basis, rows):
+    """Config key ``kappa``'s base frequencies over ``basis``, one per
+    coordinate list.  A list that makes none raises ``_EntryError`` naming
+    its channel."""
+    kappas = []
+    for m, row in enumerate(rows, start=1):
+        if not isinstance(row, list):
+            raise TypeError
+        try:
+            kappas.append(BaseFrequency(basis, [str(q) for q in row]))
+        except ValueError as err:
+            raise _EntryError(f"channel {m}: {err}") from None
+    return kappas
 
 
 def load_problem_config(path, name=None):
@@ -291,13 +317,7 @@ def load_problem_config(path, name=None):
         _config_value(cfg, "basis", lambda reals: [float(b) for b in reals]),
         names=_config_value(cfg, "basis_names"),
     )
-    kappas = [
-        BaseFrequency(m, basis, coords=coords)
-        for m, coords in enumerate(
-            _config_value(cfg, "kappa", lambda rows: [[str(q) for q in row] for row in rows]),
-            start=1,
-        )
-    ]
+    kappas = _config_value(cfg, "kappa", lambda rows: _base_frequencies(basis, rows))
     field = cfg.get("field", "cubic_demo")
     if not isinstance(field, str) or field not in _NAMED_FIELDS:
         raise ValueError(f"unknown field {field!r}; known: {', '.join(_NAMED_FIELDS)}")

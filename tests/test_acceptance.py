@@ -67,9 +67,9 @@ def test_criterion_1_reference_table(capsys):
     started = time.perf_counter()
     basis = FrequencyBasis([1.0, SQRT2], names=("1", "sqrt(2)"))
     kappas = [
-        BaseFrequency(1, basis, coords=(1, 0)),
-        BaseFrequency(2, basis, coords=(0, 1)),
-        BaseFrequency(3, basis, coords=(-1, -1)),
+        BaseFrequency(basis, coords=(1, 0)),
+        BaseFrequency(basis, coords=(0, 1)),
+        BaseFrequency(basis, coords=(-1, -1)),
     ]
     u4 = build_index_chain(basis, kappas, 4)[4]
     rows = index_table_records(u4, basis, kappas)
@@ -325,7 +325,7 @@ def test_criterion_8_property_suites(capsys, memristor_setup):
             c = (rng.randint(-2, 2), rng.randint(-2, 2))
             if c != (0, 0) and c not in coords:
                 coords.append(c)
-        kappas = [BaseFrequency(i + 1, basis, coords=c) for i, c in enumerate(coords)]
+        kappas = [BaseFrequency(basis, coords=c) for c in coords]
         tup = tuple(sorted(rng.randint(0, m_count) for _ in range(rng.randint(1, 4))))
         target = canonicalize(
             tuple(rng.randint(0, m_count) for _ in range(rng.randint(0, 3))),

@@ -66,14 +66,14 @@ def test_fd_symmetry_in_directions():
 def test_validate_linear_field_tight():
     # first-order check on an exact linear field is limited only by roundoff
     rng = np.random.default_rng(3)
-    fld = linear_field(rng.normal(size=(3, 3)), max_order=1)
-    report = validate_field(fld, _random_samples(rng, 3, 4))
+    fld = linear_field(rng.normal(size=(3, 3)))
+    report = validate_field(fld, _random_samples(rng, 3, 4, n_dirs=1))
     assert max(dev for _, dev in report) < 1e-10
 
 
 def test_validate_linear_field_all_orders():
     rng = np.random.default_rng(30)
-    fld = linear_field(rng.normal(size=(3, 3)), max_order=4)
+    fld = linear_field(rng.normal(size=(3, 3)))
     validate_field(fld, _random_samples(rng, 3, 4))
 
 
@@ -144,12 +144,10 @@ def test_unsupported_order_raises():
 
 def test_polynomial_field_matches_fd():
     fld = polynomial_field(
-        2,
         [
             {(0, 1): 1.0, (3, 0): -0.2},
             {(1, 0): -1.0, (2, 0): 0.15, (0, 1): -0.1},
-        ],
-        max_order=4,
+        ]
     )
     rng = np.random.default_rng(9)
     validate_field(fld, _random_samples(rng, 2, 5))
@@ -243,7 +241,6 @@ def test_memristor_point_is_bit_identical():
             expected = _memristor_reference(n, y, dirs[:n])
             assert np.array_equal(fld.apply(n, point, dirs[:n]), expected)
             assert np.array_equal(fld.apply(n, y, dirs[:n]), expected)
-        assert np.array_equal(fld.apply(0, point, []), fld(y))
 
 
 def test_memristor_order_three_closed_form_is_the_general_formula_bit_for_bit():
@@ -275,12 +272,12 @@ def test_memristor_order_three_closed_form_is_the_general_formula_bit_for_bit():
 def test_linear_and_polynomial_points_match_references():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    lin = linear_field(a, max_order=4)
+    lin = linear_field(a)
     terms = [
         {(0, 1): 1.0, (3, 0): -0.2, (1, 2): 0.3 - 0.1j},
         {(1, 0): -1.0, (0, 1): -0.1, (2, 0): 0.15, (2, 2): 0.05},
     ]
-    poly = polynomial_field(2, terms, max_order=6)
+    poly = polynomial_field(terms)
     for _ in range(4):
         y, dirs = _complex_samples(rng, 3, 4)
         point = lin.at(y)
@@ -315,14 +312,34 @@ def test_user_written_jet_works_through_points():
     rng = np.random.default_rng(13)
     y, dirs = _complex_samples(rng, 2, 2)
     point = fld.at(y)
-    assert point.y is y
     assert np.array_equal(fld.apply(2, point, dirs), differential(2, y, dirs))
     assert np.array_equal(fld.apply(1, point, dirs[:1]), fld.apply(1, y, dirs[:1]))
-    assert np.array_equal(fld.apply(0, point, []), fld(y))
     with pytest.raises(UnsupportedOrder):
         fld.apply(5, point, dirs * 3)
     with pytest.raises(ValueError):
         fld.apply(2, point, dirs[:1])
+
+
+def test_apply_takes_orders_from_one():
+    # f_0 is the field's value, which the field's call gives
+    fld = memristor_field()
+    y = np.full(5, 0.3 + 0.1j)
+    for point in (y, fld.at(y)):
+        with pytest.raises(ValueError, match=r"^f_0 is the field's value: call the field"):
+            fld.apply(0, point, [])
+
+
+def test_a_field_without_max_order_takes_every_order():
+    rng = np.random.default_rng(19)
+    a = rng.normal(size=(2, 2))
+    fld = linear_field(a)
+    assert fld.max_order is None
+    y, dirs = _complex_samples(rng, 2, 9)
+    assert np.array_equal(fld.apply(9, y, dirs), np.zeros(2, dtype=complex))
+    # validation checks one order per direction given, up to a finite max_order
+    assert [n for n, _ in validate_field(fld, [(y, dirs[:6])])] == [1, 2, 3, 4, 5, 6]
+    capped = VectorField(2, fld.evaluate, fld.jet, 3, fld.reads)
+    assert [n for n, _ in validate_field(capped, [(y, dirs[:6])])] == [1, 2, 3]
 
 
 # -- sparsity declarations ----------------------------------------------------------
@@ -334,8 +351,8 @@ def test_every_builtin_declaration_holds():
     rng = np.random.default_rng(14)
     fields = [
         memristor_field(),
-        linear_field(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)), max_order=4),
-        polynomial_field(2, [{(0, 1): 1.0, (1, 2): 0.3 - 0.1j}, {(2, 0): 0.15}], 4),
+        linear_field(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))),
+        polynomial_field([{(0, 1): 1.0, (1, 2): 0.3 - 0.1j}, {(2, 0): 0.15}]),
         *(get_problem(name).problem.field for name in ("linear_example", "worked_example")),
     ]
     for fld in fields:
@@ -386,14 +403,14 @@ def _assert_matches_reference(terms, fld, y, dirs, orders):
     point = fld.at(y)
     for n in orders:
         expected = _polynomial_reference(terms, n, y, dirs[:n])
-        got = fld.apply(n, point, dirs[:n])
+        got = fld.apply(n, point, dirs[:n]) if n else fld(y)
         scale = max(1.0, float(np.max(np.abs(expected))))
         assert float(np.max(np.abs(got - expected))) <= 1e-14 * scale
 
 
 def test_a_twenty_state_ladder_matches_the_reference():
     terms = _cubic_ladder(20)
-    fld = polynomial_field(20, terms, max_order=3)
+    fld = polynomial_field(terms)
     rng = np.random.default_rng(16)
     samples = [_complex_samples(rng, 20, 3) for _ in range(3)]
     for y, dirs in samples:
@@ -416,41 +433,43 @@ def test_random_sparse_polynomials_match_the_reference(d):
                 row[tuple(np.minimum(expo, 3).tolist())] = complex(*rng.normal(size=2))
             terms.append(row)
         y, dirs = _complex_samples(rng, d, 4)
-        _assert_matches_reference(terms, polynomial_field(d, terms, max_order=4), y, dirs, range(5))
+        _assert_matches_reference(terms, polynomial_field(terms), y, dirs, range(5))
 
 
 def test_a_zero_coefficient_changes_neither_values_nor_reads():
     terms = [{(0, 1, 0): 1.0, (2, 0, 0): 0.5j}, {(1, 1, 1): -0.3}, {(0, 0, 2): 2.0}]
     # a zero of higher degree, and one listed first
     padded = [terms[0], {**terms[1], (0, 4, 0): 0.0}, {(2, 0, 1): 0j, **terms[2]}]
-    plain, with_zeros = polynomial_field(3, terms), polynomial_field(3, padded)
+    plain, with_zeros = polynomial_field(terms), polynomial_field(padded)
     rng = np.random.default_rng(17)
     y, dirs = _complex_samples(rng, 3, 5)
+    assert np.array_equal(with_zeros(y), plain(y))
     for n in range(6):
-        assert np.array_equal(with_zeros.apply(n, y, dirs[:n]), plain.apply(n, y, dirs[:n]))
+        if n:
+            assert np.array_equal(with_zeros.apply(n, y, dirs[:n]), plain.apply(n, y, dirs[:n]))
         assert list(with_zeros.reads(n)) == list(plain.reads(n))
     assert list(plain.reads(3)) == [0, 1, 2] and list(plain.reads(2)) == [0, 1, 2]
 
 
 @pytest.mark.parametrize(
-    "dimension, terms, message",
+    "terms, message",
     [
-        (2, [{(-1, 0): 1.0}, {}], r"component 0's exponent \(-1, 0\): entry=-1 must be"),
-        (2, [{}, {(1.5, 0): 1.0}], r"component 1's exponent \(1.5, 0\): entry=1.5 must be"),
-        (2, [{(1, 0): 1.0}, {}, {}], "3 components given for a field of dimension 2"),
-        (2, [{(1,): 1.0}, {}], r"component 0's exponent \(1,\) must be a tuple of 2 nonneg"),
+        ([{(-1, 0): 1.0}, {}], r"component 0's exponent \(-1, 0\): entry=-1 must be"),
+        ([{}, {(1.5, 0): 1.0}], r"component 1's exponent \(1.5, 0\): entry=1.5 must be"),
+        ([{(1,): 1.0}, {}], r"component 0's exponent \(1,\) must be a tuple of 2 nonneg"),
     ],
-    ids=["negative_exponent", "fractional_exponent", "too_many_components", "short_exponent"],
+    ids=["negative_exponent", "fractional_exponent", "short_exponent"],
 )
-def test_polynomial_field_rejects_malformed_terms(dimension, terms, message):
+def test_polynomial_field_rejects_malformed_terms(terms, message):
     with pytest.raises(ValueError, match=message):
-        polynomial_field(dimension, terms)
+        polynomial_field(terms)
 
 
 def test_polynomial_field_takes_integral_float_exponents():
-    as_floats = polynomial_field(2, [{(2.0, 0): 1.0}, {(0, 1.0): -1.0}])
-    as_ints = polynomial_field(2, [{(2, 0): 1.0}, {(0, 1): -1.0}])
+    as_floats = polynomial_field([{(2.0, 0): 1.0}, {(0, 1.0): -1.0}])
+    as_ints = polynomial_field([{(2, 0): 1.0}, {(0, 1): -1.0}])
     rng = np.random.default_rng(18)
     y, dirs = _complex_samples(rng, 2, 2)
-    for n in range(3):
+    assert np.array_equal(as_floats(y), as_ints(y))
+    for n in range(1, 3):
         assert np.array_equal(as_floats.apply(n, y, dirs[:n]), as_ints.apply(n, y, dirs[:n]))

@@ -45,16 +45,14 @@ def two_frequency_problem():
     """Generic two-channel problem with a cubic polynomial field."""
     basis = FrequencyBasis([1.0, SQRT2], names=("1", "sqrt(2)"))
     kappas = [
-        BaseFrequency(1, basis, coords=(1, 0)),
-        BaseFrequency(2, basis, coords=(0, 1)),
+        BaseFrequency(basis, coords=(1, 0)),
+        BaseFrequency(basis, coords=(0, 1)),
     ]
     field = polynomial_field(
-        2,
         [
             {(0, 1): 1.0, (3, 0): -0.2, (1, 1): 0.1},
             {(1, 0): -1.0, (0, 1): -0.15, (2, 0): 0.2},
-        ],
-        max_order=8,
+        ]
     )
     forcings = [
         constant_amplitude(kappas[0], [0.4, 0.1]),
@@ -363,13 +361,11 @@ def test_term_weights_match_ordered_enumeration(name, order):
 def fractional_problem(reals, coords):
     """Three constant channels at base frequencies with fractional coordinates."""
     basis = FrequencyBasis(reals)
-    kappas = [BaseFrequency(m, basis, coords=c) for m, c in enumerate(coords, start=1)]
+    kappas = [BaseFrequency(basis, coords=c) for c in coords]
     field = polynomial_field(
-        2,
-        [{(0, 1): 1.0, (3, 0): -0.2, (1, 1): 0.1}, {(1, 0): -1.0, (2, 0): 0.2}],
-        max_order=8,
+        [{(0, 1): 1.0, (3, 0): -0.2, (1, 1): 0.1}, {(1, 0): -1.0, (2, 0): 0.2}]
     )
-    forcings = [constant_amplitude(k, [0.4, 0.1 * k.index]) for k in kappas]
+    forcings = [constant_amplitude(k, [0.4, 0.1 * m]) for m, k in enumerate(kappas, start=1)]
     return Problem(field, forcings, y0=[0.15, -0.1], basis=basis)
 
 
@@ -414,9 +410,9 @@ def resonant_problems(draw):
         )
     )
     basis = FrequencyBasis([1.0, SQRT2][:dimension])
-    kappas = [BaseFrequency(m, basis, coords=c) for m, c in enumerate(pair + rest, start=1)]
-    field = polynomial_field(2, [{(0, 1): 1.0, (2, 1): 0.1}, {(1, 0): -1.0}], max_order=4)
-    forcings = [constant_amplitude(k, [0.3, 0.1 * k.index]) for k in kappas]
+    kappas = [BaseFrequency(basis, coords=c) for c in pair + rest]
+    field = polynomial_field([{(0, 1): 1.0, (2, 1): 0.1}, {(1, 0): -1.0}])
+    forcings = [constant_amplitude(k, [0.3, 0.1 * m]) for m, k in enumerate(kappas, start=1)]
     problem = Problem(field, forcings, y0=[0.1, 0.0], basis=basis)
     return problem, draw(st.integers(min_value=1, max_value=4))
 
@@ -578,10 +574,10 @@ def test_truncation_error_scale_linear_example():
 def test_small_denominator_propagates():
     basis = FrequencyBasis([1.0, 1.0 - 1e-12], names=("1", "c"))
     kappas = [
-        BaseFrequency(1, basis, coords=(1, 0)),
-        BaseFrequency(2, basis, coords=(0, -1)),
+        BaseFrequency(basis, coords=(1, 0)),
+        BaseFrequency(basis, coords=(0, -1)),
     ]
-    field = polynomial_field(1, [{(2,): 1.0}], max_order=6)
+    field = polynomial_field([{(2,): 1.0}])
     problem = Problem(
         field,
         [
@@ -600,10 +596,10 @@ def test_a_zero_base_frequency_is_named_by_the_build():
     divide by it."""
     basis = FrequencyBasis([1.0, 2.0])
     kappas = [
-        BaseFrequency(1, basis, coords=(2, -1)),
-        BaseFrequency(2, basis, coords=(1, 0)),
+        BaseFrequency(basis, coords=(2, -1)),
+        BaseFrequency(basis, coords=(1, 0)),
     ]
-    field = polynomial_field(1, [{(2,): 1.0}], max_order=2)
+    field = polynomial_field([{(2,): 1.0}])
     problem = Problem(
         field, [constant_amplitude(k, [1.0]) for k in kappas], y0=[0.1], basis=basis
     )
@@ -624,8 +620,8 @@ def test_unsupported_field_order():
 
 def test_unsupported_forcing_order():
     basis = FrequencyBasis([1.0], names=("1",))
-    kappa = BaseFrequency(1, basis, coords=(1,))
-    field = linear_field(np.array([[0.0]]), max_order=8)
+    kappa = BaseFrequency(basis, coords=(1,))
+    field = linear_field(np.array([[0.0]]))
     amp = constant_amplitude(kappa, [1.0])
     amp.max_derivative_order = 1
     problem = Problem(field, [amp], y0=[0.0], basis=basis)
@@ -673,8 +669,8 @@ def test_coefficient_derivative_rejects_a_fractional_order(memristor_solved, ord
 
 def test_duplicate_frequencies_rejected():
     basis = FrequencyBasis([1.0], names=("1",))
-    k1 = BaseFrequency(1, basis, coords=(1,))
-    k2 = BaseFrequency(2, basis, coords=(1,))
+    k1 = BaseFrequency(basis, coords=(1,))
+    k2 = BaseFrequency(basis, coords=(1,))
     field = linear_field(np.array([[0.0]]))
     with pytest.raises(ValueError):
         Problem(
@@ -729,7 +725,7 @@ def test_a_solve_keeps_its_initial_values_only_in_the_chain_solution():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 0.0)])
 def test_problem_rejects_a_non_finite_initial_state(bad):
     basis = FrequencyBasis([1.0], names=("1",))
-    forcing = constant_amplitude(BaseFrequency(1, basis, coords=(1,)), [1.0, 0.0])
+    forcing = constant_amplitude(BaseFrequency(basis, coords=(1,)), [1.0, 0.0])
     with pytest.raises(ValueError, match=r"y0\[1\]=.* is not finite"):
         Problem(linear_field(np.eye(2)), [forcing], y0=[0.0, bad], basis=basis)
 
@@ -763,9 +759,9 @@ def test_a_chain_error_between_calls_is_named_by_every_level():
     # the field turns NaN once y passes 2; the integrator raises after the
     # right-hand side has returned, when no level is being worked on
     basis = FrequencyBasis([1.0], names=("1",))
-    linear = linear_field(np.eye(1), max_order=4)
+    linear = linear_field(np.eye(1))
     fld = VectorField(1, lambda y: np.where(abs(y) > 2.0, np.nan, y), linear.jet, 4)
-    forcing = constant_amplitude(BaseFrequency(1, basis, coords=(1,)), [1.0])
+    forcing = constant_amplitude(BaseFrequency(basis, coords=(1,)), [1.0])
     ex = build_expansion(Problem(fld, [forcing], y0=[1.0], basis=basis), order=2)
     with pytest.raises(NonFiniteRHS) as info:
         solve_nonoscillatory_chain(ex, t_end=2.0)
@@ -781,9 +777,8 @@ def test_a_non_finite_chain_initial_value_is_named_by_its_level():
     def amplitude(j, t):
         return np.array([1.0, math.inf if t == 0.0 else 1.0], dtype=complex)
 
-    forcing = ForcingTerm(BaseFrequency(1, basis, coords=(1,)), amplitude)
-    problem = Problem(linear_field(-np.eye(2), max_order=4), [forcing], y0=[1.0, 0.5],
-                      basis=basis)
+    forcing = ForcingTerm(BaseFrequency(basis, coords=(1,)), amplitude)
+    problem = Problem(linear_field(-np.eye(2)), [forcing], y0=[1.0, 0.5], basis=basis)
     ex = build_expansion(problem, order=2)
     with pytest.raises(ValueError, match=r"^the level-1 initial value is not finite: "
                        r"component 1 is \(nan\+infj\)") as info:
@@ -791,9 +786,9 @@ def test_a_non_finite_chain_initial_value_is_named_by_its_level():
     assert info.value.__notes__ == ["while solving node (r=1, m=0)"]
 
 
-def _one_channel_inputs(index=1, y0=(0.0, 0.0), forcings=None):
+def _one_channel_inputs(kappa_basis=None, y0=(0.0, 0.0), forcings=None):
     basis = FrequencyBasis([1.0], names=("1",))
-    kappa = BaseFrequency(index, basis, coords=(1,))
+    kappa = BaseFrequency(kappa_basis or basis, coords=(1,))
     if forcings is None:
         forcings = [constant_amplitude(kappa, [1.0, 0.0])]
     return linear_field(np.eye(2)), forcings, list(y0), basis
@@ -805,22 +800,48 @@ def _one_channel_inputs(index=1, y0=(0.0, 0.0), forcings=None):
         (lambda: Problem(*_one_channel_inputs(forcings=[])), ValueError,
          "at least one forcing channel required"),
         (lambda: Problem(*_one_channel_inputs(y0=(0.0,))), ValueError,
-         "initial state dimension mismatch"),
-        (lambda: Problem(*_one_channel_inputs(index=2)), ValueError,
-         "forcing at position 1 carries base-frequency index 2; indices must be 1..M in order"),
+         "initial state has shape (1,); the field needs (2,)"),
+        (lambda: Problem(*_one_channel_inputs(kappa_basis=FrequencyBasis([2.0]))), ValueError,
+         "base frequency 1 (value 2.0, 1 coordinate(s)) is not made over the problem's basis (1.0,)"),
         (lambda: ForcingTerm(None, lambda j, t: [1.0], max_derivative_order=1).derivative(2, 0.0),
          UnsupportedOrder, "amplitude derivative of order 2 requested but only 1 supported"),
     ],
-    ids=["no_forcings", "y0_length", "index_out_of_place", "forcing_derivative_order"],
+    ids=["no_forcings", "y0_length", "another_basis", "forcing_derivative_order"],
 )
 def test_problem_and_forcing_inputs_are_checked(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()
 
 
+@pytest.mark.parametrize(
+    "reals, position",
+    [([1.0, math.sqrt(3.0)], 1), ([2.0, SQRT2], 2), ([1.0], 1), ([1.0, SQRT2, 3.0], 1)],
+    ids=["another_second_real", "another_first_real", "fewer_reals", "more_reals"],
+)
+def test_base_frequencies_made_over_another_basis_are_rejected(reals, position):
+    # linear_example's base frequencies are made on (1, sqrt(2)); under a
+    # problem basis of (1, sqrt(3)) they built and solved silently, forced at
+    # sqrt(2) and labelled with sqrt(3), and under (1,) the build named a
+    # generated frequency 0
+    reg = get_problem("linear_example")
+    kappa = reg.problem.kappas[position - 1]
+    message = (
+        f"base frequency {position} (value {kappa.value!r}, 2 coordinate(s)) is not "
+        f"made over the problem's basis {tuple(reals)}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Problem(reg.problem.field, reg.problem.forcings, reg.problem.y0, FrequencyBasis(reals))
+
+
+def test_a_linear_field_builds_to_any_order():
+    # linear_field's differentials are exact at every order; it was capped at 8
+    ex = build_expansion(get_problem("linear_example").problem, order=9)
+    assert ex.order == 9 and (9, ()) in ex.nodes
+
+
 def test_problem_rejects_amplitude_dimension_mismatch():
     basis = FrequencyBasis([1.0], names=("1",))
-    kappa = BaseFrequency(1, basis, coords=(1,))
+    kappa = BaseFrequency(basis, coords=(1,))
     field = linear_field(np.eye(2))
     with pytest.raises(ValueError, match="forcing 1 amplitude has shape"):
         Problem(field, [constant_amplitude(kappa, [1.0, 0.0, 0.0])], y0=[0.0, 0.0], basis=basis)
@@ -889,7 +910,7 @@ def test_a_wrong_forcing_support_is_rejected_at_build():
     # a + b t claims a zero first derivative: caught at order 1, which only
     # a build of two or more levels reads
     basis = FrequencyBasis([1.0], names=("1",))
-    ramp = polynomial_amplitude(BaseFrequency(1, basis, coords=(1,)), [[1.0, 0.0], [0.0, 2.0]])
+    ramp = polynomial_amplitude(BaseFrequency(basis, coords=(1,)), [[1.0, 0.0], [0.0, 2.0]])
     ramp.support = lambda j: [0, 1] if j == 0 else []
     problem = Problem(linear_field(np.eye(2)), [ramp], y0=[0.0, 0.0], basis=basis)
     build_expansion(problem, order=1)

@@ -33,19 +33,19 @@ def worked_basis():
 def worked_kappas(basis=None):
     basis = basis or worked_basis()
     return [
-        BaseFrequency(1, basis, coords=(1, 0)),
-        BaseFrequency(2, basis, coords=(0, 1)),
-        BaseFrequency(3, basis, coords=(-1, -1)),
+        BaseFrequency(basis, coords=(1, 0)),
+        BaseFrequency(basis, coords=(0, 1)),
+        BaseFrequency(basis, coords=(-1, -1)),
     ]
 
 
 def memristor_kappas(basis=None):
     basis = basis or worked_basis()
     return [
-        BaseFrequency(1, basis, coords=(1, 0)),
-        BaseFrequency(2, basis, coords=(-1, 0)),
-        BaseFrequency(3, basis, coords=(0, 1)),
-        BaseFrequency(4, basis, coords=(0, -1)),
+        BaseFrequency(basis, coords=(1, 0)),
+        BaseFrequency(basis, coords=(-1, 0)),
+        BaseFrequency(basis, coords=(0, 1)),
+        BaseFrequency(basis, coords=(0, -1)),
     ]
 
 
@@ -155,31 +155,6 @@ def test_index_outside_range_is_rejected_by_rho_and_canonicalize(index, message)
         rho(target, (index,), basis, kappas)
     with pytest.raises(ValueError, match=f"^index {index} {message}$"):
         canonicalize((index,), basis, kappas)
-
-
-@pytest.mark.parametrize(
-    "indices, position",
-    [((1, 5), 2), ((1, -1), 2), ((2, 1), 1)],
-    ids=["gap", "negative", "swapped"],
-)
-def test_base_frequencies_out_of_order_are_rejected(indices, position):
-    # labels name a base frequency by its index and keys by its position: at
-    # (1, 5) the chain raised IndexError, (1, -1) built a (-1,) label and
-    # (2, 1) swapped the labels
-    basis = worked_basis()
-    kappas = [BaseFrequency(m, basis, coords=c) for m, c in zip(indices, [(1, 0), (0, 1)])]
-    message = (
-        f"^forcing at position {position} carries base-frequency index "
-        f"{indices[position - 1]}; indices must be 1..M in order$"
-    )
-    target = FrequencyLabel(kappas[0].sigma, kappas[0].value, (1,))
-    for call in (
-        lambda: build_index_chain(basis, kappas, 3),
-        lambda: canonicalize((1,), basis, kappas),
-        lambda: rho(target, (1,), basis, kappas),
-    ):
-        with pytest.raises(ValueError, match=message):
-            call()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), max_size=5))
@@ -315,7 +290,7 @@ def test_index_chain_is_the_closed_form(data):
         )
     )
     basis = FrequencyBasis([1.0, SQRT2][:dimension])
-    kappas = [BaseFrequency(m, basis, coords=c) for m, c in enumerate(coords, start=1)]
+    kappas = [BaseFrequency(basis, coords=c) for c in coords]
     # a near-cancelling pair of large-denominator frequencies is not the
     # subject here, so the small-denominator guard is set out of the way
     chain = build_index_chain(basis, kappas, r_max, delta_min=1e-300)
@@ -346,9 +321,7 @@ def test_packed_keys_are_exact_for_large_denominators():
     order does not count; the index chain matches a brute-force
     ``Fraction`` enumeration label by label."""
     basis = FrequencyBasis([1.0, SQRT2, math.sqrt(3.0)])
-    kappas = [
-        BaseFrequency(m, basis, coords=c) for m, c in enumerate(LARGE_DENOMINATOR_COORDS, start=1)
-    ]
+    kappas = [BaseFrequency(basis, coords=c) for c in LARGE_DENOMINATOR_COORDS]
     key_of = _FrequencyKey(kappas)
     keys, sums = [], []
     for total in range(7):
@@ -380,8 +353,8 @@ def test_small_denominator_guard():
     eps = 1e-12
     basis = FrequencyBasis([1.0, 1.0 - eps], names=("1", "c"))
     kappas = [
-        BaseFrequency(1, basis, coords=(1, 0)),
-        BaseFrequency(2, basis, coords=(0, -1)),
+        BaseFrequency(basis, coords=(1, 0)),
+        BaseFrequency(basis, coords=(0, -1)),
     ]
     with pytest.raises(SmallDenominatorError) as err:
         build_index_chain(basis, kappas, 3)
@@ -404,7 +377,7 @@ FRACTIONAL_BASES = {
 def test_fractional_coordinates_match_fraction_enumeration(name):
     reals, coords = FRACTIONAL_BASES[name]
     basis = FrequencyBasis(reals)
-    kappas = [BaseFrequency(m, basis, coords=c) for m, c in enumerate(coords, start=1)]
+    kappas = [BaseFrequency(basis, coords=c) for c in coords]
     chain = build_index_chain(basis, kappas, 6)
     for r, index_set in enumerate(chain[1:], start=1):
         first = first_multisets(kappas, max(r - 1, 1))
@@ -428,8 +401,8 @@ def test_delta_min_must_be_finite_and_positive(delta_min):
     reject every frequency, is refused before any label is made."""
     basis = FrequencyBasis([1.0, 1.0 + 1e-12], names=("1", "c"))
     kappas = [
-        BaseFrequency(1, basis, coords=(1, 0)),
-        BaseFrequency(2, basis, coords=(0, -1)),
+        BaseFrequency(basis, coords=(1, 0)),
+        BaseFrequency(basis, coords=(0, -1)),
     ]
     message = f"delta_min={delta_min!r} must be finite and positive"
     for r_max in (0, 1, 3):
@@ -441,8 +414,8 @@ def test_small_denominator_error_names_the_combination():
     """The guard's error names the combination that made the small frequency."""
     basis = FrequencyBasis([1.0, 1.0 - 1e-12], names=("1", "c"))
     kappas = [
-        BaseFrequency(1, basis, coords=(1, 0)),
-        BaseFrequency(2, basis, coords=(0, -1)),
+        BaseFrequency(basis, coords=(1, 0)),
+        BaseFrequency(basis, coords=(0, -1)),
     ]
     with pytest.raises(SmallDenominatorError) as err:
         build_index_chain(basis, kappas, 3)
@@ -457,8 +430,8 @@ def test_a_zero_base_frequency_is_named_before_any_level(r_max, m_count):
     is 0 too, so the zero test cannot lean on delta_min."""
     basis = FrequencyBasis([1.0, 2.0])
     kappas = [
-        BaseFrequency(1, basis, coords=(2, -1)),
-        BaseFrequency(2, basis, coords=(1, 0)),
+        BaseFrequency(basis, coords=(2, -1)),
+        BaseFrequency(basis, coords=(1, 0)),
     ][:m_count]
     message = r"^base frequency 2\*b1-b2 ~ 0\.000e\+00 of index 1 is zero$"
     with pytest.raises(SmallDenominatorError, match=message) as err:
@@ -515,7 +488,7 @@ def test_rho_matches_brute_force_random(data):
             max_size=m_count,
         )
     )
-    kappas = [BaseFrequency(i + 1, basis, coords=c) for i, c in enumerate(coords)]
+    kappas = [BaseFrequency(basis, coords=c) for c in coords]
     tup = tuple(
         data.draw(
             st.lists(
@@ -552,7 +525,7 @@ def test_rho_brute_force_bulk_seeded():
             c = (rng.randint(-2, 2), rng.randint(-2, 2))
             if c != (0, 0) and c not in coords:
                 coords.append(c)
-        kappas = [BaseFrequency(i + 1, basis, coords=c) for i, c in enumerate(coords)]
+        kappas = [BaseFrequency(basis, coords=c) for c in coords]
         tup = tuple(sorted(rng.randint(0, m_count) for _ in range(rng.randint(1, 4))))
         target = canonicalize(
             tuple(rng.randint(0, m_count) for _ in range(rng.randint(0, 3))),
@@ -611,6 +584,6 @@ def test_format_index_table_contains_reference_rows():
 def test_duplicate_fraction_rejects_float():
     basis = worked_basis()
     with pytest.raises(ValueError):
-        BaseFrequency(1, basis, coords=(0.5, 0))
-    ok = BaseFrequency(1, basis, coords=(Fraction(1, 2), 0))
+        BaseFrequency(basis, coords=(0.5, 0))
+    ok = BaseFrequency(basis, coords=(Fraction(1, 2), 0))
     assert ok.value == pytest.approx(0.5)

@@ -469,9 +469,9 @@ def test_cli_expand_rejects_a_bad_t_end_before_the_build(monkeypatch, capsys):
 
 def test_a_field_value_of_the_wrong_shape_is_named_not_broadcast():
     basis = FrequencyBasis([1.0, math.sqrt(2.0)])
-    kappas = [BaseFrequency(1, basis, coords=(1, 0)), BaseFrequency(2, basis, coords=(0, 1))]
+    kappas = [BaseFrequency(basis, coords=(1, 0)), BaseFrequency(basis, coords=(0, 1))]
     # a one-component value for a two-component state; the jet is right
-    jet = linear_field(-np.eye(2), max_order=4).jet
+    jet = linear_field(-np.eye(2)).jet
     field = VectorField(2, lambda y: np.array([-y[0] - y[1]]), jet, 4)
     forcings = [constant_amplitude(kappa, a) for kappa, a in zip(kappas, ([0.1, 0.2], [0.3, 0.0]))]
     problem = Problem(field, forcings, [0.1, 0.2], basis)
@@ -610,6 +610,16 @@ ZERO_BASE_CONFIG = {**CONFIG, "basis": [1.0, 2.0], "kappa": [[2, -1], [1, 0]]}
         ),
         (["expand", "--config", {**CONFIG, "basis": [1.0, math.nan]}],
          "basis real 2 is nan; every basis real must be finite and nonzero"),
+        (["expand", "--config", {**CONFIG, "basis": [1.0], "kappa": [["a"]]}],
+         "config key 'kappa' channel 1: Invalid literal for Fraction: 'a'"),
+        (["expand", "--config", {**CONFIG, "kappa": [[1, 0], [0, 0]]}],
+         "config key 'kappa' channel 2: a base frequency must be nonzero"),
+        (["expand", "--config", {**CONFIG, "kappa": [[1, 0], [1]]}],
+         "config key 'kappa' channel 2: coordinate vector length must match basis dimension"),
+        (["expand", "--config", {**CONFIG, "field": "memristor"}],
+         "the memristor field is five-dimensional"),
+        (["expand", "--config", {**CONFIG, "field": "memristor", "dimension": 5}],
+         "initial state has shape (2,); the field needs (5,)"),
     ],
     ids=["errors", "table", "table_delta_min_nan", "solve_t_end", "reference_tol",
          "reference_omega_nan", "solve_omega_nan", "reference_second_omega_nan", "errors_tol_0",
@@ -618,7 +628,10 @@ ZERO_BASE_CONFIG = {**CONFIG, "basis": [1.0, 2.0], "kappa": [[2, -1], [1, 0]]}
          "solve_grid_0", "reference_grid_1", "errors_grid_0", "errors_memristor_grid_1",
          "bench_grid_1", "expand_unknown_problem", "expand_config_without_basis",
          "expand_config_unknown_field", "expand_config_list_field", "expand_missing_config",
-         "table_zero_base_frequency", "expand_zero_base_frequency", "expand_nan_basis_real"],
+         "table_zero_base_frequency", "expand_zero_base_frequency", "expand_nan_basis_real",
+         "expand_config_kappa_not_rational", "expand_config_kappa_zero_row",
+         "expand_config_kappa_short_row", "expand_config_memristor_dimension_2",
+         "expand_config_y0_shorter_than_dimension"],
 )
 @pytest.mark.filterwarnings("error")  # a warning printed before the error is a second line
 def test_cli_reports_bad_input_in_one_line(argv, message, capsys, tmp_path):
@@ -642,6 +655,7 @@ def test_cli_reports_bad_input_in_one_line(argv, message, capsys, tmp_path):
         ("basis", [None], "a list of numbers"),
         ("basis_names", 3, "a list of names"),
         ("kappa", 5, "a list of coordinate lists"),
+        ("kappa", ["10"], "a list of coordinate lists"),
         ("y0", 3, "a list of numbers or [re, im] pairs"),
         ("y0", [[1.0]], "a list of numbers or [re, im] pairs"),
         ("omegas", 5, "a list of numbers"),
@@ -865,7 +879,7 @@ def test_a_named_field_loads_from_a_config(tmp_path):
     ``Problem(...)`` builds with that field and forcing ``m`` a constant 0.5
     in component ``(m-1) mod d``."""
     cubic_demo = polynomial_field(
-        2, [{(0, 1): 1.0, (3, 0): -0.2}, {(1, 0): -1.0, (0, 1): -0.1, (2, 0): 0.15}], max_order=8
+        [{(0, 1): 1.0, (3, 0): -0.2}, {(1, 0): -1.0, (0, 1): -0.1, (2, 0): 0.15}]
     )
     cases = [
         ("cubic_demo", cubic_demo, [0.1, 0.2], [[0.5, 0], [0, 0.5], [0.5, 0]]),
@@ -874,7 +888,7 @@ def test_a_named_field_loads_from_a_config(tmp_path):
     ]
     coords = [(1, 0), (0, 1), (-1, 1)]
     basis = FrequencyBasis([1.0, math.sqrt(2.0)], names=("1", "sqrt(2)"))
-    kappas = [BaseFrequency(m, basis, coords=c) for m, c in enumerate(coords, start=1)]
+    kappas = [BaseFrequency(basis, coords=c) for c in coords]
     grid = uniform_grid(0.5, 5)
     for field, vector_field, y0, amplitudes in cases:
         cfg = {
