@@ -655,7 +655,6 @@ def test_cli_reports_bad_input_in_one_line(argv, message, capsys, tmp_path):
         ("basis", [None], "a list of numbers"),
         ("basis_names", 3, "a list of names"),
         ("kappa", 5, "a list of coordinate lists"),
-        ("kappa", ["10"], "a list of coordinate lists"),
         ("y0", 3, "a list of numbers or [re, im] pairs"),
         ("y0", [[1.0]], "a list of numbers or [re, im] pairs"),
         ("omegas", 5, "a list of numbers"),
@@ -664,6 +663,7 @@ def test_cli_reports_bad_input_in_one_line(argv, message, capsys, tmp_path):
         ("dimension", "2", "a number"),
         ("order", "3", "a number"),
         ("name", 5, "a string"),
+        ("kappa", ["10"], "a list of coordinate lists"),
     ],
 )
 def test_a_config_value_of_the_wrong_type_is_named_in_one_line(key, value, what, capsys, tmp_path):
